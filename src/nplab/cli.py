@@ -1,6 +1,8 @@
 """Command line interface.
 
 Subcommands: run <config.json>, suite hierarchy, list, describe <id>.
+Flags of run and suite: --out DIR, --seed N, --format json|csv|both.
+Experiments run one after another in this process.
 Seed precedence: --seed flag > NPLAB_SEED environment variable > config.
 Exit codes: 0 all pass, 1 any failure, 2 usage error, 3 numeric error.
 """
@@ -34,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for JSON/CSV reports")
         p.add_argument("--seed", type=int, default=None,
                        help="override every experiment seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel experiment workers")
         p.add_argument("--format", choices=["json", "csv", "both"],
                        default="both", help="report formats to write")
 
@@ -75,7 +75,7 @@ def _apply_seed(configs, seed):
 
 
 def _execute(configs, args) -> int:
-    result = run_suite(configs, jobs=max(1, args.jobs))
+    result = run_suite(configs)
     for report in result["reports"]:
         status = "FAIL" if report.failed else "pass"
         line = f"{status}  {report.experiment_id}"

@@ -18,8 +18,8 @@ import numpy as np
 from .cnp import ContextSet
 from .errors import InputError, NumericError
 from .kernels import KernelSpec, eval_kernel, spectrum_of
-from .polyapprox import (chebyshev_error_bound, chebyshev_rho,
-                         chebyshev_schedule, remez_discrete)
+from .polyapprox import (apply_schedule, chebyshev_error_bound,
+                         chebyshev_rho, chebyshev_schedule, remez_discrete)
 
 WRAP_REACH = 6.0  # kernel images summed within this many lengthscales
 
@@ -214,9 +214,9 @@ def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
         raise NumericError("circulant Gram numerically singular",
                            lambda_min=lam_min)
     schedule = chebyshev_schedule(lam_min, lam_max, L)
-    z = np.zeros(grid.n)
-    for c in schedule.coefficients:
-        z = z + c * (y - circular_convolve(row, z))
+    # circular_convolve is looked up in this module at every call, so a
+    # wrapper bound to that name sees each layer
+    z = apply_schedule(lambda v: circular_convolve(row, v), schedule, y)
     k_t = row[(t_index - np.arange(grid.n)) % grid.n]
     prediction = float(k_t @ z)
     # exact posterior on the same circulant Gram, solved per frequency

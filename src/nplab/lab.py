@@ -1,10 +1,10 @@
 """Experiment orchestration: registry, configs, deterministic execution,
 and JSON/CSV report emission.
 
-Every named experiment is a pure function of (params, seed).  Within an
-experiment, stochastic tasks derive their own Philox streams from
-(seed, experiment id, task label), so results are independent of execution
-order and job count.
+Every named experiment is a pure function of (params, seed) that returns a
+list of `Check`s.  Within an experiment, stochastic tasks derive their own
+Philox streams from (seed, experiment id, task label), so results are
+independent of execution order.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import anp, cnp, convcnp, latent, polyapprox, tnp
-from .errors import NumericError, UsageError
+from .errors import ContractError, NumericError, UsageError
 from .kernels import KernelSpec, gram_spectrum
 from .rng import stream
 
@@ -29,13 +29,46 @@ PASS = "pass"
 FAIL = "fail"
 INFO = "informational"
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+            ">": operator.gt}
+RELATIONS = tuple(_COMPARE) + ("info",)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One measured value, the bound it is held to and the relation that
+    must hold between them; relation "info" records a value undecided."""
+
+    name: str
+    value: float
+    bound: Optional[float]
+    relation: str
+
+    def __post_init__(self):
+        if self.relation not in RELATIONS:
+            raise ContractError(f"check {self.name!r}: unknown relation "
+                                f"{self.relation!r}; allowed: {RELATIONS}")
+        if self.bound is None and self.relation != "info":
+            raise ContractError(f"check {self.name!r}: relation "
+                                f"{self.relation!r} needs a bound")
+        object.__setattr__(self, "value", float(self.value))
+        if self.bound is not None:
+            object.__setattr__(self, "bound", float(self.bound))
+
+    @property
+    def verdict(self) -> str:
+        """The only place a value is compared with its bound."""
+        if self.relation == "info":
+            return INFO
+        return PASS if _COMPARE[self.relation](self.value, self.bound) \
+            else FAIL
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    output_dir: Optional[str] = None
 
 
 @dataclass
@@ -43,23 +76,25 @@ class ExperimentReport:
     experiment_id: str
     params: dict
     seed: int
-    measurements: dict
-    bounds: dict
-    verdicts: dict
+    checks: list
     wall_time_ms: float
     error: Optional[str] = None
 
-    def __post_init__(self):
-        for name in self.verdicts:
-            if name not in self.measurements or name not in self.bounds:
-                raise UsageError(
-                    f"verdict {name!r} lacks a measurement/bound pair")
+    @property
+    def measurements(self) -> dict:
+        return {c.name: c.value for c in self.checks}
+
+    @property
+    def bounds(self) -> dict:
+        return {c.name: c.bound for c in self.checks}
+
+    @property
+    def verdicts(self) -> dict:
+        return {c.name: c.verdict for c in self.checks}
 
     @property
     def failed(self) -> bool:
-        if self.error is not None:
-            return True
-        return any(v == FAIL for v in self.verdicts.values())
+        return self.error is not None or FAIL in self.verdicts.values()
 
     def to_dict(self) -> dict:
         out = {
@@ -82,7 +117,7 @@ class RegistryEntry:
     description: str
     schema: dict          # param name -> default value
     tolerances: str
-    runner: Callable      # (params, seed) -> (measurements, bounds, verdicts)
+    runner: Callable      # (params, seed) -> list of Check
 
 
 REGISTRY: dict = {}
@@ -117,10 +152,6 @@ def validate_params(entry: RegistryEntry, params: dict) -> dict:
     return out
 
 
-def _verdict(ok: bool) -> str:
-    return PASS if ok else FAIL
-
-
 def _rbf(ell=1.0, jitter=None) -> KernelSpec:
     return KernelSpec(family="rbf", lengthscale=ell, jitter=jitter)
 
@@ -143,19 +174,9 @@ def _run_cnp_collision(params, seed):
     out1 = cnp.cnp_predict(enc, decoder, pair.C, x_t)
     out2 = cnp.cnp_predict(enc, decoder, pair.C2, x_t)
     sep = cnp.collision_separation(_rbf(), pair.C, pair.C2, x_t)
-    measurements = {
-        "encoding_gap": pair.encoding_gap,
-        "cnp_output_gap": abs(out1 - out2),
-        "gp_separation": sep,
-    }
-    bounds = {"encoding_gap": 0.0, "cnp_output_gap": 0.0,
-              "gp_separation": 0.01}
-    verdicts = {
-        "encoding_gap": _verdict(pair.encoding_gap == 0.0),
-        "cnp_output_gap": _verdict(out1 == out2),
-        "gp_separation": _verdict(sep > 0.01),
-    }
-    return measurements, bounds, verdicts
+    return [Check("encoding_gap", pair.encoding_gap, 0.0, "=="),
+            Check("cnp_output_gap", abs(out1 - out2), 0.0, "=="),
+            Check("gp_separation", sep, 0.01, ">")]
 
 
 @register(
@@ -172,22 +193,17 @@ def _run_pca_bound(params, seed):
     rep = cnp.pca_bound_experiment(
         params["n"], params["d"], mode=params["mode"], spec=spec,
         n_targets=params["n_targets"], seed=seed)
-    measurements = {
-        "measured_ratio": rep["measured_ratio"],
-        "ratio_deviation": abs(rep["deviation_from_bound"]),
-        "dominance_margin": rep["measured_ratio"] - rep["best_random_encoder_ratio"],
-    }
-    bounds = {"measured_ratio": rep["bound"], "ratio_deviation": 1e-10,
-              "dominance_margin": 1e-9}
+    ratio = rep["measured_ratio"]
     synthetic = params["mode"] == cnp.SYNTHETIC_ISOTROPIC
-    verdicts = {
-        "measured_ratio": (PASS if rep["measured_ratio"] >= rep["bound"] - 1e-10
-                           else FAIL) if synthetic else INFO,
-        "ratio_deviation": _verdict(measurements["ratio_deviation"] <= 1e-10)
-        if synthetic else INFO,
-        "dominance_margin": _verdict(measurements["dominance_margin"] <= 1e-9),
-    }
-    return measurements, bounds, verdicts
+    return [
+        Check("measured_ratio", ratio,
+              rep["bound"] - 1e-10 if synthetic else rep["bound"],
+              ">=" if synthetic else "info"),
+        Check("ratio_deviation", abs(rep["deviation_from_bound"]), 1e-10,
+              "<=" if synthetic else "info"),
+        Check("dominance_margin", ratio - rep["best_random_encoder_ratio"],
+              1e-9, "<="),
+    ]
 
 
 @register(
@@ -210,8 +226,7 @@ def _run_kernel_smoother(params, seed):
         a = anp.anp_predict(score, value_map, decoder, C, x_t)
         b = anp.nadaraya_watson(spec, C, x_t)
         worst = max(worst, abs(a - b))
-    return ({"max_gap": worst}, {"max_gap": 1e-10},
-            {"max_gap": _verdict(worst <= 1e-10)})
+    return [Check("max_gap", worst, 1e-10, "<=")]
 
 
 _FACTORIZATION_CLOSED_FORM = (np.exp(-0.5) / (1 + np.exp(-2.0))
@@ -228,22 +243,14 @@ def _run_factorization(params, seed):
     rep = anp.factorization_counterexample(
         _rbf(), angle_a_deg=params["angle_a"], angle_b_deg=params["angle_b"])
     gap = rep["gp_weight_gap"]
-    closed_dev = abs(gap - _FACTORIZATION_CLOSED_FORM)
-    measurements = {
-        "gp_weight_gap": gap,
-        "closed_form_deviation": closed_dev,
-        "score_inputs_identical": 1.0 if rep["score_inputs_identical"] else 0.0,
-    }
-    bounds = {"gp_weight_gap": 0.15, "closed_form_deviation": 1e-4,
-              "score_inputs_identical": 1.0}
     default_angles = params["angle_a"] == 180.0 and params["angle_b"] == 60.0
-    verdicts = {
-        "gp_weight_gap": _verdict(gap >= 0.15) if default_angles else INFO,
-        "closed_form_deviation": (_verdict(closed_dev <= 1e-4)
-                                  if default_angles else INFO),
-        "score_inputs_identical": _verdict(rep["score_inputs_identical"]),
-    }
-    return measurements, bounds, verdicts
+    return [
+        Check("gp_weight_gap", gap, 0.15, ">=" if default_angles else "info"),
+        Check("closed_form_deviation", abs(gap - _FACTORIZATION_CLOSED_FORM),
+              1e-4, "<=" if default_angles else "info"),
+        Check("score_inputs_identical",
+              1.0 if rep["score_inputs_identical"] else 0.0, 1.0, "=="),
+    ]
 
 
 def _expanded_product(A: np.ndarray, alphas, H: np.ndarray) -> np.ndarray:
@@ -277,8 +284,7 @@ def _run_poly_structure(params, seed):
         layerwise = tnp.tnp_forward(att.K_tilde, sched, H0)
         expanded = _expanded_product(att.K_tilde, alphas, H0)
         worst = max(worst, float(np.max(np.abs(layerwise - expanded))))
-    return ({"max_deviation": worst}, {"max_deviation": 1e-10},
-            {"max_deviation": _verdict(worst <= 1e-10)})
+    return [Check("max_deviation", worst, 1e-10, "<=")]
 
 
 @register(
@@ -301,12 +307,9 @@ def _run_eig_family(params, seed):
             expected = np.sort(np.concatenate([[mem.mu1],
                                                np.ones(mem.n - 1)]))
             dev_spec = max(dev_spec, float(np.max(np.abs(vals - expected))))
-    measurements = {"row_sum_deviation": dev_rows,
-                    "eigenvalue_deviation": dev_quad,
-                    "spectrum_deviation": dev_spec}
-    bounds = {k: 1e-10 for k in measurements}
-    verdicts = {k: _verdict(v <= 1e-10) for k, v in measurements.items()}
-    return measurements, bounds, verdicts
+    return [Check("row_sum_deviation", dev_rows, 1e-10, "<="),
+            Check("eigenvalue_deviation", dev_quad, 1e-10, "<="),
+            Check("spectrum_deviation", dev_spec, 1e-10, "<=")]
 
 
 @register(
@@ -332,14 +335,9 @@ def _run_gp_pipeline(params, seed):
     C = cnp.ContextSet(xs.reshape(-1, 1), y.reshape(-1, 1))
     x_t = rng.uniform(0.0, 12.0, 1)
     rep = tnp.tnp_gp_pipeline(spec, C, x_t, params["L"])
-    measurements = {"error_vs_oracle": rep["error_vs_oracle"],
-                    "kappa": rep["kappa"]}
-    bounds = {"error_vs_oracle": rep["bound"],
-              "kappa": params["max_kappa"]}
-    verdicts = {"error_vs_oracle": _verdict(
-        rep["error_vs_oracle"] <= rep["bound"]),
-        "kappa": INFO}
-    return measurements, bounds, verdicts
+    return [Check("error_vs_oracle", rep["error_vs_oracle"], rep["bound"],
+                  "<="),
+            Check("kappa", rep["kappa"], params["max_kappa"], "info")]
 
 
 @register(
@@ -356,25 +354,10 @@ def _run_depth_barrier(params, seed):
         params["kappa"], params["n"], params["L"], params["t_grid"],
         seed=seed, eps=params["eps"])
     slope_dev = abs(rep["decay_slope"] - rep["log_rho"]) / abs(rep["log_rho"])
-    measurements = {
-        "fit_residual": rep["fit_residual"],
-        "slope_relative_deviation": slope_dev,
-        "oracle_error": rep["oracle_error"],
-        "implied_min_depth": float(rep["implied_min_depth"]),
-    }
-    bounds = {
-        "fit_residual": 1e-8,
-        "slope_relative_deviation": 0.05,
-        "oracle_error": rep["barrier"],
-        "implied_min_depth": float(rep["implied_min_depth"]),
-    }
-    verdicts = {
-        "fit_residual": _verdict(rep["fit_residual"] <= 1e-8),
-        "slope_relative_deviation": _verdict(slope_dev <= 0.05),
-        "oracle_error": _verdict(rep["oracle_error"] >= rep["barrier"]),
-        "implied_min_depth": INFO,
-    }
-    return measurements, bounds, verdicts
+    return [Check("fit_residual", rep["fit_residual"], 1e-8, "<="),
+            Check("slope_relative_deviation", slope_dev, 0.05, "<="),
+            Check("oracle_error", rep["oracle_error"], rep["barrier"], ">="),
+            Check("implied_min_depth", rep["implied_min_depth"], None, "info")]
 
 
 @register(
@@ -404,15 +387,9 @@ def _run_inverse_bounds(params, seed):
             worst_margin = min(worst_margin, margin)
             _, _, nmargin = polyapprox.neumann_exact_check(S.eigenvalues, L)
             neumann_ok &= nmargin >= 0.0
-    measurements = {"chebyshev_bound_ok": float(chebyshev_ok),
-                    "neumann_bound_ok": float(neumann_ok),
-                    "min_margin": float(worst_margin)}
-    bounds = {"chebyshev_bound_ok": 1.0, "neumann_bound_ok": 1.0,
-              "min_margin": 0.0}
-    verdicts = {"chebyshev_bound_ok": _verdict(chebyshev_ok),
-                "neumann_bound_ok": _verdict(neumann_ok),
-                "min_margin": INFO}
-    return measurements, bounds, verdicts
+    return [Check("chebyshev_bound_ok", chebyshev_ok, 1.0, "=="),
+            Check("neumann_bound_ok", neumann_ok, 1.0, "=="),
+            Check("min_margin", worst_margin, 0.0, "info")]
 
 
 @register(
@@ -434,18 +411,11 @@ def _run_minimax_decay(params, seed):
         polyapprox.CHEBYSHEV, 1.0 / kappa, 1.0, params["eps"])
     d_neu = polyapprox.depth_to_target(
         polyapprox.NEUMANN, 1.0 / kappa, 1.0, params["eps"])
-    ratio = d_cheb / d_neu
-    limit = 2.0 / np.sqrt(kappa) + 0.2
-    measurements = {"slope_relative_deviation": slope_dev,
-                    "depth_ratio": ratio,
-                    "chebyshev_depth": float(d_cheb),
-                    "neumann_depth": float(d_neu)}
-    bounds = {"slope_relative_deviation": 0.05, "depth_ratio": limit,
-              "chebyshev_depth": float(d_cheb), "neumann_depth": float(d_neu)}
-    verdicts = {"slope_relative_deviation": _verdict(slope_dev <= 0.05),
-                "depth_ratio": _verdict(ratio <= limit),
-                "chebyshev_depth": INFO, "neumann_depth": INFO}
-    return measurements, bounds, verdicts
+    return [Check("slope_relative_deviation", slope_dev, 0.05, "<="),
+            Check("depth_ratio", d_cheb / d_neu, 2.0 / np.sqrt(kappa) + 0.2,
+                  "<="),
+            Check("chebyshev_depth", d_cheb, None, "info"),
+            Check("neumann_depth", d_neu, None, "info")]
 
 
 @register(
@@ -464,12 +434,8 @@ def _run_equivariance(params, seed):
                         amplitude=lambda p: 1.0 + 0.5 * np.sin(p[0]))
     nonstationary = convcnp.equivariance_defect(scaled, C, x_t,
                                                 params["shift"])
-    measurements = {"stationary_defect": stationary,
-                    "nonstationary_defect": nonstationary}
-    bounds = {"stationary_defect": 1e-10, "nonstationary_defect": 1e-2}
-    verdicts = {"stationary_defect": _verdict(stationary <= 1e-10),
-                "nonstationary_defect": _verdict(nonstationary > 1e-2)}
-    return measurements, bounds, verdicts
+    return [Check("stationary_defect", stationary, 1e-10, "<="),
+            Check("nonstationary_defect", nonstationary, 1e-2, ">")]
 
 
 @register(
@@ -491,12 +457,8 @@ def _run_grid_gp(params, seed):
         worst_excess = max(worst_excess,
                            rep["error_vs_oracle"] - rep["bound"])
         kappa = rep["kappa"]
-    measurements = {"worst_bound_excess": float(worst_excess),
-                    "kappa": float(kappa)}
-    bounds = {"worst_bound_excess": 1e-6, "kappa": float(kappa)}
-    verdicts = {"worst_bound_excess": _verdict(worst_excess <= 1e-6),
-                "kappa": INFO}
-    return measurements, bounds, verdicts
+    return [Check("worst_bound_excess", worst_excess, 1e-6, "<="),
+            Check("kappa", kappa, None, "info")]
 
 
 @register(
@@ -529,9 +491,7 @@ def _run_jacobian(params, seed):
                                           h_prime=1.0)
         worst = max(worst, float(np.max(np.abs(
             symbol_fd - fact.dft_eigenvalues))))
-    return ({"max_frequency_deviation": worst},
-            {"max_frequency_deviation": 1e-5},
-            {"max_frequency_deviation": _verdict(worst <= 1e-5)})
+    return [Check("max_frequency_deviation", worst, 1e-5, "<=")]
 
 
 @register(
@@ -557,9 +517,7 @@ def _run_full_support(params, seed):
         dev = float(np.max(np.abs(
             J.dft_eigenvalues * K_hat.dft_eigenvalues.real - 1.0)))
         worst = max(worst, dev)
-    return ({"max_inversion_deviation": worst},
-            {"max_inversion_deviation": 1e-8},
-            {"max_inversion_deviation": _verdict(worst <= 1e-8)})
+    return [Check("max_inversion_deviation", worst, 1e-8, "<=")]
 
 
 @register(
@@ -572,12 +530,8 @@ def _run_full_support(params, seed):
 def _run_pure_no_gp(params, seed):
     rep = convcnp.pure_convcnp_counterexample(_rbf(),
                                               spacing=params["spacing"])
-    measurements = {"pure_output_gap": rep["pure_output_gap"],
-                    "gp_mean_gap": rep["gp_mean_gap"]}
-    bounds = {"pure_output_gap": 0.0, "gp_mean_gap": 0.05}
-    verdicts = {"pure_output_gap": _verdict(rep["pure_output_gap"] == 0.0),
-                "gp_mean_gap": _verdict(rep["gp_mean_gap"] > 0.05)}
-    return measurements, bounds, verdicts
+    return [Check("pure_output_gap", rep["pure_output_gap"], 0.0, "=="),
+            Check("gp_mean_gap", rep["gp_mean_gap"], 0.05, ">")]
 
 
 @register(
@@ -603,15 +557,9 @@ def _run_depth_support(params, seed):
         _rbf(), grid, params["support"], [1e-2], first_row=row)
     slope_dev = (abs(rep_affine["decay_slope"] - rep_affine["log_rho"])
                  / abs(rep_affine["log_rho"]))
-    measurements = {"coverage_ok": 1.0 if achieved else 0.0,
-                    "slope_relative_deviation": slope_dev,
-                    "kappa": rep["kappa"]}
-    bounds = {"coverage_ok": 1.0, "slope_relative_deviation": 0.10,
-              "kappa": rep["kappa"]}
-    verdicts = {"coverage_ok": _verdict(achieved),
-                "slope_relative_deviation": _verdict(slope_dev <= 0.10),
-                "kappa": INFO}
-    return measurements, bounds, verdicts
+    return [Check("coverage_ok", 1.0 if achieved else 0.0, 1.0, "=="),
+            Check("slope_relative_deviation", slope_dev, 0.10, "<="),
+            Check("kappa", rep["kappa"], None, "info")]
 
 
 @register(
@@ -623,6 +571,7 @@ def _run_depth_support(params, seed):
     "covariance min eigenvalue > 1e-10")
 def _run_cov_rank(params, seed):
     from .linalg import jacobi_eigh
+    _require_room(10, params["min_separation"], 8.0)  # 10 points in [-4, 4]
     worst_rel = 0.0
     for i in range(params["n_models"]):
         rng = stream(seed, "latent.cov_rank", "models", i)
@@ -638,7 +587,7 @@ def _run_cov_rank(params, seed):
             S=B @ B.T,
             sigma2=float(rng.uniform(0.0, 0.5)))
         X_T = rng.uniform(-3, 3, (k + 3, 1))
-        pred = latent_predictive_cov(model, X_T)
+        pred = latent.latent_predictive(model, X_T)["cov"]
         vals, _ = jacobi_eigh(pred - model.sigma2 * np.eye(len(X_T)))
         vals = np.sort(vals)[::-1]
         tr = max(float(np.sum(np.abs(vals))), 1e-300)
@@ -652,24 +601,45 @@ def _run_cov_rank(params, seed):
         rep = latent.gp_cov_rank_check(spec, pts[:4].reshape(-1, 1),
                                        pts[4:].reshape(-1, 1))
         worst_min_eig = min(worst_min_eig, rep["min_eig"])
-    measurements = {"max_rank_excess": worst_rel,
-                    "min_gp_eigenvalue": float(worst_min_eig)}
-    bounds = {"max_rank_excess": 1e-8, "min_gp_eigenvalue": 1e-10}
-    verdicts = {"max_rank_excess": _verdict(worst_rel <= 1e-8),
-                "min_gp_eigenvalue": _verdict(worst_min_eig > 1e-10)}
-    return measurements, bounds, verdicts
+    return [Check("max_rank_excess", worst_rel, 1e-8, "<="),
+            Check("min_gp_eigenvalue", worst_min_eig, 1e-10, ">")]
 
 
-def latent_predictive_cov(model, X_T):
-    return latent.latent_predictive(model, X_T)["cov"]
+# draws a rejection sampler may make before it gives up
+_MAX_DRAWS = 10_000
+
+
+def _require_room(count, min_separation, span):
+    """Reject, before any draw, a request for `count` points at least
+    `min_separation` apart in an interval of length `span` that has no
+    room for them."""
+    if (count - 1) * min_separation >= span:
+        raise UsageError(
+            f"{count} points at least {min_separation:g} apart need an "
+            f"interval longer than {(count - 1) * min_separation:g}; the "
+            f"sampling interval is {span:g} long")
 
 
 def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
+    """Place points one at a time, rejecting candidates that fall within
+    `min_separation` of a placed point."""
     pts = []
+    widest = 0.0  # largest nearest-point gap of a rejected candidate
+    draws = 0
     while len(pts) < count:
+        if draws == _MAX_DRAWS:
+            raise NumericError(
+                f"placed {len(pts)} of {count} points at least "
+                f"{min_separation:g} apart in {draws} draws; the best "
+                f"rejected candidate lay {widest:.6g} from a placed point",
+                bracket=(widest, min_separation))
+        draws += 1
         cand = float(rng.uniform(low, high))
-        if all(abs(cand - p) >= min_separation for p in pts):
+        gap = min((abs(cand - p) for p in pts), default=np.inf)
+        if gap >= min_separation:
             pts.append(cand)
+        else:
+            widest = max(widest, gap)
     return np.array(pts)
 
 
@@ -680,11 +650,21 @@ def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
     {"n": 6, "lengthscale": 1.0, "offset": 0.37},
     "residual <= 1e-8 at k = n; residual > 0.01 x ||Phi||_F at k <= n/2")
 def _run_mean_bottleneck(params, seed):
-    rng = stream(seed, "latent.mean_bottleneck")
     n = params["n"]
-    xs = np.sort(rng.uniform(-3, 3, n))
-    while np.min(np.diff(xs)) < 0.4:
+    _require_room(n, 0.4, 6.0)
+    rng = stream(seed, "latent.mean_bottleneck")
+    widest = 0.0  # largest smallest gap of a rejected draw
+    for draws in range(1, _MAX_DRAWS + 1):
         xs = np.sort(rng.uniform(-3, 3, n))
+        gap = float(np.min(np.diff(xs)))
+        if gap >= 0.4:
+            break
+        widest = max(widest, gap)
+    else:
+        raise NumericError(
+            f"no draw of {n} points in [-3, 3] had all gaps >= 0.4 in "
+            f"{draws} draws; the best draw's smallest gap was {widest:.6g}",
+            bracket=(widest, 0.4))
     X_C = xs.reshape(-1, 1)
     X_T = (xs + params["offset"]).reshape(-1, 1)
     spec = _rbf(params["lengthscale"])
@@ -692,12 +672,8 @@ def _run_mean_bottleneck(params, seed):
     half = latent.mean_matching_residual(spec, X_C, X_T, n // 2)
     Phi = latent.posterior_weight_matrix(spec, X_C, X_T)
     frob = float(np.linalg.norm(Phi))
-    measurements = {"residual_full_rank": full,
-                    "residual_half_rank_rel": half / frob}
-    bounds = {"residual_full_rank": 1e-8, "residual_half_rank_rel": 0.01}
-    verdicts = {"residual_full_rank": _verdict(full <= 1e-8),
-                "residual_half_rank_rel": _verdict(half / frob > 0.01)}
-    return measurements, bounds, verdicts
+    return [Check("residual_full_rank", full, 1e-8, "<="),
+            Check("residual_half_rank_rel", half / frob, 0.01, ">")]
 
 
 @register(
@@ -712,12 +688,8 @@ def _run_mercer(params, seed):
     spec = KernelSpec(family="polynomial", degree=params["degree"])
     rep = latent.mercer_tail(spec, grid, params["k"])
     ey_gap = abs(rep["tail_trace"] - rep["best_rank_k_error"])
-    measurements = {"polynomial_tail": rep["tail_trace"],
-                    "eckart_young_gap": ey_gap}
-    bounds = {"polynomial_tail": 0.0, "eckart_young_gap": 1e-10}
-    verdicts = {"polynomial_tail": _verdict(rep["tail_trace"] == 0.0),
-                "eckart_young_gap": _verdict(ey_gap <= 1e-10)}
-    return measurements, bounds, verdicts
+    return [Check("polynomial_tail", rep["tail_trace"], 0.0, "=="),
+            Check("eckart_young_gap", ey_gap, 1e-10, "<=")]
 
 
 @register(
@@ -741,13 +713,10 @@ def _run_bottleneck_lift(params, seed):
     m2 = latent.latent_predictive(builder(enc.mean_encoding(other)),
                                   np.array([[0.5], [1.5]]))
     separated = float(np.max(np.abs(m1["mean"] - m2["mean"])))
-    measurements = {"max_predictive_gap": max(rep["max_mean_gap"],
-                                              rep["max_cov_gap"]),
-                    "non_collision_gap": separated}
-    bounds = {"max_predictive_gap": 1e-6, "non_collision_gap": 1e-3}
-    verdicts = {"max_predictive_gap": _verdict(rep["identical"]),
-                "non_collision_gap": _verdict(separated > 1e-3)}
-    return measurements, bounds, verdicts
+    # encoder_bottleneck_lift calls the lift identical when both gaps <= 1e-6
+    return [Check("max_predictive_gap",
+                  max(rep["max_mean_gap"], rep["max_cov_gap"]), 1e-6, "<="),
+            Check("non_collision_gap", separated, 1e-3, ">")]
 
 
 HIERARCHY_SUITE = [
@@ -785,13 +754,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     entry = REGISTRY[config.experiment_id]
     params = validate_params(entry, config.params)
     start = time.perf_counter()
-    measurements, bounds, verdicts = entry.runner(params, config.seed)
+    checks = entry.runner(params, config.seed)
     wall = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(
         experiment_id=config.experiment_id, params=params, seed=config.seed,
-        measurements={k: float(v) for k, v in measurements.items()},
-        bounds={k: float(v) for k, v in bounds.items()},
-        verdicts=verdicts, wall_time_ms=wall)
+        checks=checks, wall_time_ms=wall)
 
 
 def _param_hash(params: dict) -> str:
@@ -800,6 +767,7 @@ def _param_hash(params: dict) -> str:
 
 
 def _run_guarded(config: ExperimentConfig) -> ExperimentReport:
+    start = time.perf_counter()
     try:
         return run_experiment(config)
     except UsageError:
@@ -808,10 +776,8 @@ def _run_guarded(config: ExperimentConfig) -> ExperimentReport:
         return ExperimentReport(
             experiment_id=config.experiment_id, params=dict(config.params),
             seed=config.seed,
-            measurements={"execution_failed": 1.0},
-            bounds={"execution_failed": 0.0},
-            verdicts={"execution_failed": FAIL},
-            wall_time_ms=0.0,
+            checks=[Check("execution_failed", 1.0, 0.0, "==")],
+            wall_time_ms=(time.perf_counter() - start) * 1000.0,
             error=f"{type(exc).__name__}: {exc}")
 
 
@@ -820,19 +786,11 @@ def hierarchy_configs(seed: int = 0) -> list:
             for eid in HIERARCHY_SUITE]
 
 
-def run_suite(configs, jobs: int = 1) -> dict:
-    if isinstance(configs, str):
-        if configs != "hierarchy.suite":
-            raise UsageError(f"unknown suite alias {configs!r}")
-        configs = hierarchy_configs()
+def run_suite(configs) -> dict:
     configs = list(configs)
     if not configs:
         raise UsageError("suite expansion is empty")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_guarded, configs))
-    else:
-        reports = [_run_guarded(c) for c in configs]
+    reports = [_run_guarded(c) for c in configs]
     reports.sort(key=lambda r: (r.experiment_id, _param_hash(r.params)))
     overall = all(not r.failed for r in reports)
     return {"reports": reports, "overall_pass": overall}
@@ -841,8 +799,8 @@ def run_suite(configs, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # emission
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+def _fmt(value: Optional[float]) -> str:
+    return "" if value is None else f"{float(value):.17g}"
 
 
 def write_reports(reports, out_dir, fmt: str = "both") -> list:
@@ -864,13 +822,12 @@ def write_reports(reports, out_dir, fmt: str = "both") -> list:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["experiment_id", "measurement_name", "value",
-                             "bound_name", "bound", "verdict"])
+                             "relation", "bound", "verdict"])
             for report in reports:
-                for name in sorted(report.verdicts):
-                    writer.writerow([
-                        report.experiment_id, name,
-                        _fmt(report.measurements[name]), name,
-                        _fmt(report.bounds[name]), report.verdicts[name]])
+                for c in sorted(report.checks, key=lambda c: c.name):
+                    writer.writerow([report.experiment_id, c.name,
+                                     _fmt(c.value), c.relation, _fmt(c.bound),
+                                     c.verdict])
         written.append(path)
     return written
 
@@ -891,7 +848,7 @@ def parse_config_file(path) -> list:
     for i, item in enumerate(doc["experiments"]):
         if "experiment_id" not in item:
             raise UsageError(f"experiment #{i} lacks experiment_id")
-        extra = set(item) - {"experiment_id", "params", "seed", "output_dir"}
+        extra = set(item) - {"experiment_id", "params", "seed"}
         if extra:
             raise UsageError(f"unknown config keys {sorted(extra)} in "
                              f"experiment #{i}")
@@ -899,6 +856,5 @@ def parse_config_file(path) -> list:
         configs.append(ExperimentConfig(
             experiment_id=item["experiment_id"],
             params=item.get("params", {}),
-            seed=int(seed),
-            output_dir=item.get("output_dir")))
+            seed=int(seed)))
     return configs

@@ -91,8 +91,5 @@ def spectral_norm_sym(matrix: np.ndarray) -> float:
     """Spectral norm of a (symmetrized) matrix via its eigenvalues."""
     A = np.asarray(matrix, dtype=float)
     A = 0.5 * (A + A.T)
-    if A.shape[0] <= 2:
-        vals, _ = jacobi_eigh(A)
-        return float(np.abs(vals).max())
     # LAPACK is fine here: operator norms are plumbing, not a studied spectrum
     return float(np.abs(np.linalg.eigvalsh(A)).max())

@@ -1,11 +1,14 @@
 """Polynomial approximation of matrix inverses.
 
-Three schedule forms are supported:
+Two schedule forms are applied to operators by `apply_schedule`:
 
-* Neumann truncation (1/lam_max) sum_m (I - K/lam_max)^m, factor 1 - 1/kappa.
 * Chebyshev iteration with nodes at shifted Chebyshev points, factor
   (sqrt(kappa) - 1)/(sqrt(kappa) + 1).
 * Literal product form prod(I + alpha_l K) with free real coefficients.
+
+The Neumann truncation (1/lam_max) sum_m (I - K/lam_max)^m, factor
+1 - 1/kappa, enters only through its closed forms (`neumann_exact_check`,
+`depth_to_target`).
 
 A discrete Remez exchange provides the brute-force minimax oracle that all
 depth lower-bound experiments compare against, and `chebyshev_barrier` is the
@@ -46,9 +49,8 @@ class PolySchedule:
     """Coefficient schedule for a depth-L inverse approximation.
 
     For CHEBYSHEV the coefficients are the node reciprocals 1/x_l in
-    application order (interleaved for roundoff stability); for NEUMANN the
-    single coefficient 1/lam_max; for PRODUCT the alpha_l of
-    prod(I + alpha_l K).
+    application order (interleaved for roundoff stability); for PRODUCT the
+    alpha_l of prod(I + alpha_l K).
     """
 
     form: str
@@ -101,20 +103,6 @@ def chebyshev_schedule(lambda_min: float, lambda_max: float, L: int) -> PolySche
         rho=chebyshev_rho(lambda_max / lambda_min))
 
 
-def neumann_schedule(lambda_min: float, lambda_max: float, L: int) -> PolySchedule:
-    if not (0 < lambda_min <= lambda_max):
-        raise InputError("need 0 < lambda_min <= lambda_max")
-    if L < 1:
-        raise InputError("schedule depth must be at least 1")
-    kappa = lambda_max / lambda_min
-    return PolySchedule(
-        form=NEUMANN,
-        coefficients=(1.0 / lambda_max,),
-        interval=(lambda_min, lambda_max),
-        depth=L,
-        rho=1.0 - 1.0 / kappa)
-
-
 def product_schedule(alphas, lambda_min: float = None,
                      lambda_max: float = None) -> PolySchedule:
     """Literal product-form schedule prod(I + alpha_l K); p(0) = 1 always.
@@ -130,7 +118,7 @@ def product_schedule(alphas, lambda_min: float = None,
     if not (0 < lambda_min <= lambda_max):
         raise InputError("need 0 < lambda_min <= lambda_max")
     grid = np.linspace(lambda_min, lambda_max, 512)
-    p = eval_schedule_poly_vals(PRODUCT, alphas, lambda_max, grid, len(alphas))
+    p = eval_schedule_poly_vals(PRODUCT, alphas, grid)
     resid = np.abs(1.0 - grid * p)
     L = max(len(alphas), 1)
     return PolySchedule(
@@ -141,12 +129,12 @@ def product_schedule(alphas, lambda_min: float = None,
         rho=float(np.max(resid) ** (1.0 / L)))
 
 
-def eval_schedule_poly_vals(form: str, coefficients, lambda_max: float,
-                            lam: np.ndarray, depth: int) -> np.ndarray:
+def eval_schedule_poly_vals(form: str, coefficients,
+                            lam: np.ndarray) -> np.ndarray:
     """Scalar value of the schedule's polynomial at each lambda.
 
-    NEUMANN and CHEBYSHEV return the inverse approximation q(lambda);
-    PRODUCT returns p(lambda) = prod(1 + alpha_l lambda) itself.
+    CHEBYSHEV returns the inverse approximation q(lambda); PRODUCT returns
+    p(lambda) = prod(1 + alpha_l lambda) itself.
     """
     lam = np.asarray(lam, dtype=float)
     if form == PRODUCT:
@@ -154,9 +142,6 @@ def eval_schedule_poly_vals(form: str, coefficients, lambda_max: float,
         for a in coefficients:
             out *= 1.0 + a * lam
         return out
-    if form == NEUMANN:
-        r = (1.0 - lam / lambda_max) ** depth
-        return (1.0 - r) / lam
     if form == CHEBYSHEV:
         r = np.ones_like(lam)
         for c in coefficients:
@@ -166,17 +151,35 @@ def eval_schedule_poly_vals(form: str, coefficients, lambda_max: float,
 
 
 def schedule_inverse_values(schedule: PolySchedule, lam: np.ndarray) -> np.ndarray:
-    return eval_schedule_poly_vals(schedule.form, schedule.coefficients,
-                                   schedule.interval[1], lam, schedule.depth)
+    return eval_schedule_poly_vals(schedule.form, schedule.coefficients, lam)
+
+
+def apply_schedule(matvec, schedule: PolySchedule,
+                   rhs: np.ndarray) -> np.ndarray:
+    """Apply the schedule's polynomial in an operator, layer by layer.
+
+    PRODUCT runs X <- X + alpha_l matvec(X) from X = rhs, producing p(K) rhs;
+    CHEBYSHEV runs the affine inverse iteration X <- X + c_l (rhs - matvec(X))
+    from X = 0, producing q_L(K) rhs.  `matvec` may be a dense product, a
+    circular convolution or any other application of the same operator, and
+    `rhs` a vector or a matrix of columns.
+    """
+    if schedule.form == PRODUCT:
+        X = rhs
+        for alpha in schedule.coefficients:
+            X = X + alpha * matvec(X)
+        return X
+    if schedule.form == CHEBYSHEV:
+        X = np.zeros_like(rhs)
+        for c in schedule.coefficients:
+            X = X + c * (rhs - matvec(X))
+        return X
+    raise InputError(f"unsupported schedule form {schedule.form!r}")
 
 
 def apply_inverse_schedule(K: GramSpectrum, schedule: PolySchedule) -> np.ndarray:
-    """Materialize the schedule's inverse approximation of K as a matrix.
-
-    Neumann uses the Horner affine recurrence; Chebyshev runs the affine
-    iteration x <- x + (1/x_l)(b - K x) columnwise on b = e_i; the product
-    form multiplies the factors layer by layer.
-    """
+    """Materialize the schedule's polynomial in K as a matrix: q_L(K) for
+    CHEBYSHEV, p(K) for PRODUCT."""
     a, b = schedule.interval
     slack = 1e-9 * max(abs(b), 1.0)
     if K.lambda_min < a - slack or K.lambda_max > b + slack:
@@ -184,26 +187,7 @@ def apply_inverse_schedule(K: GramSpectrum, schedule: PolySchedule) -> np.ndarra
             f"spectrum [{K.lambda_min:g}, {K.lambda_max:g}] escapes the "
             f"schedule interval [{a:g}, {b:g}]")
     M = K.matrix
-    n = K.n
-    if schedule.form == NEUMANN:
-        inv_lmax = schedule.coefficients[0]
-        A = np.eye(n) - inv_lmax * M
-        X = inv_lmax * np.eye(n)
-        for _ in range(schedule.depth - 1):
-            X = inv_lmax * np.eye(n) + A @ X
-        return X
-    if schedule.form == CHEBYSHEV:
-        X = np.zeros((n, n))
-        B = np.eye(n)
-        for c in schedule.coefficients:
-            X = X + c * (B - M @ X)
-        return X
-    if schedule.form == PRODUCT:
-        X = np.eye(n)
-        for alpha in schedule.coefficients:
-            X = X + alpha * (M @ X)
-        return X
-    raise InputError(f"unknown schedule form {schedule.form!r}")
+    return apply_schedule(lambda X: M @ X, schedule, np.eye(K.n))
 
 
 def inverse_error(K: GramSpectrum, approx: np.ndarray) -> float:
@@ -216,10 +200,6 @@ def inverse_error(K: GramSpectrum, approx: np.ndarray) -> float:
 
 def chebyshev_error_bound(lambda_min: float, lambda_max: float, L: int) -> float:
     return (2.0 / lambda_min) * chebyshev_rho(lambda_max / lambda_min) ** L
-
-
-def neumann_error_bound(lambda_min: float, lambda_max: float, L: int) -> float:
-    return (1.0 - lambda_min / lambda_max) ** L / lambda_min
 
 
 def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
@@ -240,8 +220,6 @@ def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
                 r = mp.mpf(1)
                 for x in nodes:
                     r *= 1 - lam / x
-            elif schedule.form == NEUMANN:
-                r = (1 - lam * mp.mpf(schedule.coefficients[0])) ** schedule.depth
             elif schedule.form == PRODUCT:
                 p = mp.mpf(1)
                 for a in schedule.coefficients:
@@ -489,40 +467,3 @@ def equioscillation_count(result: MinimaxResult, grid_size: int = None) -> int:
     signs = np.sign(resid[near])
     return 1 + int(np.count_nonzero(np.diff(signs) != 0)) if signs.size else 0
 
-
-def product_form_best_error(a: float, b: float, L: int,
-                            grid_size: int = 512) -> dict:
-    """Measure how well the literal product prod(1 + alpha_l lambda) can
-    approximate 1/lambda on [a, b] under numerically optimized alpha.
-
-    Also reports the error of the root-based choice alpha_l = -1/x_l (the
-    residual-polynomial coefficients), which is near-maximally bad as an
-    inverse approximation: its product is small rather than close to
-    1/lambda.
-    """
-    from scipy.optimize import minimize
-
-    lam = np.linspace(a, b, grid_size)
-    target = 1.0 / lam
-
-    def sup_err(alpha):
-        p = np.ones_like(lam)
-        for av in alpha:
-            p = p * (1.0 + av * lam)
-        return float(np.max(np.abs(p - target)))
-
-    nodes = chebyshev_schedule(a, b, L).nodes
-    starts = [-1.0 / nodes, -0.5 / nodes,
-              np.full(L, (target.mean() ** (1.0 / L) - 1.0) / lam.mean())]
-    best = None
-    for x0 in starts:
-        res = minimize(sup_err, x0, method="Nelder-Mead",
-                       options={"maxiter": 4000, "fatol": 1e-14, "xatol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    return {
-        "optimized_alpha": tuple(float(v) for v in best.x),
-        "optimized_error": float(best.fun),
-        "root_based_error": sup_err(-1.0 / nodes),
-        "minimax_degree_L_error": minimax_oracle(a, b, L).error,
-    }

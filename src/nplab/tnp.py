@@ -20,7 +20,7 @@ from .cnp import ContextSet
 from .errors import InputError
 from .gp_oracle import posterior_mean
 from .kernels import GramSpectrum, KernelSpec, cross_vector, gram_spectrum, spectrum_of
-from .polyapprox import (CHEBYSHEV, PRODUCT, PolySchedule, chebyshev_barrier,
+from .polyapprox import (PolySchedule, apply_schedule, chebyshev_barrier,
                          chebyshev_error_bound, chebyshev_rho,
                          chebyshev_schedule, minimax_oracle)
 from .rng import stream
@@ -109,16 +109,7 @@ def tnp_forward(A: np.ndarray, schedule: PolySchedule, H0: np.ndarray) -> np.nda
     H = np.asarray(H0, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[1] != H.shape[0]:
         raise InputError("attention/input dimension mismatch")
-    if schedule.form == PRODUCT:
-        for alpha in schedule.coefficients:
-            H = H + alpha * (A @ H)
-        return H
-    if schedule.form == CHEBYSHEV:
-        X = np.zeros_like(H)
-        for c in schedule.coefficients:
-            X = X + c * (H - A @ X)
-        return X
-    raise InputError(f"unsupported schedule form {schedule.form!r} for layers")
+    return apply_schedule(lambda X: A @ X, schedule, H)
 
 
 def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int) -> dict:

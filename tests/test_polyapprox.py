@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import circulant
+
+from nplab.convcnp import GridSpec, circular_convolve, wrapped_kernel_row
 from nplab.errors import ContractError, InputError
-from nplab.kernels import spectrum_of
-from nplab.polyapprox import (CHEBYSHEV, NEUMANN, chebyshev_barrier,
+from nplab.kernels import KernelSpec, spectrum_of
+from nplab.polyapprox import (CHEBYSHEV, NEUMANN, PRODUCT, chebyshev_barrier,
                               chebyshev_error_bound, chebyshev_exact_check,
                               chebyshev_rho, chebyshev_schedule,
                               depth_to_target, equioscillation_count,
-                              apply_inverse_schedule, inverse_error,
-                              minimax_oracle, neumann_error_bound,
-                              neumann_exact_check, neumann_schedule,
-                              product_form_best_error, product_schedule,
+                              apply_inverse_schedule, apply_schedule,
+                              inverse_error, minimax_oracle,
+                              neumann_exact_check, product_schedule,
                               remez_discrete, schedule_inverse_values,
                               schedule_spectral_error_exact)
 
@@ -57,19 +59,21 @@ class TestSchedules:
         with pytest.raises(InputError):
             chebyshev_schedule(0.0, 1.0, 3)
         with pytest.raises(InputError):
-            neumann_schedule(2.0, 1.0, 3)
+            product_schedule([-0.1], 2.0, 1.0)
         with pytest.raises(InputError):
             chebyshev_schedule(1.0, 2.0, 0)
 
 
 class TestApplySchedule:
-    @pytest.mark.parametrize("form", [CHEBYSHEV, NEUMANN])
+    @pytest.mark.parametrize("form", [CHEBYSHEV, PRODUCT])
     @pytest.mark.parametrize("L", [1, 3, 8])
     def test_matrix_matches_scalar_values(self, form, L):
         M, lams = random_spd(seed=hash((form, L)) % 2**32, kappa=30.0)
         S = spectrum_of(M)
-        make = chebyshev_schedule if form == CHEBYSHEV else neumann_schedule
-        sched = make(S.lambda_min, S.lambda_max, L)
+        sched = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
+        if form == PRODUCT:  # the residual polynomial prod(1 - lambda/x_l)
+            sched = product_schedule(-np.asarray(sched.coefficients),
+                                     S.lambda_min, S.lambda_max)
         X = apply_inverse_schedule(S, sched)
         qvals = schedule_inverse_values(sched, S.eigenvalues)
         ref = (S.eigenvectors * qvals) @ S.eigenvectors.T
@@ -85,14 +89,21 @@ class TestApplySchedule:
                 bound = chebyshev_error_bound(S.lambda_min, S.lambda_max, L)
                 assert err <= bound * (1.0 + 1e-9)
 
-    def test_neumann_error_under_bound_float64(self):
-        M, _ = random_spd(17, kappa=20.0)
-        S = spectrum_of(M)
-        for L in (1, 4, 12):
-            sched = neumann_schedule(S.lambda_min, S.lambda_max, L)
-            err = inverse_error(S, apply_inverse_schedule(S, sched))
-            assert err <= neumann_error_bound(S.lambda_min, S.lambda_max, L) \
-                * (1.0 + 1e-9)
+    @pytest.mark.parametrize("form", [CHEBYSHEV, PRODUCT])
+    def test_circulant_dense_matches_convolution(self, form):
+        row = wrapped_kernel_row(KernelSpec(family="rbf", lengthscale=1.0),
+                                 GridSpec(n=32, spacing=1.0))
+        K = circulant(row)  # K[i, j] = row[(i - j) mod n], built apart
+        lam = np.linalg.eigvalsh(K)
+        rng = np.random.default_rng(4)
+        if form == CHEBYSHEV:
+            sched = chebyshev_schedule(lam[0], lam[-1], 12)
+        else:
+            sched = product_schedule(rng.uniform(-0.3, 0.3, 6))
+        y = rng.normal(size=32)
+        dense = apply_schedule(lambda v: K @ v, sched, y)
+        conv = apply_schedule(lambda v: circular_convolve(row, v), sched, y)
+        assert np.linalg.norm(dense - conv) <= 1e-12 * np.linalg.norm(dense)
 
     def test_interval_escape_raises(self):
         M, _ = random_spd(3, kappa=10.0)
@@ -204,14 +215,6 @@ class TestMinimaxOracle:
             minimax_oracle(0.5, 1.0, -1)
         with pytest.raises(InputError):
             minimax_oracle(0.5, 1.0, 5, grid_size=20)
-
-
-def test_product_form_gap_versus_minimax():
-    out = product_form_best_error(0.25, 1.0, 2, grid_size=256)
-    # optimized literal products cannot beat the minimax oracle of the same
-    # degree, and root-based coefficients are far worse than optimized ones
-    assert out["optimized_error"] >= out["minimax_degree_L_error"] * (1 - 1e-6)
-    assert out["root_based_error"] > out["optimized_error"]
 
 
 @settings(max_examples=20, deadline=None)
