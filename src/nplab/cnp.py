@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_mean
@@ -66,6 +65,8 @@ def context_from_pairs(pairs) -> ContextSet:
 def matching_distance(C: ContextSet, C2: ContextSet) -> float:
     """Minimum-cost perfect matching between the two point multisets,
     cost = sum of Euclidean distances of matched (x, y) pairs."""
+    # imported here, not at module level, so that loading nplab loads no scipy
+    from scipy.optimize import linear_sum_assignment
     if C.n != C2.n:
         raise InputError("matching distance needs equal-size contexts")
     P, Q = C.points(), C2.points()
@@ -201,6 +202,7 @@ def find_collision(encoder: Encoder, n: int, seed: int, d_x: int = 1,
     matching distance >= 0.1.  Failure is reported, not raised: existence
     is generic but a fixed search budget can miss.
     """
+    from scipy.optimize import minimize
     probe = encoder.encode(np.zeros(d_x), np.zeros(d_y))
     d = len(probe)
     if n * (d_x + d_y) <= d:

@@ -8,11 +8,13 @@ condition number used in bounds is always the one actually factored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, NumericError
-from .kernels import KernelSpec, cross_vector, gram_spectrum, kernel_matrix
+from .errors import DegenerateConfigurationError, InputError, NumericError
+from .kernels import (GramSpectrum, KernelSpec, cross_vector, gram_spectrum,
+                      kernel_matrix)
 
 MIN_LAMBDA = 1e-8
 
@@ -28,10 +30,20 @@ class PosteriorWeights:
         return float(self.weights @ np.asarray(y, dtype=float))
 
 
-def posterior_weights(spec: KernelSpec, X_C, x_t) -> PosteriorWeights:
-    """Posterior-mean weights k(x_t, X_C) K^{-1} at a single target."""
+def posterior_weights(spec: KernelSpec, X_C, x_t,
+                      spectrum: Optional[GramSpectrum] = None
+                      ) -> PosteriorWeights:
+    """Posterior-mean weights k(x_t, X_C) K^{-1} at a single target.
+
+    ``spectrum``, when given, must be ``gram_spectrum(spec, X_C)``; a caller
+    that has already factored the Gram passes it instead of having the same
+    matrix factored again.
+    """
     Xa = np.atleast_2d(np.asarray(X_C, dtype=float))
-    S = gram_spectrum(spec, Xa)
+    S = gram_spectrum(spec, Xa) if spectrum is None else spectrum
+    if S.n != Xa.shape[0]:
+        raise InputError(f"spectrum of a {S.n}-point Gram given for "
+                         f"{Xa.shape[0]} context points")
     if S.lambda_min <= MIN_LAMBDA:
         raise NumericError(
             "Gram matrix is numerically singular", lambda_min=S.lambda_min)
@@ -45,17 +57,20 @@ def posterior_weights(spec: KernelSpec, X_C, x_t) -> PosteriorWeights:
                             target=np.atleast_1d(np.asarray(x_t, dtype=float)))
 
 
-def posterior_mean(spec: KernelSpec, X_C, y_C, x_t) -> float:
-    return posterior_weights(spec, X_C, x_t).mean(y_C)
+def posterior_mean(spec: KernelSpec, X_C, y_C, x_t,
+                   spectrum: Optional[GramSpectrum] = None) -> float:
+    return posterior_weights(spec, X_C, x_t, spectrum).mean(y_C)
 
 
 def _check_distinct(points: np.ndarray, what: str):
-    n = points.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.allclose(points[i], points[j], atol=1e-12):
-                raise DegenerateConfigurationError(
-                    f"duplicated {what} at indices {i}, {j}")
+    """Raise on the first pair i < j, in row order, whose points are
+    ``np.allclose(points[i], points[j], atol=1e-12)``."""
+    close = np.isclose(points[:, None, :], points[None, :, :],
+                       atol=1e-12).all(axis=2)
+    rows, cols = np.nonzero(np.triu(close, k=1))
+    if rows.size:
+        raise DegenerateConfigurationError(
+            f"duplicated {what} at indices {rows[0]}, {cols[0]}")
 
 
 def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0) -> np.ndarray:

@@ -334,7 +334,7 @@ def _run_gp_pipeline(params, seed):
     y = rng.normal(size=params["n"])
     C = cnp.ContextSet(xs.reshape(-1, 1), y.reshape(-1, 1))
     x_t = rng.uniform(0.0, 12.0, 1)
-    rep = tnp.tnp_gp_pipeline(spec, C, x_t, params["L"])
+    rep = tnp.tnp_gp_pipeline(spec, C, x_t, params["L"], spectrum=S)
     return [Check("error_vs_oracle", rep["error_vs_oracle"], rep["bound"],
                   "<="),
             Check("kappa", rep["kappa"], params["max_kappa"], "info")]

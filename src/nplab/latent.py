@@ -70,8 +70,9 @@ def latent_predictive(model: RankKLatent, X_T) -> dict:
     return {"mean": mean, "cov": 0.5 * (cov + cov.T)}
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-10) -> int:
-    vals, _ = jacobi_eigh(np.asarray(matrix, dtype=float))
+def numerical_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> int:
+    """Number of eigenvalues above ``rel_tol`` times their absolute sum."""
+    vals = np.asarray(eigenvalues, dtype=float)
     tr = max(float(np.sum(np.abs(vals))), 1e-300)
     return int(np.count_nonzero(vals > rel_tol * tr))
 
@@ -83,7 +84,7 @@ def gp_cov_rank_check(spec: KernelSpec, X_C, X_T) -> dict:
     vals, _ = jacobi_eigh(cov)
     return {
         "min_eig": float(vals[0]),
-        "rank": numerical_rank(cov),
+        "rank": numerical_rank(vals),
         "m": cov.shape[0],
     }
 

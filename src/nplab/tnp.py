@@ -12,7 +12,7 @@ outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -112,10 +112,15 @@ def tnp_forward(A: np.ndarray, schedule: PolySchedule, H0: np.ndarray) -> np.nda
     return apply_schedule(lambda X: A @ X, schedule, H)
 
 
-def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int) -> dict:
+def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int,
+                    spectrum: Optional[GramSpectrum] = None) -> dict:
     """Chebyshev-iteration solve of K z = y through attention layers, read
-    out with kernel cross-weights, compared against the exact posterior."""
-    S = gram_spectrum(spec, C.locations)
+    out with kernel cross-weights, compared against the exact posterior.
+
+    ``spectrum``, when given, must be ``gram_spectrum(spec, C.locations)``;
+    the pipeline and the oracle both use it, so the Gram is factored once.
+    """
+    S = gram_spectrum(spec, C.locations) if spectrum is None else spectrum
     if S.lambda_min <= 1e-8:
         raise InputError("Gram matrix too ill-conditioned for the pipeline")
     schedule = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
@@ -123,7 +128,7 @@ def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int) -> dict:
     z = tnp_forward(S.matrix, schedule, y.reshape(-1, 1))[:, 0]
     k_t = cross_vector(spec, C.locations, x_t)
     prediction = float(k_t @ z)
-    oracle = posterior_mean(spec, C.locations, y, x_t)
+    oracle = posterior_mean(spec, C.locations, y, x_t, spectrum=S)
     bound = (np.linalg.norm(k_t) * np.linalg.norm(y)
              * chebyshev_error_bound(S.lambda_min, S.lambda_max, L))
     return {

@@ -2,15 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.errors import DegenerateConfigurationError, NumericError
-from nplab.gp_oracle import (posterior_cov, posterior_mean, posterior_weights,
-                             two_point_weight)
-from nplab.kernels import KernelSpec, cross_vector, eval_kernel, kernel_matrix
+from nplab.errors import (DegenerateConfigurationError, InputError,
+                          NumericError)
+from nplab.gp_oracle import (_check_distinct, posterior_cov, posterior_mean,
+                             posterior_weights, two_point_weight)
+from nplab.kernels import (KernelSpec, cross_vector, eval_kernel,
+                           gram_spectrum, kernel_matrix)
 
 RBF = KernelSpec(family="rbf")
 
 
 class TestPosteriorWeights:
+    def test_given_spectrum_is_used_as_is(self, jacobi_calls):
+        X = np.array([[0.0], [0.7], [1.9]])
+        S = gram_spectrum(RBF, X)
+        ref = posterior_weights(RBF, X, [0.4]).weights
+        jacobi_calls[0] = 0
+        w = posterior_weights(RBF, X, [0.4], spectrum=S).weights
+        assert jacobi_calls[0] == 0
+        assert np.array_equal(w, ref)
+
+    def test_spectrum_of_other_size_rejected(self):
+        S = gram_spectrum(RBF, [[0.0], [1.0]])
+        with pytest.raises(InputError):
+            posterior_weights(RBF, [[0.0], [1.0], [2.0]], [0.5], spectrum=S)
+
     def test_single_point_weight(self):
         # one context point: w = k(x_t, x_1) / k(x_1, x_1)
         w = posterior_weights(RBF, [[0.0]], [1.0])
@@ -87,6 +103,51 @@ class TestPosteriorCov:
     def test_duplicate_across_sets_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             posterior_cov(RBF, [[0.0], [1.0]], [[1.0]])
+
+
+def loop_first_duplicate(points):
+    """The pairwise np.allclose loop the distinctness guard must match."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.allclose(points[i], points[j], atol=1e-12):
+                return i, j
+    return None
+
+
+class TestCheckDistinct:
+    def test_names_first_pair_in_row_order(self):
+        # duplicated pairs (1, 4) and (2, 3): row order meets (1, 4) first
+        pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [3.0, 1.0],
+                        [1.0, 2.0]])
+        assert loop_first_duplicate(pts) == (1, 4)
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"indices 1, 4$"):
+            _check_distinct(pts, "point")
+
+    def test_near_duplicate_inside_rtol(self):
+        # |a - b| = 5e-3 <= atol + rtol * |b| = 1e-12 + 1e-5 * 1000
+        pts = np.array([[0.0], [1000.005], [7.0], [1000.0]])
+        assert loop_first_duplicate(pts) == (1, 3)
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"indices 1, 3$"):
+            _check_distinct(pts, "point")
+
+    def test_distinct_points_pass(self):
+        _check_distinct(np.array([[0.0], [1e-6], [1.0]]), "point")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_allclose_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(6, 2)).astype(float)
+        pts += rng.choice([0.0, 1e-13, 1e-4], size=pts.shape)
+        want = loop_first_duplicate(pts)
+        if want is None:
+            _check_distinct(pts, "point")
+        else:
+            with pytest.raises(DegenerateConfigurationError,
+                               match=fr"indices {want[0]}, {want[1]}$"):
+                _check_distinct(pts, "point")
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ from nplab.latent import (RankKLatent, default_latent_builder,
                           latent_predictive, mean_matching_residual,
                           mercer_tail, numerical_rank,
                           posterior_weight_matrix, singular_values_sym)
+from nplab.linalg import jacobi_eigh
 
 RBF = KernelSpec(family="rbf")
 
@@ -68,7 +69,7 @@ class TestCovarianceRank:
         model = sample_model(2, sigma2=0.0)
         X_T = np.linspace(-2, 2, 9).reshape(-1, 1)
         cov = latent_predictive(model, X_T)["cov"]
-        assert numerical_rank(cov) <= 2
+        assert numerical_rank(jacobi_eigh(cov)[0]) <= 2
 
     def test_gp_posterior_cov_is_full_rank(self):
         rng = np.random.default_rng(3)
@@ -77,6 +78,20 @@ class TestCovarianceRank:
         out = gp_cov_rank_check(RBF, X_C, X_T)
         assert out["rank"] == out["m"]
         assert out["min_eig"] > 1e-10
+
+    def test_gp_cov_rank_check_factors_twice(self, jacobi_calls):
+        # the context Gram inside posterior_cov, then the covariance once
+        X_C = np.array([[0.0], [0.8], [1.7], [2.9]])
+        out = gp_cov_rank_check(RBF, X_C, X_C + 0.35)
+        assert jacobi_calls[0] == 2
+        assert out["rank"] == out["m"] == 4
+
+    def test_numerical_rank_rule(self):
+        vals = np.array([-1e-13, 0.0, 1e-11, 0.5, 1.0])
+        # threshold 1e-10 * sum|vals| = 1.5e-10: only 0.5 and 1.0 count
+        assert numerical_rank(vals) == 2
+        assert numerical_rank(vals, rel_tol=1e-12) == 3
+        assert numerical_rank(np.zeros(3)) == 0
 
 
 class TestMeanMatching:

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nplab import lab
 from nplab.cnp import ContextSet, context_from_pairs
 from nplab.errors import InputError
 from nplab.gp_oracle import posterior_weights
 from nplab.kernels import KernelSpec, gram_spectrum, spectrum_of
+from nplab.lab import ExperimentConfig, run_experiment
 from nplab.polyapprox import (chebyshev_schedule, minimax_oracle,
                               product_schedule, schedule_inverse_values)
+from nplab.rng import stream
 from nplab.tnp import (depth_barrier_experiment, eig_family, family_vector,
                        fd_jacobian, gp_weight_row, normalize_attention,
                        pipeline_as_map, quadratic_form_sweep,
@@ -139,6 +142,32 @@ class TestPipeline:
         row = gp_weight_row(RBF, C.locations, 0.2, 40)
         exact = posterior_weights(RBF, C.locations, 0.2).weights
         assert np.max(np.abs(row - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("params", [{}, {"max_kappa": 3.8}])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gp_pipeline_factors_once_per_draw(params, seed, jacobi_calls,
+                                           monkeypatch):
+    """The rejection loop's spectrum serves the pipeline and the oracle, so
+    a run factors one Gram per draw and none after the accepted one."""
+    draws = [0]
+
+    def counting_stream(seed, *names):
+        draws[0] += names[0] == "tnp.gp_pipeline"
+        return stream(seed, *names)
+
+    monkeypatch.setattr(lab, "stream", counting_stream)
+    report = run_experiment(ExperimentConfig("tnp.gp_pipeline", params, seed))
+    assert report.error is None
+    assert draws[0] >= 1
+    assert jacobi_calls[0] == draws[0]
+
+
+def test_pipeline_with_given_spectrum_is_bit_identical():
+    C = well_spread_context(3, n=10)
+    S = gram_spectrum(RBF, C.locations)
+    assert tnp_gp_pipeline(RBF, C, 0.9, 8, spectrum=S) == \
+        tnp_gp_pipeline(RBF, C, 0.9, 8)
 
 
 class TestFdJacobian:
