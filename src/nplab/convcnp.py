@@ -6,6 +6,13 @@ periodically wrapped stationary kernel every operator in sight is exactly
 circulant, so the whole stack diagonalizes in the discrete Fourier basis:
 iteration rates, Jacobians and depth requirements all become statements
 about scalar symbols per frequency, which is what this module verifies.
+
+`dft`, `idft` and `frequency_diagonal` go through `numpy.fft`;
+`dft_matrix` is the direct exp(-2 pi i k m / n) sum they are tested
+against.  Circular convolutions stay dense matvecs with the matrix
+`circulant_matrix` builds: on grids up to 256 points a circulant built
+once is faster per product than an FFT convolution, and its product is
+the direct sum.
 """
 
 from __future__ import annotations
@@ -48,20 +55,38 @@ class GridSpec:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Direct DFT with the exp(-2 pi i k m / n) sign convention."""
+    """Direct DFT with the exp(-2 pi i k m / n) sign convention; the
+    oracle for `dft`, `idft` and `frequency_diagonal`."""
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n)
 
 
-def dft(v: np.ndarray) -> np.ndarray:
+def _signal(v) -> np.ndarray:
     v = np.asarray(v)
-    return dft_matrix(len(v)) @ v
+    # numpy.fft transforms the last axis, so a 2-d argument would change
+    # meaning rather than fail
+    if v.ndim != 1 or v.size == 0:
+        raise InputError("dft takes a non-empty 1-d array")
+    return v
+
+
+def dft(v: np.ndarray) -> np.ndarray:
+    """sum_m v[m] exp(-2 pi i k m / n), by FFT."""
+    return np.fft.fft(_signal(v))
 
 
 def idft(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    n = len(v)
-    return dft_matrix(n).conj() @ v / n
+    """Inverse of `dft`: (1/n) sum_k v[k] exp(2 pi i k m / n), by FFT."""
+    return np.fft.ifft(_signal(v))
+
+
+def frequency_diagonal(J: np.ndarray) -> np.ndarray:
+    """diag(F J F^-1) with F = dft_matrix(n): the per-frequency symbol of
+    J when J is circulant, by one FFT along each axis."""
+    J = np.asarray(J)
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.size == 0:
+        raise InputError("frequency_diagonal takes a non-empty square matrix")
+    return np.diag(np.fft.fft(np.fft.ifft(J, axis=1), axis=0))
 
 
 @dataclass(frozen=True)
@@ -76,10 +101,7 @@ class CirculantOperator:
         return len(self.first_row)
 
     def matrix(self) -> np.ndarray:
-        c = self.first_row
-        n = self.n
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return c[idx]
+        return circulant_matrix(self.first_row)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return circular_convolve(self.first_row, x)
@@ -101,15 +123,23 @@ def from_symbol(symbol: np.ndarray, imag_tol: float = 1e-8) -> CirculantOperator
                              dft_eigenvalues=np.asarray(symbol, dtype=complex))
 
 
+def circulant_matrix(row) -> np.ndarray:
+    """Dense circulant C[i, j] = row[(i - j) mod n], so that C @ x is the
+    circular convolution of row with x.  Build it once where one operator
+    is applied many times."""
+    c = np.asarray(row, dtype=float)
+    n = len(c)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return c[idx]
+
+
 def circular_convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(c * x)[i] = sum_m c[m] x[(i - m) mod n], the circulant matvec."""
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = len(c)
-    if len(x) != n:
+    if len(x) != len(c):
         raise InputError("convolution length mismatch")
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return c[idx] @ x
+    return circulant_matrix(c) @ x
 
 
 def wrapped_kernel_row(spec: KernelSpec, grid: GridSpec) -> np.ndarray:
@@ -214,9 +244,10 @@ def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
         raise NumericError("circulant Gram numerically singular",
                            lambda_min=lam_min)
     schedule = chebyshev_schedule(lam_min, lam_max, L)
-    # circular_convolve is looked up in this module at every call, so a
-    # wrapper bound to that name sees each layer
-    z = apply_schedule(lambda v: circular_convolve(row, v), schedule, y)
+    # each layer is one circular convolution with the kernel row: the
+    # circulant is built once and every layer is a matvec with it
+    K_mat = K.matrix()
+    z = apply_schedule(lambda v: K_mat @ v, schedule, y)
     k_t = row[(t_index - np.arange(grid.n)) % grid.n]
     prediction = float(k_t @ z)
     # exact posterior on the same circulant Gram, solved per frequency
@@ -272,23 +303,32 @@ def grid_forward_map(filters: Sequence, w_row, g_row) -> Callable:
     Encoder tanh (h(0) = 0, h'(0) = 1), residual CNN layers
     z <- z + softplus(tau * z) - softplus(0) with zero bias so the
     activation derivative at the uniform zero input is exactly 1/2,
-    then a linear readout convolution.
+    then a linear readout convolution.  Filters are first rows, zero-padded
+    to the grid; every circulant is built here, so a call of the map does
+    only matvecs.
     """
-    w_row = np.asarray(w_row, dtype=float)
-    g_row = np.asarray(g_row, dtype=float)
-    n = len(w_row)
-    padded = []
+    W = circulant_matrix(w_row)
+    n = len(W)
+    if len(g_row) != n:
+        raise InputError("convolution length mismatch")
+    G = circulant_matrix(g_row)
+    layers = []
     for row in filters:
         row = np.asarray(row, dtype=float)
+        if len(row) > n:
+            raise InputError("filter longer than the grid")
         p = np.zeros(n)
         p[:len(row)] = row
-        padded.append(p)
+        layers.append(circulant_matrix(p))
 
     def F(y: np.ndarray) -> np.ndarray:
-        z = circular_convolve(w_row, np.tanh(np.asarray(y, dtype=float)))
-        for p in padded:
-            z = z + softplus(circular_convolve(p, z)) - softplus(0.0)
-        return circular_convolve(g_row, z)
+        y = np.asarray(y, dtype=float)
+        if len(y) != n:
+            raise InputError("convolution length mismatch")
+        z = W @ np.tanh(y)
+        for T in layers:
+            z = z + softplus(T @ z) - softplus(0.0)
+        return G @ z
 
     return F
 

@@ -445,6 +445,7 @@ def _run_equivariance(params, seed):
     {"n": 32, "spacing": 1.0, "depths": [5, 10, 20, 40], "lengthscale": 1.0},
     "error <= ||k|| ||y|| (2/lambda_min) rho^L + 1e-6 at every depth")
 def _run_grid_gp(params, seed):
+    _require_some("depths", len(params["depths"]))
     rng = stream(seed, "convcnp.grid_gp")
     grid = convcnp.GridSpec(n=params["n"], spacing=params["spacing"])
     y = rng.normal(size=params["n"])
@@ -469,12 +470,11 @@ def _run_grid_gp(params, seed):
      "lengthscale": 1.0},
     "per-frequency deviation <= 1e-5 on every random filter stack")
 def _run_jacobian(params, seed):
+    _require_some("n_stacks", params["n_stacks"])
     n = params["n"]
     grid = convcnp.GridSpec(n=n, spacing=1.0)
     w_row = convcnp.wrapped_kernel_row(_rbf(params["lengthscale"]), grid)
     w_hat = convcnp.circulant(w_row)
-    F_mat = convcnp.dft_matrix(n)
-    F_inv = F_mat.conj().T / n
     worst = 0.0
     for i in range(params["n_stacks"]):
         rng = stream(seed, "convcnp.jacobian", i)
@@ -486,7 +486,7 @@ def _run_jacobian(params, seed):
         g_hat = convcnp.circulant(g_row)
         forward = convcnp.grid_forward_map(filters, w_row, g_row)
         J_fd = tnp.fd_jacobian(forward, np.zeros(n))
-        symbol_fd = np.diag(F_mat @ J_fd @ F_inv)
+        symbol_fd = convcnp.frequency_diagonal(J_fd)
         fact = convcnp.circulant_jacobian(filters, [0.5] * L, w_hat, g_hat,
                                           h_prime=1.0)
         worst = max(worst, float(np.max(np.abs(
@@ -501,6 +501,7 @@ def _run_jacobian(params, seed):
     {"sizes": [8, 32, 128], "lengthscale": 1.0, "d1": 0.5},
     "max_k |J_hat(k) lambda_k - 1| <= 1e-8 at every grid size")
 def _run_full_support(params, seed):
+    _require_some("sizes", len(params["sizes"]))
     worst = 0.0
     for n in params["sizes"]:
         grid = convcnp.GridSpec(n=int(n), spacing=1.0)
@@ -618,6 +619,14 @@ def _require_room(count, min_separation, span):
             f"{count} points at least {min_separation:g} apart need an "
             f"interval longer than {(count - 1) * min_separation:g}; the "
             f"sampling interval is {span:g} long")
+
+
+def _require_some(name, count):
+    """Reject a count of zero (or less) before the run: the experiment
+    would pass having checked nothing."""
+    if count < 1:
+        raise UsageError(f"{name} must give at least one case to check; "
+                         f"got {count}")
 
 
 def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):

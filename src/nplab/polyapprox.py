@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ContractError, InputError, NumericError
@@ -210,6 +209,9 @@ def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
     satisfies in exact arithmetic even when the float64 error is within
     rounding distance of the bound itself.
     """
+    # imported here, not at module level, so that loading nplab loads no
+    # mpmath
+    import mpmath as mp
     with mp.workdps(dps):
         worst = mp.mpf(0)
         if schedule.form == CHEBYSHEV:
@@ -241,6 +243,7 @@ def chebyshev_exact_check(eigenvalues, L: int, dps: int = 80):
     exact arithmetic for every spectrum, but only by a factor rho^(2L),
     far below float64 resolution at large depth.
     """
+    import mpmath as mp
     if L < 1:
         raise InputError("depth must be at least 1")
     with mp.workdps(dps):
@@ -264,6 +267,7 @@ def chebyshev_exact_check(eigenvalues, L: int, dps: int = 80):
 
 def neumann_exact_check(eigenvalues, L: int, dps: int = 80):
     """Exact-arithmetic counterpart for the truncated geometric series."""
+    import mpmath as mp
     if L < 1:
         raise InputError("depth must be at least 1")
     with mp.workdps(dps):

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from nplab.anp import nadaraya_watson
 from nplab.cnp import ContextSet, context_from_pairs, matching_distance
+from nplab import convcnp
 from nplab.convcnp import (CirculantOperator, GridSpec, channels, circulant,
-                           circulant_jacobian, circular_convolve, dft,
-                           dft_matrix, depth_support_experiment,
-                           equivariance_defect, from_symbol, full_support_solve,
+                           circulant_jacobian, circulant_matrix,
+                           circular_convolve, dft, dft_matrix,
+                           depth_support_experiment, equivariance_defect,
+                           frequency_diagonal, from_symbol, full_support_solve,
                            grid_cnn_gp, grid_forward_map, idft,
                            nearest_neighbor_row, pure_convcnp_counterexample,
-                           recover_context, trig_minimax_error,
+                           recover_context, softplus, trig_minimax_error,
                            wrapped_kernel_row)
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, eval_kernel
@@ -39,6 +41,35 @@ class TestDft:
         F = dft_matrix(6)
         assert np.max(np.abs(F @ F.conj().T - 6 * np.eye(6))) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 255, 256])
+    def test_fft_matches_direct_sum(self, n):
+        rng = np.random.default_rng(n)
+        F = dft_matrix(n)
+        for v in (rng.normal(size=n),
+                  rng.normal(size=n) + 1j * rng.normal(size=n)):
+            tol = 1e-12 * n * np.sum(np.abs(v))
+            assert np.max(np.abs(dft(v) - F @ v)) <= tol
+            assert np.max(np.abs(idft(v) - F.conj() @ v / n)) <= tol
+
+    @pytest.mark.parametrize("bad", [np.ones((4, 4)), np.float64(1.0),
+                                     np.zeros(0)])
+    def test_rejects_all_but_1d(self, bad):
+        # numpy.fft would transform the last axis of a 2-d argument
+        with pytest.raises(InputError):
+            dft(bad)
+        with pytest.raises(InputError):
+            idft(bad)
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_frequency_diagonal_matches_direct(self, n):
+        rng = np.random.default_rng(n)
+        F = dft_matrix(n)
+        for J in (circulant(rng.normal(size=n)).matrix(),
+                  rng.normal(size=(n, n))):
+            direct = np.diag(F @ J @ F.conj().T / n)
+            assert np.max(np.abs(frequency_diagonal(J) - direct)) \
+                <= 1e-12 * np.linalg.norm(J)
+
 
 class TestCirculant:
     def test_matvec_matches_matrix(self):
@@ -65,6 +96,15 @@ class TestCirculant:
         # first row of a circulant product is the circular convolution
         conv_row = circular_convolve(a, b)
         assert np.max(np.abs(circulant(conv_row).matrix() - prod)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_matrix_is_double_sum(self, n):
+        rng = np.random.default_rng(n)
+        c, x = rng.normal(size=n), rng.normal(size=n)
+        direct = [sum(c[m] * x[(i - m) % n] for m in range(n))
+                  for i in range(n)]
+        assert np.max(np.abs(circulant_matrix(c) @ x - direct)) \
+            <= 1e-13 * np.sum(np.abs(c)) * np.max(np.abs(x))
 
     def test_from_symbol_real_check(self):
         with pytest.raises(NumericError):
@@ -224,6 +264,44 @@ class TestJacobianFactorization:
         filters, w_row, g_row = self.build(5)
         F = grid_forward_map(filters, w_row, g_row)
         assert np.max(np.abs(F(np.zeros(len(w_row))))) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_forward_map_is_the_convolution_stack(self, n):
+        filters, w_row, g_row = self.build(n, n=n, n_layers=3)
+        y = np.random.default_rng(n + 1).normal(scale=0.1, size=n)
+        z = circular_convolve(w_row, np.tanh(y))
+        for row in filters:
+            p = np.zeros(n)
+            p[:len(row)] = row
+            z = z + softplus(circular_convolve(p, z)) - softplus(0.0)
+        want = circular_convolve(g_row, z)
+        assert np.array_equal(grid_forward_map(filters, w_row, g_row)(y),
+                              want)
+
+    def test_circulants_built_once(self, monkeypatch):
+        filters, w_row, g_row = self.build(1, n_layers=3)
+        original = convcnp.circulant_matrix
+        count = [0]
+
+        def counting(row):
+            count[0] += 1
+            return original(row)
+
+        monkeypatch.setattr(convcnp, "circulant_matrix", counting)
+        F = grid_forward_map(filters, w_row, g_row)
+        assert count[0] == len(filters) + 2
+        for _ in range(3):
+            F(np.zeros(len(w_row)))
+        assert count[0] == len(filters) + 2
+
+    def test_bad_lengths_rejected(self):
+        filters, w_row, g_row = self.build(2, n=8)
+        with pytest.raises(InputError, match="filter longer than the grid"):
+            grid_forward_map([np.ones(9)], w_row, g_row)
+        with pytest.raises(InputError):
+            grid_forward_map(filters, w_row, g_row[:7])
+        with pytest.raises(InputError):
+            grid_forward_map(filters, w_row, g_row)(np.zeros(7))
 
     def test_filter_count_mismatch(self):
         with pytest.raises(InputError):

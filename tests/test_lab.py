@@ -109,6 +109,34 @@ class TestRejectionSamplers:
                     params={"min_separation": 0.88, "n_models": 1}))
 
 
+class TestDegenerateParams:
+    @pytest.mark.parametrize("eid,params", [
+        ("convcnp.grid_gp", {"depths": []}),
+        ("convcnp.full_support", {"sizes": []}),
+        ("convcnp.jacobian", {"n_stacks": 0}),
+        ("convcnp.jacobian", {"n_stacks": -1}),
+    ])
+    def test_nothing_to_check_is_usage_error(self, eid, params):
+        with pytest.raises(UsageError):
+            run_experiment(ExperimentConfig(experiment_id=eid, params=params))
+
+    def test_nothing_to_check_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "convcnp.full_support",
+             "params": {"sizes": []}}]}), encoding="utf-8")
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "r"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_filter_longer_than_grid_is_named(self):
+        cfg = ExperimentConfig(experiment_id="convcnp.jacobian",
+                               params={"n": 4, "support": 9})
+        rep = run_suite([cfg])["reports"][0]
+        assert rep.failed
+        assert rep.error == "InputError: filter longer than the grid"
+
+
 class TestRunSuite:
     def test_guarded_failure_becomes_report(self):
         # a context too tight to condition must not crash the suite
@@ -224,6 +252,21 @@ class TestCli:
         proc = run_cli("list")
         assert proc.returncode == 0
         assert "cnp.collision" in proc.stdout
+
+    def test_import_loads_no_scipy_or_mpmath(self):
+        # both are imported only inside the functions that use them, so
+        # starting the CLI pays for neither
+        import os
+        import nplab
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nplab.cli; "
+             "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_describe_known(self):
         proc = run_cli("describe", "anp.kernel_smoother")
