@@ -188,6 +188,7 @@ def _run_cnp_collision(params, seed):
     "synthetic ratio within 1e-10 of 1 - d/n; no random encoder beats the "
     "optimal one by more than 1e-9; Monte Carlo mode informational")
 def _run_pca_bound(params, seed):
+    _require_some("n_targets", params["n_targets"])
     spec = _rbf(params["lengthscale"]) \
         if params["mode"] == cnp.MONTE_CARLO_STATIONARY else None
     rep = cnp.pca_bound_experiment(
@@ -213,6 +214,7 @@ def _run_pca_bound(params, seed):
     {"n_configs": 500, "n_max": 16, "lengthscale": 1.0},
     "max absolute gap <= 1e-10 over all configurations")
 def _run_kernel_smoother(params, seed):
+    _require_some("n_configs", params["n_configs"])
     spec = _rbf(params["lengthscale"])
     score = anp.ScoreFunction(kind=anp.LOG_KERNEL, spec=spec)
     value_map = lambda x, y: np.array([float(np.atleast_1d(y)[0]), 1.0])
@@ -271,6 +273,8 @@ def _expanded_product(A: np.ndarray, alphas, H: np.ndarray) -> np.ndarray:
     {"n_grams": 20, "n": 6, "max_depth": 8},
     "layerwise vs expanded deviation <= 1e-10 on every random Gram")
 def _run_poly_structure(params, seed):
+    _require_some("n_grams", params["n_grams"])
+    _require_some("max_depth", params["max_depth"])
     worst = 0.0
     for i in range(params["n_grams"]):
         rng = stream(seed, "tnp.polynomial_structure", i)
@@ -294,6 +298,8 @@ def _run_poly_structure(params, seed):
     {"kappas": [4.0, 16.0, 64.0], "n": 8, "t_points": 20},
     "all three deviations <= 1e-10 on the t grid")
 def _run_eig_family(params, seed):
+    _require_some("kappas", len(params["kappas"]))
+    _require_some("t_points", params["t_points"])
     dev_rows = dev_quad = dev_spec = 0.0
     for kappa in params["kappas"]:
         for t in np.linspace(0.0, 1.0 - 1.0 / kappa, params["t_points"]):
@@ -370,6 +376,7 @@ def _run_depth_barrier(params, seed):
     "error <= (2/lambda_min) rho^L (Chebyshev) and <= rho_N^L / lambda_min "
     "(Neumann) for all depths up to max_depth")
 def _run_inverse_bounds(params, seed):
+    _require_some("n_matrices", params["n_matrices"])
     from .kernels import spectrum_of
     worst_margin = np.inf
     neumann_ok = chebyshev_ok = True
@@ -471,6 +478,7 @@ def _run_grid_gp(params, seed):
     "per-frequency deviation <= 1e-5 on every random filter stack")
 def _run_jacobian(params, seed):
     _require_some("n_stacks", params["n_stacks"])
+    _require_some("max_layers", params["max_layers"])
     n = params["n"]
     grid = convcnp.GridSpec(n=n, spacing=1.0)
     w_row = convcnp.wrapped_kernel_row(_rbf(params["lengthscale"]), grid)
@@ -544,6 +552,7 @@ def _run_pure_no_gp(params, seed):
     "layer count x per-layer degree covers the required degree; slope "
     "within 10% of log rho on the affine symbol")
 def _run_depth_support(params, seed):
+    _require_some("eps_targets", len(params["eps_targets"]))
     grid = convcnp.GridSpec(n=params["n"], spacing=1.0)
     rep = convcnp.depth_support_experiment(
         _rbf(), grid, params["support"],
@@ -572,6 +581,9 @@ def _run_depth_support(params, seed):
     "covariance min eigenvalue > 1e-10")
 def _run_cov_rank(params, seed):
     from .linalg import jacobi_eigh
+    _require_some("n_models", params["n_models"])
+    _require_some("k_max", params["k_max"])
+    _require_some("n_configs", params["n_configs"])
     _require_room(10, params["min_separation"], 8.0)  # 10 points in [-4, 4]
     worst_rel = 0.0
     for i in range(params["n_models"]):
@@ -621,12 +633,12 @@ def _require_room(count, min_separation, span):
             f"sampling interval is {span:g} long")
 
 
-def _require_some(name, count):
-    """Reject a count of zero (or less) before the run: the experiment
-    would pass having checked nothing."""
-    if count < 1:
-        raise UsageError(f"{name} must give at least one case to check; "
-                         f"got {count}")
+def _require_some(name, count, least=1):
+    """Reject, before the run, a count (or list length) below `least`:
+    with fewer the experiment would pass having checked nothing, or could
+    not run at all."""
+    if count < least:
+        raise UsageError(f"{name}: need at least {least}, got {count}")
 
 
 def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
@@ -660,6 +672,7 @@ def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
     "residual <= 1e-8 at k = n; residual > 0.01 x ||Phi||_F at k <= n/2")
 def _run_mean_bottleneck(params, seed):
     n = params["n"]
+    _require_some("n", n, least=2)  # a gap needs two points
     _require_room(n, 0.4, 6.0)
     rng = stream(seed, "latent.mean_bottleneck")
     widest = 0.0  # largest smallest gap of a rejected draw
@@ -709,6 +722,7 @@ def _run_mercer(params, seed):
     "collision pair: identical predictives within 1e-6; perturbed pair "
     "separates by > 1e-3")
 def _run_bottleneck_lift(params, seed):
+    _require_some("n_target_sets", params["n_target_sets"])
     pair = cnp.example_collision_pair()
     enc = cnp.Encoder(kind=cnp.IDENTITY)
     builder = latent.default_latent_builder(params["k"])

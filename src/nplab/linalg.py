@@ -1,8 +1,11 @@
 """Dense symmetric eigendecomposition via Jacobi rotations.
 
 Small matrices are swept in cyclic (row-by-row) order, one rotation at a
-time; from ``ROUND_ROBIN_MIN_N`` on, each sweep is split into rounds of
-disjoint pairs in round-robin order and a round is applied as one
+time, on Python lists of floats: below n = 32 the cost of a numpy call
+outweighs the O(n) arithmetic of a rotation, and the list form does the
+same IEEE operations in the same order as the array form, so it gives the
+same bits.  From ``ROUND_ROBIN_MIN_N`` on, each sweep is split into rounds
+of disjoint pairs in round-robin order and a round is applied as one
 vectorised update (Brent & Luk 1985; Golub & Van Loan sec. 8.5).
 
 The lab deliberately carries its own eigensolver so that spectra entering
@@ -11,6 +14,8 @@ is used only as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
+
+from math import copysign, sqrt
 
 import numpy as np
 
@@ -33,18 +38,25 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     Frobenius norm.
 
     Below ``ROUND_ROBIN_MIN_N`` a sweep visits the pairs (p, q) in cyclic
-    row order, one rotation at a time.  From there on a sweep is n - 1
-    rounds (n rounds for odd n, which pairs one index with a dummy) of
-    n // 2 disjoint pairs in Brent & Luk's round-robin order (R. P. Brent
-    and F. T. Luk, "The solution of singular-value and symmetric eigenvalue
-    problems on multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6,
-    1985).  Rotations on disjoint pairs commute, so a round is one
+    row order, one rotation at a time, on the rows of A and of V^T as
+    lists of Python floats; A goes back into an array once per sweep for
+    the convergence test.  On arrays a rotation is about 24 numpy calls on
+    vectors of length n, each costing more than its arithmetic at these
+    sizes.  The list form does the same IEEE operations in the same order,
+    so values and vectors are bit-identical to the per-rotation numpy loop
+    (kept as the oracle in the tests).
+
+    From ``ROUND_ROBIN_MIN_N`` on, a sweep is n - 1 rounds (n rounds for
+    odd n, which pairs one index with a dummy) of n // 2 disjoint pairs in
+    Brent & Luk's round-robin order (R. P. Brent and F. T. Luk, "The
+    solution of singular-value and symmetric eigenvalue problems on
+    multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6, 1985).  Rotations on disjoint pairs commute, so a round is one
     vectorised update of the paired rows, columns and eigenvector columns.
 
-    Why 32 and not the crossover: the crossover is small.  Per call on an
-    RBF Gram (one BLAS thread, 2-vCPU Xeon VM), round-robin took 0.7-0.9x
-    the cyclic time at n = 4-6, 0.7x at n = 8, 0.5x at n = 16, 0.3x at
-    n = 32 and 0.2x at n = 64.  But the two orders round differently, and
+    Why 32 and not the crossover: per call on an RBF Gram (one BLAS
+    thread, 2-vCPU Xeon VM), round-robin takes 5-7x the cyclic list time
+    at n = 4-8, 2x at n = 16, 0.75x at n = 24-31 and 0.3x at n = 64, so
+    the crossover is near n = 20.  The two orders round differently, and
     the hierarchy suite's ``tnp.gp_pipeline`` compares a 16 x 16 Gram
     solve against a bound below float64 rounding: with the limit at 8, 58
     report cells of suite seeds 0-11 moved and the failing seeds went from
@@ -54,72 +66,118 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     ones of ``latent.mercer``, whose checks floor rounding-level
     eigenvalues to zero.
 
-    Raises NumericError (with the final off-diagonal residual attached) if
+    A finite matrix whose Frobenius norm overflows, or underflows to zero,
+    is swept at an exact power-of-two scale and its eigenvalues scaled
+    back (one beyond the float range comes back as +-inf).
+
+    Raises InputError on a non-square, non-symmetric or non-finite matrix,
+    and NumericError (with the final off-diagonal residual attached) if
     the sweep budget is exhausted.
     """
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise InputError(f"matrix must be square, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
+    M = np.array(matrix, dtype=float)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise InputError(f"matrix must be square, got shape {M.shape}")
+    amax = np.abs(M).max()
+    if not np.isfinite(amax):
+        raise InputError("matrix has non-finite entries")
+    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, amax)):
         raise InputError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
+    # The Frobenius norm's sum of squares can overflow only when
+    # n * max|a| > 2**512, and underflow to zero only when max|a| < 2**-511.
+    # Where it does either, the matrix is swept at a power-of-two scale,
+    # which is exact, with its largest entry in [0.5, 1), and its
+    # eigenvalues are scaled back; every other matrix is swept as given.
+    shift = 0
+    if amax > 2.0 ** 511 / n or 0.0 < amax < 2.0 ** -511:
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(0.5 * (M + M.T))
+        if np.isinf(norm) or norm == 0.0:
+            shift = int(np.frexp(amax)[1])
+            M = np.ldexp(M, -shift)
+    A = 0.5 * (M + M.T)
     V = np.eye(n)
     if n == 1:
-        return A.diagonal().copy(), V
+        return np.ldexp(A.diagonal(), shift), V
 
     norm = np.linalg.norm(A)
     if norm == 0.0:
         return np.zeros(n), V
 
-    rounds = _round_robin_pairs(n) if n >= ROUND_ROBIN_MIN_N else None
+    cyclic = n < ROUND_ROBIN_MIN_N
+    if cyclic:
+        rows, vt = A.tolist(), V.tolist()  # V = I is its own transpose
+    else:
+        rounds = _round_robin_pairs(n)
     for _ in range(max_sweeps):
         off = np.linalg.norm(A - np.diag(A.diagonal()))
         if off <= tol * norm:
             break
-        if rounds is not None:
+        if cyclic:
+            _cyclic_sweep(rows, vt)
+            A = np.array(rows)
+        else:
             for P, Q in rounds:
                 _rotate_round(A, V, P, Q)
-            continue
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                app, aqq = A[p, p], A[q, q]
-                if abs(apq) <= 1e-300 or \
-                        abs(apq) <= 1e-20 * (abs(app) + abs(aqq)):
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                # classic stable rotation (Golub & Van Loan sec. 8.5)
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 0.5 / theta  # asymptotic root, avoids theta**2 overflow
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
     else:
         off = np.linalg.norm(A - np.diag(A.diagonal()))
         raise NumericError(
             f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
             residual=float(off))
+    if cyclic:
+        V = np.array(vt).T.copy()
 
     eigvals = A.diagonal().copy()
+    if shift:
+        eigvals = np.ldexp(eigvals, shift)
     order = np.argsort(eigvals, kind="stable")
     return eigvals[order], V[:, order]
+
+
+def _cyclic_sweep(rows: list, vt: list):
+    """One cyclic sweep, in place, over the rows of A and of V^T held as
+    lists of Python floats.
+
+    Each rotation does the IEEE operations of the array form in the same
+    order: rows p and q of A, then columns p and q, each entry as
+    c * x - s * y and s * x + c * y.  Columns p and q of V depend on A only
+    through (c, s), so they are updated in the loop over the rows.
+    ``math.copysign(1.0, theta)`` and ``math.sqrt`` round exactly as
+    ``np.sign(theta)`` (theta != 0 there) and ``np.sqrt``.
+    """
+    n = len(rows)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            rp, rq = rows[p], rows[q]
+            apq = rp[q]
+            app, aqq = rp[p], rq[q]
+            if abs(apq) <= 1e-300 or \
+                    abs(apq) <= 1e-20 * (abs(app) + abs(aqq)):
+                rp[q] = rq[p] = 0.0
+                continue
+            # classic stable rotation (Golub & Van Loan sec. 8.5)
+            theta = (aqq - app) / (2.0 * apq)
+            if abs(theta) > 1e100:
+                t = 0.5 / theta  # asymptotic root, avoids theta**2 overflow
+            elif theta == 0.0:
+                t = 1.0
+            else:
+                t = copysign(1.0, theta) / (abs(theta)
+                                            + sqrt(theta * theta + 1.0))
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            vp, vq = vt[p], vt[q]
+            for k in range(n):
+                x, y = rp[k], rq[k]
+                rp[k] = c * x - s * y
+                rq[k] = s * x + c * y
+                x, y = vp[k], vq[k]
+                vp[k] = c * x - s * y
+                vq[k] = s * x + c * y
+            for row in rows:
+                x, y = row[p], row[q]
+                row[p] = c * x - s * y
+                row[q] = s * x + c * y
 
 
 def _round_robin_pairs(n: int):

@@ -30,10 +30,16 @@ def time_budget(seconds):
 
 
 def run_cli(*argv, env=None):
+    """Run `python -m nplab` on this checkout's sources, whatever the
+    caller's PYTHONPATH holds."""
     import os
+    import nplab
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    src = os.path.dirname(os.path.dirname(nplab.__file__))
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, full_env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "nplab", *argv],
                           capture_output=True, text=True, env=full_env)
     return proc
@@ -115,6 +121,24 @@ class TestDegenerateParams:
         ("convcnp.full_support", {"sizes": []}),
         ("convcnp.jacobian", {"n_stacks": 0}),
         ("convcnp.jacobian", {"n_stacks": -1}),
+        ("anp.kernel_smoother", {"n_configs": 0}),
+        ("cnp.pca_bound", {"n_targets": 0}),
+        ("cnp.pca_bound", {"n_targets": 0, "mode": "MonteCarloStationary"}),
+        ("convcnp.depth_support", {"eps_targets": []}),
+        ("latent.bottleneck_lift", {"n_target_sets": 0}),
+        ("latent.cov_rank", {"n_models": 0}),
+        ("latent.cov_rank", {"n_configs": 0, "n_models": 1}),
+        ("polyapprox.inverse_bounds", {"n_matrices": 0}),
+        ("tnp.eig_family", {"kappas": []}),
+        ("tnp.eig_family", {"t_points": 0}),
+        ("tnp.polynomial_structure", {"n_grams": 0}),
+        # counts below these could not run at all (no gap, i % 0, an
+        # empty integer range)
+        ("latent.mean_bottleneck", {"n": 1}),
+        ("latent.mean_bottleneck", {"n": 0}),
+        ("tnp.polynomial_structure", {"max_depth": 0}),
+        ("latent.cov_rank", {"k_max": 0}),
+        ("convcnp.jacobian", {"max_layers": 0}),
     ])
     def test_nothing_to_check_is_usage_error(self, eid, params):
         with pytest.raises(UsageError):
@@ -128,6 +152,16 @@ class TestDegenerateParams:
         proc = run_cli("run", str(cfg), "--out", str(tmp_path / "r"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_zero_count_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "latent.cov_rank",
+             "params": {"n_configs": 0, "n_models": 1}}]}), encoding="utf-8")
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "r"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n_configs" in proc.stderr
 
     def test_filter_longer_than_grid_is_named(self):
         cfg = ExperimentConfig(experiment_id="convcnp.jacobian",

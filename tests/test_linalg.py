@@ -1,6 +1,8 @@
 """The Jacobi eigensolver on both of its orders: cyclic below
 ROUND_ROBIN_MIN_N and round-robin from there on."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,135 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
     return B + B.T
+
+
+def low_rank_psd(n, seed):
+    """The shape latent.cov_rank factors: a rank-k latent covariance
+    Phi S Phi^T + sigma2 I with the noise sigma2 I taken off again."""
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % (n - 1)
+    xs = rng.uniform(-3, 3, n)
+    Phi = np.sin(np.outer(xs, rng.uniform(0.5, 2.5, k)) + 1.0)
+    B = rng.normal(size=(k, k))
+    sigma2 = float(rng.uniform(0.0, 0.5))
+    return (Phi @ (B @ B.T) @ Phi.T + sigma2 * np.eye(n)) - sigma2 * np.eye(n)
+
+
+def equal_diagonal(n, seed):
+    """Every first rotation of a sweep meets a_pp == a_qq: theta == 0."""
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(0.1, 1.0, (n, n))
+    A = B + B.T
+    np.fill_diagonal(A, 3.0)
+    return A
+
+
+def near_skip_threshold(n, seed):
+    """Off-diagonal entries on both sides of the skip test
+    |a_pq| <= 1e-20 (|a_pp| + |a_qq|), and some below its 1e-300 floor.
+
+    An entry just above the test gives the largest |theta| a rotation can
+    meet, about 5e19: behind the skip test |theta| <= (|a_pp| + |a_qq|) /
+    (2 |a_pq|) < 5e19, so the |theta| > 1e100 branch is never reached."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(1.0, 2.0, n)
+    A = np.diag(d)
+    scale = np.add.outer(d, d)
+    factor = rng.choice([0.5, 0.999, 1.0, 1.001, 4.0], size=(n, n))
+    off = 1e-20 * scale * factor
+    off[rng.uniform(size=(n, n)) < 0.2] = 1e-301
+    off[rng.uniform(size=(n, n)) < 0.2] = 0.3  # a few real rotations
+    off = np.triu(off, 1)
+    return A + off + off.T
+
+
+def _reference_cyclic_eigh(matrix, tol=linalg.JACOBI_TOL,
+                           max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    """The cyclic Jacobi loop as it was written on numpy arrays, one
+    rotation at a time: the oracle jacobi_eigh must match bit for bit below
+    ROUND_ROBIN_MIN_N."""
+    A = np.array(matrix, dtype=float)
+    A = 0.5 * (A + A.T)
+    n = A.shape[0]
+    V = np.eye(n)
+    norm = np.linalg.norm(A)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(A - np.diag(A.diagonal()))
+        if off <= tol * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                app, aqq = A[p, p], A[q, q]
+                if abs(apq) <= 1e-300 or \
+                        abs(apq) <= 1e-20 * (abs(app) + abs(aqq)):
+                    A[p, q] = A[q, p] = 0.0
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
+                if abs(theta) > 1e100:
+                    t = 0.5 / theta
+                elif theta == 0.0:
+                    t = 1.0
+                else:
+                    t = np.sign(theta) / (abs(theta)
+                                          + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp = A[p, :].copy()
+                rq = A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp = A[:, p].copy()
+                cq = A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    else:
+        raise NumericError("reference loop did not converge")
+    eigvals = A.diagonal().copy()
+    order = np.argsort(eigvals, kind="stable")
+    return eigvals[order], V[:, order]
+
+
+@pytest.mark.parametrize("n", range(2, ROUND_ROBIN_MIN_N))
+@pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
+                                  equal_diagonal, near_skip_threshold])
+def test_cyclic_matches_reference_bit_for_bit(n, make):
+    A = make(n, seed=n)
+    vals, V = jacobi_eigh(A)
+    want_vals, want_V = _reference_cyclic_eigh(A)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(V, want_V)
+
+
+def test_reference_reaches_every_reachable_branch():
+    # the families above do hit theta == 0 and both skip tests
+    thetas, skips = [], 0
+    for n in (2, 5, 9):
+        for make in (equal_diagonal, near_skip_threshold):
+            A = make(n, n)
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq, app, aqq = A[p, q], A[p, p], A[q, q]
+                    if abs(apq) <= 1e-300 or \
+                            abs(apq) <= 1e-20 * (abs(app) + abs(aqq)):
+                        skips += 1
+                    else:
+                        thetas.append(abs((aqq - app) / (2.0 * apq)))
+    assert skips > 0 and 0.0 in thetas and max(thetas) > 1e19
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_cyclic_budget_exhausted_matches_reference(n):
+    A = random_symmetric(n, seed=3)
+    with pytest.raises(NumericError) as info:
+        jacobi_eigh(A, max_sweeps=1)
+    assert info.value.residual is not None and info.value.residual > 0.0
+    with pytest.raises(NumericError):
+        _reference_cyclic_eigh(A, max_sweeps=1)
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 64])
@@ -49,12 +180,13 @@ def test_round_robin_pairs_cover_every_pair_once(n):
     assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-def test_eig_family_closed_form_at_n64():
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_eig_family_closed_form(n):
     kappa = 16.0
     for t in (0.0, 0.3, 1.0 - 1.0 / kappa):
-        member = eig_family(kappa, 64, t)
+        member = eig_family(kappa, n, t)
         vals, V = jacobi_eigh(member.matrix)
-        want = np.sort(np.concatenate([[member.mu1], np.ones(63)]))
+        want = np.sort(np.concatenate([[member.mu1], np.ones(n - 1)]))
         assert np.max(np.abs(vals - want)) <= 1e-10
         # a simple moving eigenvalue has v1 as its eigenvector, up to sign
         j = int(np.argmin(np.abs(vals - member.mu1)))
@@ -62,8 +194,8 @@ def test_eig_family_closed_form_at_n64():
             assert abs(abs(V[:, j] @ member.v1) - 1.0) <= 1e-10
 
 
-def test_circulant_closed_form_at_n64():
-    n = 64
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_circulant_closed_form(n):
     d = np.minimum(np.arange(n), n - np.arange(n)) * 0.25
     row = np.exp(-0.5 * d * d)
     C = np.array([np.roll(row, i) for i in range(n)])
@@ -101,3 +233,60 @@ def test_large_n_input_errors():
     A[0, 1] += 1e-3
     with pytest.raises(InputError):
         jacobi_eigh(A)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_rejected(bad):
+    A = np.eye(3)
+    A[0, 1] = A[1, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        jacobi_eigh(A)
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200, 1e308, np.finfo(float).max])
+def test_norm_overflow_is_scaled_exactly(big):
+    # the sum of squares overflows; the matrix is swept at a power-of-two
+    # scale, so the spectrum is the scaled-back one of [[s, 1], [1, s]]
+    small = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, V = jacobi_eigh(np.array([[small, big], [big, small]]))
+    e = int(np.frexp(big)[1])
+    want_vals, want_V = jacobi_eigh(np.ldexp(np.array(
+        [[small, big], [big, small]]), -e))
+    assert np.array_equal(vals, np.ldexp(want_vals, e))
+    assert np.array_equal(V, want_V)
+    assert vals[0] == -vals[1] and vals[1] == pytest.approx(big, rel=1e-15)
+    assert np.allclose(V.T @ V, np.eye(2), atol=1e-15)
+
+
+def test_norm_overflow_at_larger_n():
+    A = random_symmetric(40, seed=4) * 1e300
+    vals, _ = jacobi_eigh(A)
+    want = np.linalg.eigvalsh(A / 1e300) * 1e300
+    assert np.max(np.abs(vals - want)) <= 1e-9 * np.abs(want).max()
+
+
+def test_no_scaling_below_overflow():
+    # large but representable: the sweep sees the matrix as given
+    A = random_symmetric(6, seed=5) * 1e150
+    vals, V = jacobi_eigh(A)
+    want_vals, want_V = _reference_cyclic_eigh(A)
+    assert np.array_equal(vals, want_vals) and np.array_equal(V, want_V)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_norm_underflow_is_scaled_exactly(n):
+    # squares of 1e-200 underflow, so the Frobenius norm reads 0; the
+    # spectrum is still the scaled-back one of the matrix at unit size
+    A = random_symmetric(n, seed=6)
+    vals, V = jacobi_eigh(A * 2.0 ** -700)
+    want_vals, want_V = jacobi_eigh(A)
+    assert np.array_equal(vals, want_vals * 2.0 ** -700)
+    assert np.array_equal(V, want_V)
+
+
+def test_one_by_one_at_the_float_limits():
+    top = np.finfo(float).max
+    assert jacobi_eigh([[top]])[0][0] == top
+    assert jacobi_eigh([[-5e-324]])[0][0] == -5e-324
