@@ -4,7 +4,8 @@ Subcommands: run <config.json>, suite hierarchy, list, describe <id>.
 Flags of run and suite: --out DIR, --seed N, --format json|csv|both.
 Experiments run one after another in this process.
 Seed precedence: --seed flag > NPLAB_SEED environment variable > config.
-Exit codes: 0 all pass, 1 any failure, 2 usage error, 3 numeric error.
+Exit codes: 0 all pass, 1 any failure (a numeric failure is a failed report
+carrying its error), 2 usage error, raised before any experiment runs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ContractError, NumericError, UsageError
-from .lab import (REGISTRY, ExperimentConfig, hierarchy_configs,
-                  parse_config_file, run_suite, write_reports)
+from .errors import UsageError
+from .lab import (REGISTRY, hierarchy_configs, parse_config_file, parse_seed,
+                  registry_entry, run_suite, write_reports)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_NUMERIC = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default=None,
                        help="directory for JSON/CSV reports")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="override every experiment seed")
         p.add_argument("--format", choices=["json", "csv", "both"],
                        default="both", help="report formats to write")
@@ -57,24 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(flag_seed):
     if flag_seed is not None:
-        return int(flag_seed)
+        return parse_seed(flag_seed, "--seed")
     env = os.environ.get("NPLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise UsageError(f"NPLAB_SEED must be an integer, got {env!r}") \
-                from err
-    return None
-
-
-def _apply_seed(configs, seed):
-    if seed is None:
-        return configs
-    return [replace(c, seed=seed) for c in configs]
+    return None if env is None else parse_seed(env, "NPLAB_SEED")
 
 
 def _execute(configs, args) -> int:
+    if args.out:  # before the run, so a bad path costs no experiment
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"--out {args.out}: {err.strerror}") from err
     result = run_suite(configs)
     for report in result["reports"]:
         status = "FAIL" if report.failed else "pass"
@@ -91,7 +84,9 @@ def _execute(configs, args) -> int:
 
 def _cmd_run(args) -> int:
     configs = parse_config_file(args.config)
-    configs = _apply_seed(configs, _resolve_seed(args.seed))
+    seed = _resolve_seed(args.seed)
+    if seed is not None:
+        configs = [replace(c, seed=seed) for c in configs]
     return _execute(configs, args)
 
 
@@ -110,17 +105,16 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    if args.experiment_id not in REGISTRY:
-        raise UsageError(
-            f"unknown experiment {args.experiment_id!r}; run 'nplab list'")
-    entry = REGISTRY[args.experiment_id]
+    entry = registry_entry(args.experiment_id)
     print(entry.experiment_id)
     print()
     print(entry.description)
     print()
-    print("parameters (defaults):")
-    for key, default in sorted(entry.schema.items()):
-        print(f"  {key} = {default!r}")
+    print("parameters (default: allowed values):")
+    for key, param in sorted(entry.schema.items()):
+        print(f"  {key} = {param.default!r}: {param.range}")
+    for text, _ in entry.relations:
+        print(f"  requires {text}")
     print()
     print(f"tolerances: {entry.tolerances}")
     return EXIT_PASS
@@ -136,9 +130,6 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, ContractError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

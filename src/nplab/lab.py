@@ -14,7 +14,8 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -112,44 +113,112 @@ class ExperimentReport:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One experiment parameter, of the type of its default (a list default:
+    a non-empty list of its first element's type), in [lo, hi] or `choices`."""
+
+    default: object
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    choices: tuple = ()
+
+    @property
+    def kind(self) -> type:
+        many = isinstance(self.default, list)
+        return type(self.default[0] if many else self.default)
+
+    @property
+    def range(self) -> str:
+        one = f"one of {self.choices}" if self.choices else \
+            f"{self.kind.__name__} in [{self.lo!r}, {self.hi!r}]"
+        return f"non-empty list of {one}" \
+            if isinstance(self.default, list) else one
+
+    def parse(self, name: str, value):
+        if not isinstance(self.default, list):
+            return self._one(name, value)
+        if not isinstance(value, list) or not value:
+            raise UsageError(f"{name}: need {self.range}, got {value!r}")
+        return [self._one(f"{name}[{i}]", v) for i, v in enumerate(value)]
+
+    def _one(self, name, value):
+        # a number may come as a decimal string; a bool is never a number
+        ok = {int: (Integral, str), float: (Real, str), str: (str,)}
+        try:
+            out = self.kind(value) if isinstance(value, ok[self.kind]) \
+                and not isinstance(value, bool) else None
+        except (ValueError, OverflowError):
+            out = None
+        if out is None or not (out in self.choices if self.choices
+                               else self.lo <= out <= self.hi):  # NaN fails
+            raise UsageError(f"{name}: need {self.range}, got {value!r}")
+        return out
+
+
+_ELL = Param(1.0, 0.01, 10.0)  # a kernel lengthscale
+
+
+def parse_seed(value, name: str = "seed") -> int:
+    """The one seed rule: an int or a decimal string in [0, 2**64)."""
+    return Param(0, 0, 2**64 - 1).parse(name, value)
+
+
+@dataclass(frozen=True)
 class RegistryEntry:
     experiment_id: str
     description: str
-    schema: dict          # param name -> default value
+    schema: dict          # param name -> Param
     tolerances: str
     runner: Callable      # (params, seed) -> list of Check
+    relations: tuple = ()  # (text, predicate on the params) pairs
 
 
 REGISTRY: dict = {}
 
 
 def register(experiment_id: str, description: str, schema: dict,
-             tolerances: str):
+             tolerances: str, relations: tuple = ()):
     def wrap(fn):
         REGISTRY[experiment_id] = RegistryEntry(
             experiment_id=experiment_id, description=description,
-            schema=schema, tolerances=tolerances, runner=fn)
+            schema=schema, tolerances=tolerances, runner=fn,
+            relations=relations)
         return fn
     return wrap
 
 
-def validate_params(entry: RegistryEntry, params: dict) -> dict:
-    out = dict(entry.schema)
+def validate_params(entry: RegistryEntry, params) -> dict:
+    """The only place a config's params become runnable params or a
+    UsageError: each value is checked against its Param, then the whole set
+    against the entry's relations."""
+    eid = entry.experiment_id
+    if not isinstance(params, dict):
+        raise UsageError(f"{eid}: params must be an object, got {params!r}")
+    out = {key: param.default for key, param in entry.schema.items()}
     for key, value in params.items():
         if key not in entry.schema:
-            raise UsageError(
-                f"unknown parameter {key!r} for {entry.experiment_id}; "
-                f"allowed: {sorted(entry.schema)}")
-        default = entry.schema[key]
-        if isinstance(default, bool):
-            out[key] = bool(value)
-        elif isinstance(default, int) and not isinstance(value, bool):
-            out[key] = int(value)
-        elif isinstance(default, float):
-            out[key] = float(value)
-        else:
-            out[key] = value
+            raise UsageError(f"unknown parameter {key!r} for {eid}; "
+                             f"allowed: {sorted(entry.schema)}")
+        out[key] = entry.schema[key].parse(f"{eid}: {key}", value)
+    for text, holds in entry.relations:
+        if not holds(out):
+            raise UsageError(f"{eid}: need {text}")
     return out
+
+
+def registry_entry(experiment_id) -> RegistryEntry:
+    if not isinstance(experiment_id, str) or experiment_id not in REGISTRY:
+        raise UsageError(
+            f"unknown experiment {experiment_id!r}; run 'nplab list'")
+    return REGISTRY[experiment_id]
+
+
+def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """A config with its params and seed checked, or a UsageError."""
+    eid = config.experiment_id
+    params = validate_params(registry_entry(eid), config.params)
+    return replace(config, params=params,
+                   seed=parse_seed(config.seed, f"{eid}: seed"))
 
 
 def _rbf(ell=1.0, jitter=None) -> KernelSpec:
@@ -164,7 +233,7 @@ def _rbf(ell=1.0, jitter=None) -> KernelSpec:
     "cnp.collision",
     "Stored two-point mean-encoding collision: equal encodings and bit-equal "
     "mean-pool predictions, yet the exact GP posterior means differ.",
-    {"x_t": 1.0},
+    {"x_t": Param(1.0, -10.0, 10.0)},
     "encoding and prediction gaps exactly 0; GP separation > 0.01")
 def _run_cnp_collision(params, seed):
     pair = cnp.example_collision_pair()
@@ -183,12 +252,14 @@ def _run_cnp_collision(params, seed):
     "cnp.pca_bound",
     "Relative MSE of the best d-dimensional linear encoder against the "
     "1 - d/n floor, with a random-encoder dominance check.",
-    {"n": 4, "d": 2, "mode": cnp.SYNTHETIC_ISOTROPIC, "n_targets": 2000,
-     "lengthscale": 1.0},
+    {"n": Param(4, 1, 64), "d": Param(2, 1, 64), "mode": Param(
+        cnp.SYNTHETIC_ISOTROPIC,
+        choices=(cnp.SYNTHETIC_ISOTROPIC, cnp.MONTE_CARLO_STATIONARY)),
+     "n_targets": Param(2000, 1, 10_000), "lengthscale": _ELL},
     "synthetic ratio within 1e-10 of 1 - d/n; no random encoder beats the "
-    "optimal one by more than 1e-9; Monte Carlo mode informational")
+    "optimal one by more than 1e-9; Monte Carlo mode informational",
+    relations=(("d <= n", lambda p: p["d"] <= p["n"]),))
 def _run_pca_bound(params, seed):
-    _require_some("n_targets", params["n_targets"])
     spec = _rbf(params["lengthscale"]) \
         if params["mode"] == cnp.MONTE_CARLO_STATIONARY else None
     rep = cnp.pca_bound_experiment(
@@ -211,10 +282,10 @@ def _run_pca_bound(params, seed):
     "anp.kernel_smoother",
     "Softmax attention with log-kernel scores reproduces the kernel-weighted "
     "mean exactly, over random contexts.",
-    {"n_configs": 500, "n_max": 16, "lengthscale": 1.0},
+    {"n_configs": Param(500, 1, 10_000), "n_max": Param(16, 1, 64),
+     "lengthscale": Param(1.0, 0.2, 10.0)},  # no kernel underflow on [-3, 3]
     "max absolute gap <= 1e-10 over all configurations")
 def _run_kernel_smoother(params, seed):
-    _require_some("n_configs", params["n_configs"])
     spec = _rbf(params["lengthscale"])
     score = anp.ScoreFunction(kind=anp.LOG_KERNEL, spec=spec)
     value_map = lambda x, y: np.array([float(np.atleast_1d(y)[0]), 1.0])
@@ -239,7 +310,7 @@ _FACTORIZATION_CLOSED_FORM = (np.exp(-0.5) / (1 + np.exp(-2.0))
     "anp.factorization",
     "Two planar configurations with identical per-point score inputs whose "
     "exact GP weights differ: no factorized attention rule can match both.",
-    {"angle_a": 180.0, "angle_b": 60.0},
+    {"angle_a": Param(180.0, 1.0, 359.0), "angle_b": Param(60.0, 1.0, 359.0)},
     "GP weight gap >= 0.15; gap matches the closed form within 1e-4")
 def _run_factorization(params, seed):
     rep = anp.factorization_counterexample(
@@ -270,11 +341,10 @@ def _expanded_product(A: np.ndarray, alphas, H: np.ndarray) -> np.ndarray:
     "Layerwise residual attention stacks equal their expanded matrix "
     "polynomial: depth L applies a degree-L polynomial in the attention "
     "matrix.",
-    {"n_grams": 20, "n": 6, "max_depth": 8},
+    {"n_grams": Param(20, 1, 200), "n": Param(6, 1, 64),
+     "max_depth": Param(8, 1, 32)},
     "layerwise vs expanded deviation <= 1e-10 on every random Gram")
 def _run_poly_structure(params, seed):
-    _require_some("n_grams", params["n_grams"])
-    _require_some("max_depth", params["max_depth"])
     worst = 0.0
     for i in range(params["n_grams"]):
         rng = stream(seed, "tnp.polynomial_structure", i)
@@ -295,11 +365,10 @@ def _run_poly_structure(params, seed):
     "tnp.eig_family",
     "Rank-one eigenvalue family: unit row sums, moving eigenvalue "
     "mu1(t) = 1/kappa + t, all other eigenvalues exactly one.",
-    {"kappas": [4.0, 16.0, 64.0], "n": 8, "t_points": 20},
+    {"kappas": Param([4.0, 16.0, 64.0], 2.0, 1000.0), "n": Param(8, 2, 64),
+     "t_points": Param(20, 1, 256)},
     "all three deviations <= 1e-10 on the t grid")
 def _run_eig_family(params, seed):
-    _require_some("kappas", len(params["kappas"]))
-    _require_some("t_points", params["t_points"])
     dev_rows = dev_quad = dev_spec = 0.0
     for kappa in params["kappas"]:
         for t in np.linspace(0.0, 1.0 - 1.0 / kappa, params["t_points"]):
@@ -322,8 +391,10 @@ def _run_eig_family(params, seed):
     "tnp.gp_pipeline",
     "Chebyshev-iteration attention stack solves the Gram system and reads "
     "out the posterior mean within the depth-L rate bound.",
-    {"n": 16, "L": 30, "max_kappa": 100.0, "lengthscale": 0.4,
-     "min_separation": 0.5},
+    {"n": Param(16, 1, 64), "L": Param(30, 1, 1000),
+     "max_kappa": Param(100.0, 1.0, 1e8),
+     "lengthscale": Param(0.4, 0.01, 10.0),
+     "min_separation": Param(0.5, 0.0, 10.0)},
     "prediction error <= ||k|| ||y|| (2/lambda_min) rho^L")
 def _run_gp_pipeline(params, seed):
     spec = _rbf(params["lengthscale"])
@@ -352,9 +423,13 @@ def _run_gp_pipeline(params, seed):
     "stacks are degree-L polynomials in the moving eigenvalue, the degree-2L "
     "minimax oracle bounds their accuracy, and the oracle decays at the "
     "square-root-of-kappa rate.",
-    {"kappa": 16.0, "n": 8, "L": 3, "t_grid": 24, "eps": 1e-2},
+    {"kappa": Param(16.0, 2.0, 1000.0), "n": Param(8, 2, 64),
+     "L": Param(3, 1, 63), "t_grid": Param(24, 8, 256),
+     "eps": Param(1e-2, 1e-15, 1.0)},
     "fit residual <= 1e-8; decay slope within 5% of log rho; oracle error "
-    ">= classical barrier (valid for kappa >= 2 + sqrt(5))")
+    ">= classical barrier (valid for kappa >= 2 + sqrt(5))",
+    relations=(("t_grid >= 4 L + 4",
+                lambda p: p["t_grid"] >= 4 * p["L"] + 4),))
 def _run_depth_barrier(params, seed):
     rep = tnp.depth_barrier_experiment(
         params["kappa"], params["n"], params["L"], params["t_grid"],
@@ -371,12 +446,14 @@ def _run_depth_barrier(params, seed):
     "Neumann and Chebyshev inverse iterations meet their convergence-factor "
     "bounds on random SPD matrices; deep Chebyshev depths are certified "
     "spectrally in extended precision.",
-    {"n_matrices": 10, "n_max": 16, "max_depth": 40, "kappa_min": 10.0,
-     "kappa_max": 100.0},
+    {"n_matrices": Param(10, 1, 100), "n_max": Param(16, 4, 64),
+     "max_depth": Param(40, 1, 100), "kappa_min": Param(10.0, 2.0, 1000.0),
+     "kappa_max": Param(100.0, 2.0, 1000.0)},
     "error <= (2/lambda_min) rho^L (Chebyshev) and <= rho_N^L / lambda_min "
-    "(Neumann) for all depths up to max_depth")
+    "(Neumann) for all depths up to max_depth",
+    relations=(("kappa_min <= kappa_max",
+                lambda p: p["kappa_min"] <= p["kappa_max"]),))
 def _run_inverse_bounds(params, seed):
-    _require_some("n_matrices", params["n_matrices"])
     from .kernels import spectrum_of
     worst_margin = np.inf
     neumann_ok = chebyshev_ok = True
@@ -404,12 +481,18 @@ def _run_inverse_bounds(params, seed):
     "Discrete minimax oracle on [1/kappa, 1]: geometric error decay at the "
     "square-root-of-kappa rate, with the depth advantage over the Neumann "
     "series.",
-    {"kappa": 16.0, "degrees": [6, 8, 10, 12, 14, 16], "eps": 1e-6},
+    # the Neumann depth search stops at 5000; at kappa 100 and eps 1e-12 it
+    # needs about kappa ln(kappa / eps) = 3200
+    {"kappa": Param(16.0, 2.0, 100.0),
+     "degrees": Param([6, 8, 10, 12, 14, 16], 0, 64),
+     "eps": Param(1e-6, 1e-12, 1.0)},
     "decay slope within 5% of log rho; Chebyshev depth <= "
-    "(2/sqrt(kappa) + 0.2) x Neumann depth")
+    "(2/sqrt(kappa) + 0.2) x Neumann depth",
+    relations=(("two distinct degrees (a slope needs two points)",
+                lambda p: len(set(p["degrees"])) >= 2),))
 def _run_minimax_decay(params, seed):
     kappa = params["kappa"]
-    degs = [int(d) for d in params["degrees"]]
+    degs = params["degrees"]
     errs = [polyapprox.minimax_oracle(1.0 / kappa, 1.0, d).error for d in degs]
     slope = float(np.polyfit(degs, np.log(errs), 1)[0])
     log_rho = float(np.log(polyapprox.chebyshev_rho(kappa)))
@@ -429,7 +512,7 @@ def _run_minimax_decay(params, seed):
     "convcnp.equivariance",
     "Kernel smoothers are translation equivariant for stationary kernels "
     "and measurably not for amplitude-scaled non-stationary ones.",
-    {"shift": 0.7, "n": 5},
+    {"shift": Param(0.7, -10.0, 10.0), "n": Param(5, 1, 64)},
     "stationary defect <= 1e-10; non-stationary defect > 1e-2")
 def _run_equivariance(params, seed):
     rng = stream(seed, "convcnp.equivariance")
@@ -449,10 +532,10 @@ def _run_equivariance(params, seed):
     "convcnp.grid_gp",
     "Grid CNN as a circulant Chebyshev solver: prediction error against the "
     "exact posterior stays within the depth-L rate bound.",
-    {"n": 32, "spacing": 1.0, "depths": [5, 10, 20, 40], "lengthscale": 1.0},
+    {"n": Param(32, 2, 256), "spacing": Param(1.0, 0.1, 10.0),
+     "depths": Param([5, 10, 20, 40], 1, 1000), "lengthscale": _ELL},
     "error <= ||k|| ||y|| (2/lambda_min) rho^L + 1e-6 at every depth")
 def _run_grid_gp(params, seed):
-    _require_some("depths", len(params["depths"]))
     rng = stream(seed, "convcnp.grid_gp")
     grid = convcnp.GridSpec(n=params["n"], spacing=params["spacing"])
     y = rng.normal(size=params["n"])
@@ -461,7 +544,7 @@ def _run_grid_gp(params, seed):
     kappa = None
     for L in params["depths"]:
         rep = convcnp.grid_cnn_gp(_rbf(params["lengthscale"]), grid, y,
-                                  t_index, int(L))
+                                  t_index, L)
         worst_excess = max(worst_excess,
                            rep["error_vs_oracle"] - rep["bound"])
         kappa = rep["kappa"]
@@ -473,12 +556,12 @@ def _run_grid_gp(params, seed):
     "convcnp.jacobian",
     "Finite-difference Jacobian of the nonlinear grid forward pass matches "
     "the per-frequency circulant factorization.",
-    {"n": 32, "n_stacks": 20, "max_layers": 3, "support": 5,
-     "lengthscale": 1.0},
-    "per-frequency deviation <= 1e-5 on every random filter stack")
+    {"n": Param(32, 2, 256), "n_stacks": Param(20, 1, 100),
+     "max_layers": Param(3, 1, 8), "support": Param(5, 1, 256),
+     "lengthscale": _ELL},
+    "per-frequency deviation <= 1e-5 on every random filter stack",
+    relations=(("support <= n", lambda p: p["support"] <= p["n"]),))
 def _run_jacobian(params, seed):
-    _require_some("n_stacks", params["n_stacks"])
-    _require_some("max_layers", params["max_layers"])
     n = params["n"]
     grid = convcnp.GridSpec(n=n, spacing=1.0)
     w_row = convcnp.wrapped_kernel_row(_rbf(params["lengthscale"]), grid)
@@ -506,16 +589,16 @@ def _run_jacobian(params, seed):
     "convcnp.full_support",
     "A single full-support filter inverts the circulant Gram exactly in "
     "frequency space.",
-    {"sizes": [8, 32, 128], "lengthscale": 1.0, "d1": 0.5},
+    {"sizes": Param([8, 32, 128], 2, 256), "lengthscale": _ELL,
+     "d1": Param(0.5, 0.01, 10.0)},
     "max_k |J_hat(k) lambda_k - 1| <= 1e-8 at every grid size")
 def _run_full_support(params, seed):
-    _require_some("sizes", len(params["sizes"]))
     worst = 0.0
     for n in params["sizes"]:
-        grid = convcnp.GridSpec(n=int(n), spacing=1.0)
+        grid = convcnp.GridSpec(n=n, spacing=1.0)
         row = convcnp.wrapped_kernel_row(_rbf(params["lengthscale"]), grid)
         K_hat = convcnp.circulant(row)
-        e0 = np.zeros(int(n))
+        e0 = np.zeros(n)
         e0[0] = 1.0
         g_hat = convcnp.circulant(e0)
         w_hat = convcnp.circulant(e0)
@@ -534,8 +617,10 @@ def _run_full_support(params, seed):
     "Pure convolutional readouts weight points by query distance alone: two "
     "contexts with equal distance sets get identical outputs while the "
     "exact GP means differ.",
-    {"spacing": 0.5},
-    "pure output gap exactly 0; GP mean gap > 0.05")
+    {"spacing": Param(0.5, 0.01, 1.0)},
+    "pure output gap exactly 0; GP mean gap > 0.05",
+    relations=(("1/spacing whole (points 1 and 2 on the grid)", lambda p:
+                abs(1 / p["spacing"] - round(1 / p["spacing"])) <= 1e-12),))
 def _run_pure_no_gp(params, seed):
     rep = convcnp.pure_convcnp_counterexample(_rbf(),
                                               spacing=params["spacing"])
@@ -547,16 +632,17 @@ def _run_pure_no_gp(params, seed):
     "convcnp.depth_support",
     "Depth needed at bounded filter support to invert the grid spectrum, "
     "with the decay-slope check on an affine-symbol grid operator.",
-    {"n": 64, "support": 4, "eps_targets": [1e-1, 1e-2, 1e-3],
-     "slope_a": 2.5, "slope_b": 0.75},
+    {"n": Param(64, 2, 256), "support": Param(4, 2, 256),
+     "eps_targets": Param([1e-1, 1e-2, 1e-3], 1e-12, 1.0),
+     "slope_a": Param(2.5, 0.01, 100.0), "slope_b": Param(0.75, 0.01, 50.0)},
     "layer count x per-layer degree covers the required degree; slope "
-    "within 10% of log rho on the affine symbol")
+    "within 10% of log rho on the affine symbol",
+    relations=(("slope_a > 2 slope_b (a positive affine symbol)",
+                lambda p: p["slope_a"] > 2 * p["slope_b"]),))
 def _run_depth_support(params, seed):
-    _require_some("eps_targets", len(params["eps_targets"]))
     grid = convcnp.GridSpec(n=params["n"], spacing=1.0)
     rep = convcnp.depth_support_experiment(
-        _rbf(), grid, params["support"],
-        [float(e) for e in params["eps_targets"]])
+        _rbf(), grid, params["support"], params["eps_targets"])
     achieved = all(entry["achieved"] for entry in rep["required"].values()
                    if entry["degree"] is not None)
     # affine symbol a + 2b cos(w): trig degree equals algebraic degree, so
@@ -576,15 +662,15 @@ def _run_depth_support(params, seed):
     "latent.cov_rank",
     "Rank-k latent predictives cap the covariance rank above the noise "
     "floor while exact GP posterior covariances stay full rank.",
-    {"n_models": 100, "k_max": 4, "n_configs": 100, "min_separation": 0.3},
+    {"n_models": Param(100, 1, 1000), "k_max": Param(4, 1, 16),
+     "n_configs": Param(100, 1, 1000),
+     "min_separation": Param(0.3, 0.01, 1.0)},
     "eigenvalue k+1 <= 1e-8 x trace for latent models; GP posterior "
-    "covariance min eigenvalue > 1e-10")
+    "covariance min eigenvalue > 1e-10",
+    relations=(("9 min_separation < 8 (10 points fit in [-4, 4])",
+                lambda p: 9 * p["min_separation"] < 8.0),))
 def _run_cov_rank(params, seed):
     from .linalg import jacobi_eigh
-    _require_some("n_models", params["n_models"])
-    _require_some("k_max", params["k_max"])
-    _require_some("n_configs", params["n_configs"])
-    _require_room(10, params["min_separation"], 8.0)  # 10 points in [-4, 4]
     worst_rel = 0.0
     for i in range(params["n_models"]):
         rng = stream(seed, "latent.cov_rank", "models", i)
@@ -622,25 +708,6 @@ def _run_cov_rank(params, seed):
 _MAX_DRAWS = 10_000
 
 
-def _require_room(count, min_separation, span):
-    """Reject, before any draw, a request for `count` points at least
-    `min_separation` apart in an interval of length `span` that has no
-    room for them."""
-    if (count - 1) * min_separation >= span:
-        raise UsageError(
-            f"{count} points at least {min_separation:g} apart need an "
-            f"interval longer than {(count - 1) * min_separation:g}; the "
-            f"sampling interval is {span:g} long")
-
-
-def _require_some(name, count, least=1):
-    """Reject, before the run, a count (or list length) below `least`:
-    with fewer the experiment would pass having checked nothing, or could
-    not run at all."""
-    if count < least:
-        raise UsageError(f"{name}: need at least {least}, got {count}")
-
-
 def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
     """Place points one at a time, rejecting candidates that fall within
     `min_separation` of a placed point."""
@@ -668,12 +735,13 @@ def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
     "latent.mean_bottleneck",
     "Best rank-k factorization of the posterior weight matrix: zero "
     "residual only at full rank, bounded below at half rank.",
-    {"n": 6, "lengthscale": 1.0, "offset": 0.37},
-    "residual <= 1e-8 at k = n; residual > 0.01 x ||Phi||_F at k <= n/2")
+    {"n": Param(6, 2, 64), "lengthscale": _ELL,
+     "offset": Param(0.37, -10.0, 10.0)},
+    "residual <= 1e-8 at k = n; residual > 0.01 x ||Phi||_F at k <= n/2",
+    relations=(("(n - 1) 0.4 < 6 (n points 0.4 apart fit in [-3, 3])",
+                lambda p: (p["n"] - 1) * 0.4 < 6.0),))
 def _run_mean_bottleneck(params, seed):
     n = params["n"]
-    _require_some("n", n, least=2)  # a gap needs two points
-    _require_room(n, 0.4, 6.0)
     rng = stream(seed, "latent.mean_bottleneck")
     widest = 0.0  # largest smallest gap of a rejected draw
     for draws in range(1, _MAX_DRAWS + 1):
@@ -703,8 +771,9 @@ def _run_mean_bottleneck(params, seed):
     "Spectral tail of the grid Gram: exact zero past the polynomial "
     "kernel's finite rank, and trace-norm optimality of eigenvalue "
     "truncation.",
-    {"m": 32, "k": 3, "degree": 2},
-    "polynomial tail exactly 0 at k >= 3; Eckart-Young gap <= 1e-10")
+    {"m": Param(32, 8, 256), "k": Param(3, 1, 32), "degree": Param(2, 0, 8)},
+    "polynomial tail exactly 0 at k >= 3; Eckart-Young gap <= 1e-10",
+    relations=(("m >= 8 k", lambda p: p["m"] >= 8 * p["k"]),))
 def _run_mercer(params, seed):
     grid = np.linspace(-1.0, 1.0, params["m"]).reshape(-1, 1)
     spec = KernelSpec(family="polynomial", degree=params["degree"])
@@ -718,11 +787,10 @@ def _run_mercer(params, seed):
     "latent.bottleneck_lift",
     "Colliding contexts stay indistinguishable after any latent layer built "
     "from the mean encoding; non-colliding contexts separate.",
-    {"k": 2, "n_target_sets": 20},
+    {"k": Param(2, 1, 16), "n_target_sets": Param(20, 1, 10_000)},
     "collision pair: identical predictives within 1e-6; perturbed pair "
     "separates by > 1e-3")
 def _run_bottleneck_lift(params, seed):
-    _require_some("n_target_sets", params["n_target_sets"])
     pair = cnp.example_collision_pair()
     enc = cnp.Encoder(kind=cnp.IDENTITY)
     builder = latent.default_latent_builder(params["k"])
@@ -742,46 +810,21 @@ def _run_bottleneck_lift(params, seed):
             Check("non_collision_gap", separated, 1e-3, ">")]
 
 
-HIERARCHY_SUITE = [
-    "cnp.collision",
-    "cnp.pca_bound",
-    "anp.kernel_smoother",
-    "anp.factorization",
-    "tnp.polynomial_structure",
-    "tnp.eig_family",
-    "tnp.gp_pipeline",
-    "tnp.depth_barrier",
-    "polyapprox.inverse_bounds",
-    "polyapprox.minimax_decay",
-    "convcnp.equivariance",
-    "convcnp.grid_gp",
-    "convcnp.jacobian",
-    "convcnp.full_support",
-    "convcnp.pure_no_gp",
-    "convcnp.depth_support",
-    "latent.cov_rank",
-    "latent.mean_bottleneck",
-    "latent.mercer",
-    "latent.bottleneck_lift",
-]
+# the hierarchy suite is every registered experiment, in registration order
+HIERARCHY_SUITE = list(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    if config.experiment_id not in REGISTRY:
-        raise UsageError(
-            f"unknown experiment {config.experiment_id!r}; registered: "
-            f"{', '.join(sorted(REGISTRY))}")
-    entry = REGISTRY[config.experiment_id]
-    params = validate_params(entry, config.params)
+    config = validate_config(config)
     start = time.perf_counter()
-    checks = entry.runner(params, config.seed)
+    checks = REGISTRY[config.experiment_id].runner(config.params, config.seed)
     wall = (time.perf_counter() - start) * 1000.0
     return ExperimentReport(
-        experiment_id=config.experiment_id, params=params, seed=config.seed,
-        checks=checks, wall_time_ms=wall)
+        experiment_id=config.experiment_id, params=config.params,
+        seed=config.seed, checks=checks, wall_time_ms=wall)
 
 
 def _param_hash(params: dict) -> str:
@@ -790,11 +833,10 @@ def _param_hash(params: dict) -> str:
 
 
 def _run_guarded(config: ExperimentConfig) -> ExperimentReport:
+    """Run a validated config; any error becomes a failed report."""
     start = time.perf_counter()
     try:
         return run_experiment(config)
-    except UsageError:
-        raise
     except Exception as exc:  # deliberate isolation between experiments
         return ExperimentReport(
             experiment_id=config.experiment_id, params=dict(config.params),
@@ -810,7 +852,8 @@ def hierarchy_configs(seed: int = 0) -> list:
 
 
 def run_suite(configs) -> dict:
-    configs = list(configs)
+    """Validate every config before the first runs, then run each."""
+    configs = [validate_config(c) for c in configs]
     if not configs:
         raise UsageError("suite expansion is empty")
     reports = [_run_guarded(c) for c in configs]
@@ -865,19 +908,19 @@ def parse_config_file(path) -> list:
         raise UsageError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"config is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or "experiments" not in doc:
+    items = doc.get("experiments") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
         raise UsageError('config must be an object with an "experiments" list')
     configs = []
-    for i, item in enumerate(doc["experiments"]):
-        if "experiment_id" not in item:
-            raise UsageError(f"experiment #{i} lacks experiment_id")
-        extra = set(item) - {"experiment_id", "params", "seed"}
-        if extra:
-            raise UsageError(f"unknown config keys {sorted(extra)} in "
-                             f"experiment #{i}")
-        seed = item.get("seed", 0)
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or \
+                not isinstance(item.get("experiment_id"), str) or \
+                set(item) - {"experiment_id", "params", "seed"}:
+            raise UsageError(f"experiment #{i} must be an object with a "
+                             f"string experiment_id and optional params and "
+                             f"seed, got {item!r}")
         configs.append(ExperimentConfig(
             experiment_id=item["experiment_id"],
             params=item.get("params", {}),
-            seed=int(seed)))
+            seed=parse_seed(item.get("seed", 0), f"experiment #{i}: seed")))
     return configs

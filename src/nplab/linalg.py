@@ -70,14 +70,18 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     is swept at an exact power-of-two scale and its eigenvalues scaled
     back (one beyond the float range comes back as +-inf).
 
-    Raises InputError on a non-square, non-symmetric or non-finite matrix,
-    and NumericError (with the final off-diagonal residual attached) if
-    the sweep budget is exhausted.
+    Raises InputError on an empty, ragged, non-square, non-symmetric or
+    non-finite matrix, and NumericError (with the final off-diagonal
+    residual attached) if the sweep budget is exhausted.
     """
-    M = np.array(matrix, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise InputError(f"matrix must be square, got shape {M.shape}")
+    try:
+        M = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged or non-numeric
+        raise InputError(f"matrix is not a numeric array: {err}") from None
+    n = len(M) if M.ndim else 0
+    if n == 0 or M.shape != (n, n):
+        raise InputError(f"matrix must be square and non-empty, got shape "
+                         f"{M.shape}")
     amax = np.abs(M).max()
     if not np.isfinite(amax):
         raise InputError("matrix has non-finite entries")
@@ -157,9 +161,8 @@ def _cyclic_sweep(rows: list, vt: list):
                 continue
             # classic stable rotation (Golub & Van Loan sec. 8.5)
             theta = (aqq - app) / (2.0 * apq)
-            if abs(theta) > 1e100:
-                t = 0.5 / theta  # asymptotic root, avoids theta**2 overflow
-            elif theta == 0.0:
+            # behind the skip test |theta| < 5e19, so theta**2 cannot overflow
+            if theta == 0.0:
                 t = 1.0
             else:
                 t = copysign(1.0, theta) / (abs(theta)

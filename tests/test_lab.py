@@ -164,11 +164,11 @@ class TestDegenerateParams:
         assert "n_configs" in proc.stderr
 
     def test_filter_longer_than_grid_is_named(self):
+        # the schema's relation rejects it before any experiment runs
         cfg = ExperimentConfig(experiment_id="convcnp.jacobian",
                                params={"n": 4, "support": 9})
-        rep = run_suite([cfg])["reports"][0]
-        assert rep.failed
-        assert rep.error == "InputError: filter longer than the grid"
+        with pytest.raises(UsageError, match="support <= n"):
+            run_suite([ExperimentConfig("cnp.collision"), cfg])
 
 
 class TestRunSuite:
@@ -355,3 +355,25 @@ class TestCli:
             {"experiment_id": "cnp.collision"}]}), encoding="utf-8")
         proc = run_cli("run", str(cfg), env={"NPLAB_SEED": "not-a-number"})
         assert proc.returncode == 2
+
+    def test_numeric_failure_is_a_failed_report(self, tmp_path):
+        # n = 12 is feasible, but no draw of the capped sampler succeeds
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "latent.mean_bottleneck",
+             "params": {"n": 12}}]}), encoding="utf-8")
+        out = tmp_path / "r"
+        proc = run_cli("run", str(cfg), "--out", str(out), "--format", "json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = json.loads(next(out.glob("*.json")).read_text())
+        assert report["error"].startswith("NumericError: ")
+
+    def test_out_at_a_file_fails_before_the_run(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        proc = run_cli("suite", "hierarchy", "--out", str(taken))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: --out")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""  # no experiment ran

@@ -235,6 +235,16 @@ def test_large_n_input_errors():
         jacobi_eigh(A)
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param(np.zeros((0, 0)), id="0x0"),
+    pytest.param(np.array(2.0), id="0-d"),
+    pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+    pytest.param([["a", "b"], ["c", "d"]], id="strings")])
+def test_malformed_input_is_input_error(bad):
+    with pytest.raises(InputError):
+        jacobi_eigh(bad)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_entries_rejected(bad):
     A = np.eye(3)
