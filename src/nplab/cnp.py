@@ -4,9 +4,9 @@ optimal-linear-encoder lower bound.
 The predictor here is the idealized mean-pooling architecture: encode each
 (location, value) pair, average, decode at the query.  Because the context
 enters only through the average encoding, any two context sets with equal
-mean encodings are indistinguishable to every decoder; `find_collision`
-searches for such pairs and `collision_separation` measures how far apart
-the exact GP posterior means are on them.
+mean encodings are indistinguishable to every decoder;
+`example_collision_pair` stores such a pair and `collision_separation`
+measures how far apart the exact GP posterior means are on it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class ContextSet:
     def n(self) -> int:
         return self.locations.shape[0]
 
-    def points(self) -> np.ndarray:
-        """Stacked (location, value) rows."""
-        return np.hstack([self.locations, self.values])
-
     def permuted(self, perm) -> "ContextSet":
         perm = np.asarray(perm)
         return ContextSet(self.locations[perm], self.values[perm])
@@ -62,29 +58,11 @@ def context_from_pairs(pairs) -> ContextSet:
     return ContextSet(np.vstack(locs), np.vstack(vals))
 
 
-def matching_distance(C: ContextSet, C2: ContextSet) -> float:
-    """Minimum-cost perfect matching between the two point multisets,
-    cost = sum of Euclidean distances of matched (x, y) pairs."""
-    # imported here, not at module level, so that loading nplab loads no scipy
-    from scipy.optimize import linear_sum_assignment
-    if C.n != C2.n:
-        raise InputError("matching distance needs equal-size contexts")
-    P, Q = C.points(), C2.points()
-    cost = np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def same_multiset(C: ContextSet, C2: ContextSet, tol: float = 1e-9) -> bool:
-    return C.n == C2.n and matching_distance(C, C2) <= tol
-
-
 # ---------------------------------------------------------------------------
 # encoders
 
 IDENTITY = "identity"
 LINEAR = "linear"
-SMOOTH = "smooth"
 
 
 @dataclass(frozen=True)
@@ -93,27 +71,17 @@ class Encoder:
 
     identity: h(x, y) = (x, y).
     linear:   h(x, y) = W (x, y) + b.
-    smooth:   linear plus a fixed small sinusoidal perturbation, used to
-              exercise the collision search on a non-affine map.
     """
 
     kind: str = IDENTITY
     W: Optional[np.ndarray] = field(default=None)
     b: Optional[np.ndarray] = field(default=None)
-    smooth_freqs: Optional[np.ndarray] = field(default=None)
-    smooth_amp: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in (IDENTITY, LINEAR, SMOOTH):
+        if self.kind not in (IDENTITY, LINEAR):
             raise InputError(f"unknown encoder kind {self.kind!r}")
-        if self.kind in (LINEAR, SMOOTH) and self.W is None:
-            raise InputError(f"{self.kind} encoder needs a weight matrix")
-
-    @property
-    def output_dim(self) -> Optional[int]:
-        if self.kind == IDENTITY:
-            return None  # d_x + d_y, fixed by the inputs
-        return self.W.shape[0]
+        if self.kind == LINEAR and self.W is None:
+            raise InputError("linear encoder needs a weight matrix")
 
     def encode(self, x, y) -> np.ndarray:
         z = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
@@ -123,10 +91,6 @@ class Encoder:
         out = self.W @ z
         if self.b is not None:
             out = out + self.b
-        if self.kind == SMOOTH:
-            freqs = (self.smooth_freqs if self.smooth_freqs is not None
-                     else 1.0 + np.arange(len(out), dtype=float))
-            out = out + self.smooth_amp * np.sin(freqs * out)
         return out
 
     def mean_encoding(self, C: ContextSet) -> np.ndarray:
@@ -137,17 +101,6 @@ class Encoder:
 def linear_encoder(W, b=None) -> Encoder:
     return Encoder(kind=LINEAR, W=np.atleast_2d(np.asarray(W, dtype=float)),
                    b=None if b is None else np.asarray(b, dtype=float))
-
-
-def smooth_test_encoder(input_dim: int, output_dim: int) -> Encoder:
-    """Fixed analytic non-affine encoder: rotation-like affine map plus a
-    low-amplitude sinusoid with frequencies 1..d."""
-    i, j = np.meshgrid(np.arange(output_dim), np.arange(input_dim),
-                       indexing="ij")
-    W = np.cos(0.7 * (i + 1) + 1.3 * j) / np.sqrt(input_dim)
-    b = 0.1 * np.sin(1.0 + np.arange(output_dim, dtype=float))
-    return Encoder(kind=SMOOTH, W=W, b=b,
-                   smooth_freqs=1.0 + np.arange(output_dim, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +121,9 @@ def cnp_predict(encoder: Encoder, decoder: Callable, C: ContextSet,
 
 @dataclass(frozen=True)
 class CollisionResult:
-    success: bool
     C: ContextSet
-    C2: Optional[ContextSet]
+    C2: ContextSet
     encoding_gap: float
-    separation: float  # matching distance between the multisets
-    restarts_used: int
-    message: str = ""
 
 
 def example_collision_pair() -> CollisionResult:
@@ -184,62 +133,7 @@ def example_collision_pair() -> CollisionResult:
     C2 = context_from_pairs([(0.5, 0.5), (1.5, 1.5)])
     enc = Encoder(kind=IDENTITY)
     gap = float(np.linalg.norm(enc.mean_encoding(C) - enc.mean_encoding(C2)))
-    return CollisionResult(success=True, C=C, C2=C2, encoding_gap=gap,
-                           separation=matching_distance(C, C2),
-                           restarts_used=0)
-
-
-GAP_TOL = 1e-8
-MIN_SEPARATION = 0.1
-
-
-def find_collision(encoder: Encoder, n: int, seed: int, d_x: int = 1,
-                   d_y: int = 1, restarts: int = 10) -> CollisionResult:
-    """Search for distinct same-size contexts with equal mean encodings.
-
-    Minimizes the squared encoding gap over the second context from a
-    perturbed copy of the first, with a penalty keeping the multisets at
-    matching distance >= 0.1.  Failure is reported, not raised: existence
-    is generic but a fixed search budget can miss.
-    """
-    from scipy.optimize import minimize
-    probe = encoder.encode(np.zeros(d_x), np.zeros(d_y))
-    d = len(probe)
-    if n * (d_x + d_y) <= d:
-        raise InputError(
-            f"need n*(d_x+d_y) > encoder dimension ({n * (d_x + d_y)} <= {d})")
-
-    rng = stream(seed, "cnp", "find_collision")
-    base = ContextSet(rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y)))
-    h_base = encoder.mean_encoding(base)
-
-    def unpack(params) -> ContextSet:
-        locs = params[:n * d_x].reshape(n, d_x)
-        vals = params[n * d_x:].reshape(n, d_y)
-        return ContextSet(locs, vals)
-
-    def objective(params):
-        cand = unpack(params)
-        gap2 = float(np.sum((encoder.mean_encoding(cand) - h_base) ** 2))
-        sep = matching_distance(base, cand)
-        return gap2 + 4.0 * max(0.0, MIN_SEPARATION + 0.05 - sep) ** 2
-
-    for attempt in range(restarts):
-        x0 = np.concatenate([base.locations.ravel(), base.values.ravel()])
-        x0 = x0 + rng.normal(scale=0.5 + 0.25 * attempt, size=x0.shape)
-        res = minimize(objective, x0, method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})
-        cand = unpack(res.x)
-        gap = float(np.linalg.norm(encoder.mean_encoding(cand) - h_base))
-        sep = matching_distance(base, cand)
-        if gap <= GAP_TOL and sep >= MIN_SEPARATION and not same_multiset(base, cand):
-            return CollisionResult(success=True, C=base, C2=cand,
-                                   encoding_gap=gap, separation=sep,
-                                   restarts_used=attempt + 1)
-    return CollisionResult(success=False, C=base, C2=None,
-                           encoding_gap=float("nan"), separation=float("nan"),
-                           restarts_used=restarts,
-                           message=f"no collision found in {restarts} restarts")
+    return CollisionResult(C=C, C2=C2, encoding_gap=gap)
 
 
 def collision_separation(spec: KernelSpec, C: ContextSet, C2: ContextSet,

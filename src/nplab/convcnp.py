@@ -103,9 +103,6 @@ class CirculantOperator:
     def matrix(self) -> np.ndarray:
         return circulant_matrix(self.first_row)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return circular_convolve(self.first_row, x)
-
 
 def circulant(first_row) -> CirculantOperator:
     row = np.asarray(first_row, dtype=float)

@@ -106,9 +106,6 @@ class GramSpectrum:
     def inverse(self) -> np.ndarray:
         return self.apply_function(lambda lam: 1.0 / lam)
 
-    def inv_sqrt(self) -> np.ndarray:
-        return self.apply_function(lambda lam: 1.0 / np.sqrt(lam))
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         V = self.eigenvectors
         return V @ ((V.T @ rhs).T / self.eigenvalues).T

@@ -512,7 +512,7 @@ def _run_minimax_decay(params, seed):
     "convcnp.equivariance",
     "Kernel smoothers are translation equivariant for stationary kernels "
     "and measurably not for amplitude-scaled non-stationary ones.",
-    {"shift": Param(0.7, -10.0, 10.0), "n": Param(5, 1, 64)},
+    {"shift": Param(0.7, -10.0, 10.0), "n": Param(5, 2, 64)},
     "stationary defect <= 1e-10; non-stationary defect > 1e-2")
 def _run_equivariance(params, seed):
     rng = stream(seed, "convcnp.equivariance")
@@ -787,7 +787,7 @@ def _run_mercer(params, seed):
     "latent.bottleneck_lift",
     "Colliding contexts stay indistinguishable after any latent layer built "
     "from the mean encoding; non-colliding contexts separate.",
-    {"k": Param(2, 1, 16), "n_target_sets": Param(20, 1, 10_000)},
+    {"k": Param(2, 2, 16), "n_target_sets": Param(20, 1, 10_000)},
     "collision pair: identical predictives within 1e-6; perturbed pair "
     "separates by > 1e-3")
 def _run_bottleneck_lift(params, seed):

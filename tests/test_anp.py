@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nplab.anp import (LOG_KERNEL, UNIFORM, ScoreFunction, anp_equivalence_probe,
                        anp_predict, attention_readout, attention_weights,
                        factorization_counterexample, nadaraya_watson)
-from nplab.cnp import context_from_pairs, find_collision, Encoder
+from nplab.cnp import context_from_pairs, example_collision_pair
 from nplab.errors import InputError
 from nplab.kernels import KernelSpec, eval_kernel
 
@@ -132,7 +132,7 @@ class TestFactorizationCounterexample:
 
 class TestEquivalenceProbe:
     def test_uniform_attention_inherits_cnp_collision(self):
-        res = find_collision(Encoder(kind="identity"), n=2, seed=0)
+        res = example_collision_pair()
         score = ScoreFunction(kind=UNIFORM)
         value_map = lambda x, y: np.concatenate([np.atleast_1d(x),
                                                  np.atleast_1d(y)])
@@ -141,7 +141,7 @@ class TestEquivalenceProbe:
         assert np.max(gaps) <= 1e-7
 
     def test_log_kernel_attention_separates_the_pair(self):
-        res = find_collision(Encoder(kind="identity"), n=2, seed=0)
+        res = example_collision_pair()
         score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
         value_map = lambda x, y: np.atleast_1d(y)
         gaps = anp_equivalence_probe(score, value_map, res.C, res.C2,

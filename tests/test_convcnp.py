@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplab.anp import nadaraya_watson
-from nplab.cnp import ContextSet, context_from_pairs, matching_distance
+from nplab.cnp import ContextSet, context_from_pairs
 from nplab import convcnp
 from nplab.convcnp import (CirculantOperator, GridSpec, channels, circulant,
                            circulant_jacobian, circulant_matrix,
@@ -73,11 +73,13 @@ class TestDft:
 
 class TestCirculant:
     def test_matvec_matches_matrix(self):
+        # circular_convolve is the circulant's matvec
         rng = np.random.default_rng(1)
         row = rng.normal(size=7)
         x = rng.normal(size=7)
         op = circulant(row)
-        assert np.max(np.abs(op.matvec(x) - op.matrix() @ x)) < 1e-12
+        assert np.max(np.abs(circular_convolve(row, x)
+                             - op.matrix() @ x)) < 1e-12
 
     def test_diagonalized_by_dft(self):
         rng = np.random.default_rng(2)
@@ -182,7 +184,8 @@ class TestChannels:
         ch = channels(spec_w, C, grid)
         rec = recover_context(spec_w, ch["density"], ch["signal"], grid)
         assert rec.n == 3
-        assert matching_distance(C, rec) <= 1e-6
+        assert np.max(np.abs(rec.locations - C.locations)) <= 1e-6
+        assert np.max(np.abs(rec.values - C.values)) <= 1e-6
 
     def test_recover_no_peaks(self):
         spec_w = KernelSpec(family="rbf", lengthscale=0.4)

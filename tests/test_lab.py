@@ -139,6 +139,10 @@ class TestDegenerateParams:
         ("tnp.polynomial_structure", {"max_depth": 0}),
         ("latent.cov_rank", {"k_max": 0}),
         ("convcnp.jacobian", {"max_layers": 0}),
+        # at 1 the checked gap is 0 by construction: a one-point smoother
+        # is constant, and a rank-1 latent reads only the mean location
+        ("convcnp.equivariance", {"n": 1}),
+        ("latent.bottleneck_lift", {"k": 1}),
     ])
     def test_nothing_to_check_is_usage_error(self, eid, params):
         with pytest.raises(UsageError):
@@ -301,6 +305,20 @@ class TestCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_hierarchy_pass_loads_no_scipy(self):
+        # nplab depends on numpy and mpmath only; scipy is a test oracle
+        import os
+        import nplab
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from nplab.lab import hierarchy_configs, run_suite; "
+             "run_suite(hierarchy_configs()); print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_describe_known(self):
         proc = run_cli("describe", "anp.kernel_smoother")

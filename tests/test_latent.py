@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.cnp import Encoder, find_collision
+from nplab.cnp import Encoder, example_collision_pair
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec
 from nplab.latent import (RankKLatent, default_latent_builder,
@@ -175,7 +175,7 @@ class TestMercerTail:
 
 class TestBottleneckLift:
     def test_collision_lifts_to_identical_predictives(self):
-        res = find_collision(Encoder(kind="identity"), n=2, seed=0)
+        res = example_collision_pair()
         out = encoder_bottleneck_lift(Encoder(kind="identity"), res.C, res.C2,
                                       default_latent_builder(3))
         assert out["identical"]

@@ -177,6 +177,18 @@ class TestMinimaxOracle:
         assert res.error == pytest.approx(closed, rel=1e-4)
         assert res.error <= closed * (1.0 + 1e-12)  # discrete grid can only help
 
+    @pytest.mark.parametrize("kappa", [4.0, 16.0, 64.0])
+    def test_remez_matches_continuum_minimax_error(self, kappa):
+        # Chebyshev-Achieser: the best degree-n error of 1/mu on [a, b] is
+        # E_n = (b-a)/(2ab) rho^n; the default grid stays within 1e-3 of it
+        a = 1.0 / kappa
+        for n in range(17):
+            closed = ((1.0 - a) / (2.0 * a)) * chebyshev_rho(kappa) ** n
+            assert minimax_oracle(a, 1.0, n).error == pytest.approx(
+                closed, rel=1e-3)
+            assert closed / chebyshev_barrier(a, 1.0, n) == pytest.approx(
+                (kappa ** 2 - 1.0) / (4.0 * kappa), rel=1e-12)
+
     def test_equioscillation(self):
         for degree in (1, 3, 6):
             res = minimax_oracle(0.1, 1.0, degree)
