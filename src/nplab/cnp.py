@@ -31,11 +31,14 @@ class ContextSet:
 
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        val = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if val.shape[0] != loc.shape[0]:
-            val = val.reshape(loc.shape[0], -1)
+        val = np.asarray(self.values, dtype=float)
+        # 1-d values are one scalar per location: a column
+        val = np.atleast_2d(val.reshape(-1, 1) if val.ndim == 1 else val)
         if loc.shape[0] < 1:
             raise InputError("context set must be nonempty")
+        if val.shape[0] != loc.shape[0]:
+            raise InputError(f"{loc.shape[0]} locations but {val.shape[0]} "
+                             f"values")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "values", val)
 

@@ -159,15 +159,24 @@ def cross_vector(spec: KernelSpec, X, x_t) -> np.ndarray:
     return kernel_matrix(spec, X, np.atleast_2d(_as_point(x_t)))[:, 0]
 
 
-def gram_spectrum(spec: KernelSpec, X) -> GramSpectrum:
-    """Gram matrix of X (jitter on the diagonal) with its spectrum."""
+def _gram_matrix(spec: KernelSpec, X) -> np.ndarray:
+    """Gram matrix of X with jitter on the diagonal, unfactored.
+
+    Private so that ``gram_spectrum`` spans keep their public children
+    (``kernel_matrix`` and ``jacobi_eigh``) under a tracer.
+    """
     Xa = np.atleast_2d(np.asarray(X, dtype=float))
     if Xa.shape[0] < 1:
         raise InputError("need at least one location")
     if not np.all(np.isfinite(Xa)):
         raise InputError("locations must be finite")
     K = kernel_matrix(spec, Xa)
-    K = K + spec.effective_jitter * np.eye(Xa.shape[0])
+    return K + spec.effective_jitter * np.eye(Xa.shape[0])
+
+
+def gram_spectrum(spec: KernelSpec, X) -> GramSpectrum:
+    """Gram matrix of X (jitter on the diagonal) with its spectrum."""
+    K = _gram_matrix(spec, X)
     try:
         vals, vecs = jacobi_eigh(K)
     except NumericError as err:

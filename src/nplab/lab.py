@@ -23,7 +23,8 @@ import numpy as np
 
 from . import anp, cnp, convcnp, latent, polyapprox, tnp
 from .errors import ContractError, NumericError, UsageError
-from .kernels import KernelSpec, gram_spectrum
+from .kernels import KernelSpec, _gram_matrix, gram_spectrum
+from .linalg import jacobi_eigvalsh
 from .rng import stream
 
 PASS = "pass"
@@ -349,8 +350,7 @@ def _run_poly_structure(params, seed):
     for i in range(params["n_grams"]):
         rng = stream(seed, "tnp.polynomial_structure", i)
         X = rng.uniform(-3, 3, (params["n"], 1))
-        S = gram_spectrum(_rbf(), X)
-        att = tnp.normalize_attention(S)
+        att = tnp.normalize_attention(_gram_matrix(_rbf(), X))
         L = 1 + i % params["max_depth"]
         alphas = rng.uniform(-1.5, 1.5, L)
         H0 = rng.normal(size=(params["n"], 2))
@@ -377,8 +377,7 @@ def _run_eig_family(params, seed):
                 mem.matrix @ np.ones(mem.n) - 1.0))))
             dev_quad = max(dev_quad, abs(
                 float(mem.v1 @ mem.matrix @ mem.v1) - mem.mu1))
-            from .linalg import jacobi_eigh
-            vals, _ = jacobi_eigh(mem.matrix)
+            vals = jacobi_eigvalsh(mem.matrix)
             expected = np.sort(np.concatenate([[mem.mu1],
                                                np.ones(mem.n - 1)]))
             dev_spec = max(dev_spec, float(np.max(np.abs(vals - expected))))
@@ -454,7 +453,6 @@ def _run_depth_barrier(params, seed):
     relations=(("kappa_min <= kappa_max",
                 lambda p: p["kappa_min"] <= p["kappa_max"]),))
 def _run_inverse_bounds(params, seed):
-    from .kernels import spectrum_of
     worst_margin = np.inf
     neumann_ok = chebyshev_ok = True
     for i in range(params["n_matrices"]):
@@ -464,12 +462,12 @@ def _run_inverse_bounds(params, seed):
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         lams = np.concatenate([[1.0 / kappa, 1.0],
                                rng.uniform(1.0 / kappa, 1.0, n - 2)])
-        S = spectrum_of((Q * lams) @ Q.T)
+        eigenvalues = jacobi_eigvalsh((Q * lams) @ Q.T)
         for L in (1, 3, 5, params["max_depth"]):
-            _, _, margin = polyapprox.chebyshev_exact_check(S.eigenvalues, L)
+            _, _, margin = polyapprox.chebyshev_exact_check(eigenvalues, L)
             chebyshev_ok &= margin >= 0.0
             worst_margin = min(worst_margin, margin)
-            _, _, nmargin = polyapprox.neumann_exact_check(S.eigenvalues, L)
+            _, _, nmargin = polyapprox.neumann_exact_check(eigenvalues, L)
             neumann_ok &= nmargin >= 0.0
     return [Check("chebyshev_bound_ok", chebyshev_ok, 1.0, "=="),
             Check("neumann_bound_ok", neumann_ok, 1.0, "=="),
@@ -670,7 +668,6 @@ def _run_depth_support(params, seed):
     relations=(("9 min_separation < 8 (10 points fit in [-4, 4])",
                 lambda p: 9 * p["min_separation"] < 8.0),))
 def _run_cov_rank(params, seed):
-    from .linalg import jacobi_eigh
     worst_rel = 0.0
     for i in range(params["n_models"]):
         rng = stream(seed, "latent.cov_rank", "models", i)
@@ -687,7 +684,7 @@ def _run_cov_rank(params, seed):
             sigma2=float(rng.uniform(0.0, 0.5)))
         X_T = rng.uniform(-3, 3, (k + 3, 1))
         pred = latent.latent_predictive(model, X_T)["cov"]
-        vals, _ = jacobi_eigh(pred - model.sigma2 * np.eye(len(X_T)))
+        vals = jacobi_eigvalsh(pred - model.sigma2 * np.eye(len(X_T)))
         vals = np.sort(vals)[::-1]
         tr = max(float(np.sum(np.abs(vals))), 1e-300)
         worst_rel = max(worst_rel, float(vals[k]) / tr)

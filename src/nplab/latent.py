@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_cov
 from .kernels import KernelSpec, cross_vector, gram_spectrum, kernel_matrix
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, jacobi_eigvalsh
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RankKLatent:
         if self.k > 0:
             if not np.allclose(S, S.T, atol=1e-10):
                 raise InputError("latent covariance must be symmetric")
-            vals, _ = jacobi_eigh(0.5 * (S + S.T))
+            vals = jacobi_eigvalsh(0.5 * (S + S.T))
             if vals[0] < -1e-10:
                 raise InputError("latent covariance must be PSD")
         object.__setattr__(self, "m", m)
@@ -81,7 +81,7 @@ def gp_cov_rank_check(spec: KernelSpec, X_C, X_T) -> dict:
     """Minimum eigenvalue and numerical rank of the exact posterior
     covariance; full rank m whenever all points are distinct."""
     cov = posterior_cov(spec, X_C, X_T, sigma2=0.0)
-    vals, _ = jacobi_eigh(cov)
+    vals = jacobi_eigvalsh(cov)
     return {
         "min_eig": float(vals[0]),
         "rank": numerical_rank(vals),
@@ -100,7 +100,7 @@ def posterior_weight_matrix(spec: KernelSpec, X_C, X_T) -> np.ndarray:
 
 def singular_values_sym(M: np.ndarray) -> np.ndarray:
     """Singular values of M via the eigenvalues of M^T M, descending."""
-    vals, _ = jacobi_eigh(M.T @ M)
+    vals = jacobi_eigvalsh(M.T @ M)
     return np.sqrt(np.clip(vals[::-1], 0.0, None))
 
 
@@ -147,7 +147,7 @@ def mercer_tail(spec: KernelSpec, grid, k: int) -> dict:
     tail = float(np.sum(vals[k:]))
     # independent trace-norm evaluation of the truncation error
     Gk = (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
-    dvals, _ = jacobi_eigh(G - Gk)
+    dvals = jacobi_eigvalsh(G - Gk)
     dvals[np.abs(dvals) <= RANK_FLOOR * max(vals[0], 1e-300)] = 0.0
     best = float(np.sum(np.abs(dvals)))
     return {

@@ -1,5 +1,13 @@
 """Dense symmetric eigendecomposition via Jacobi rotations.
 
+One sweep engine serves both public functions.  It rotates the stacked
+array B = [A | V^T]: a rotation of the pair (p, q) turns rows p and q of B,
+which are the rows of A and of V^T together, and then columns p and q of
+the A block only.  ``jacobi_eigh`` sweeps B with V = I, and
+``jacobi_eigvalsh`` sweeps B = A, so it does none of the eigenvector work
+and returns the same eigenvalues bit for bit (the split LAPACK makes with
+JOBZ = 'N').
+
 Small matrices are swept in cyclic (row-by-row) order, one rotation at a
 time, on Python lists of floats: below n = 32 the cost of a numpy call
 outweighs the O(n) arithmetic of a rotation, and the list form does the
@@ -35,23 +43,31 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns.  Convergence is declared when the
     off-diagonal Frobenius norm falls below ``tol`` relative to the full
-    Frobenius norm.
+    Frobenius norm.  When only the eigenvalues are read, call
+    ``jacobi_eigvalsh``: it gives the same eigenvalues bit for bit.
+
+    The sweeps rotate the n x 2n array B = [A | V^T] with V = I at the
+    start.  One row update turns rows p and q of A and of V^T together,
+    and the column update touches only the A block; each entry of V^T
+    gets the same IEEE operations as the column update of V it replaces,
+    so the vectors are bit-identical to a sweep that keeps V apart (kept
+    as the oracles in the tests).
 
     Below ``ROUND_ROBIN_MIN_N`` a sweep visits the pairs (p, q) in cyclic
-    row order, one rotation at a time, on the rows of A and of V^T as
-    lists of Python floats; A goes back into an array once per sweep for
-    the convergence test.  On arrays a rotation is about 24 numpy calls on
-    vectors of length n, each costing more than its arithmetic at these
-    sizes.  The list form does the same IEEE operations in the same order,
-    so values and vectors are bit-identical to the per-rotation numpy loop
-    (kept as the oracle in the tests).
+    row order, one rotation at a time, on the rows of B as lists of Python
+    floats; B goes back into an array once per sweep for the convergence
+    test.  On arrays a rotation is about 24 numpy calls on vectors of
+    length n, each costing more than its arithmetic at these sizes.  The
+    list form does the same IEEE operations in the same order, so values
+    and vectors are bit-identical to the per-rotation numpy loop.
 
     From ``ROUND_ROBIN_MIN_N`` on, a sweep is n - 1 rounds (n rounds for
     odd n, which pairs one index with a dummy) of n // 2 disjoint pairs in
     Brent & Luk's round-robin order (R. P. Brent and F. T. Luk, "The
     solution of singular-value and symmetric eigenvalue problems on
-    multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6, 1985).  Rotations on disjoint pairs commute, so a round is one
-    vectorised update of the paired rows, columns and eigenvector columns.
+    multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6, 1985).
+    Rotations on disjoint pairs commute, so a round is one vectorised
+    update of the paired rows of B and the paired columns of A.
 
     Why 32 and not the crossover: per call on an RBF Gram (one BLAS
     thread, 2-vCPU Xeon VM), round-robin takes 5-7x the cyclic list time
@@ -73,6 +89,30 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     Raises InputError on an empty, ragged, non-square, non-symmetric or
     non-finite matrix, and NumericError (with the final off-diagonal
     residual attached) if the sweep budget is exhausted.
+    """
+    vals, B = _jacobi(matrix, tol, max_sweeps, vectors=True)
+    V = B[:, len(vals):].T.copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], V[:, order]
+
+
+def jacobi_eigvalsh(matrix: np.ndarray, tol: float = JACOBI_TOL,
+                    max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, by Jacobi sweeps.
+
+    The same sweeps as ``jacobi_eigh`` on B = A, with no eigenvector
+    columns, so the result is ``jacobi_eigh(matrix, tol, max_sweeps)[0]``
+    bit for bit at about half the row work.  Raises as ``jacobi_eigh``.
+    """
+    vals, _ = _jacobi(matrix, tol, max_sweeps, vectors=False)
+    return vals[np.argsort(vals, kind="stable")]
+
+
+def _jacobi(matrix, tol, max_sweeps, vectors):
+    """Validate, sweep and return (eigenvalues in diagonal order, B).
+
+    B is the swept [A | V^T] when ``vectors`` is true and the swept A
+    otherwise.
     """
     try:
         M = np.array(matrix, dtype=float)
@@ -100,56 +140,55 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
             shift = int(np.frexp(amax)[1])
             M = np.ldexp(M, -shift)
     A = 0.5 * (M + M.T)
-    V = np.eye(n)
+    B = np.hstack([A, np.eye(n)]) if vectors else A
     if n == 1:
-        return np.ldexp(A.diagonal(), shift), V
+        return np.ldexp(A.diagonal(), shift), B
 
     norm = np.linalg.norm(A)
     if norm == 0.0:
-        return np.zeros(n), V
+        return np.zeros(n), B
 
     cyclic = n < ROUND_ROBIN_MIN_N
     if cyclic:
-        rows, vt = A.tolist(), V.tolist()  # V = I is its own transpose
+        rows = B.tolist()
     else:
         rounds = _round_robin_pairs(n)
     for _ in range(max_sweeps):
+        A = B[:, :n]
         off = np.linalg.norm(A - np.diag(A.diagonal()))
         if off <= tol * norm:
             break
         if cyclic:
-            _cyclic_sweep(rows, vt)
-            A = np.array(rows)
+            _cyclic_sweep(rows)
+            B = np.array(rows)
         else:
             for P, Q in rounds:
-                _rotate_round(A, V, P, Q)
+                _rotate_round(B, P, Q)
     else:
+        A = B[:, :n]
         off = np.linalg.norm(A - np.diag(A.diagonal()))
         raise NumericError(
             f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
             residual=float(off))
-    if cyclic:
-        V = np.array(vt).T.copy()
 
-    eigvals = A.diagonal().copy()
+    eigvals = B.diagonal().copy()
     if shift:
         eigvals = np.ldexp(eigvals, shift)
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], V[:, order]
+    return eigvals, B
 
 
-def _cyclic_sweep(rows: list, vt: list):
-    """One cyclic sweep, in place, over the rows of A and of V^T held as
-    lists of Python floats.
+def _cyclic_sweep(rows: list):
+    """One cyclic sweep, in place, over the rows of B held as lists of
+    Python floats; A is the first len(rows) entries of each row.
 
     Each rotation does the IEEE operations of the array form in the same
-    order: rows p and q of A, then columns p and q, each entry as
-    c * x - s * y and s * x + c * y.  Columns p and q of V depend on A only
-    through (c, s), so they are updated in the loop over the rows.
+    order: rows p and q of B, then columns p and q of A, each entry as
+    c * x - s * y and s * x + c * y.  The eigenvector columns of B depend
+    on A only through (c, s), so the row update is all they need.
     ``math.copysign(1.0, theta)`` and ``math.sqrt`` round exactly as
     ``np.sign(theta)`` (theta != 0 there) and ``np.sqrt``.
     """
-    n = len(rows)
+    n, width = len(rows), len(rows[0])
     for p in range(n - 1):
         for q in range(p + 1, n):
             rp, rq = rows[p], rows[q]
@@ -169,14 +208,10 @@ def _cyclic_sweep(rows: list, vt: list):
                                             + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c
-            vp, vq = vt[p], vt[q]
-            for k in range(n):
+            for k in range(width):
                 x, y = rp[k], rq[k]
                 rp[k] = c * x - s * y
                 rq[k] = s * x + c * y
-                x, y = vp[k], vq[k]
-                vp[k] = c * x - s * y
-                vq[k] = s * x + c * y
             for row in rows:
                 x, y = row[p], row[q]
                 row[p] = c * x - s * y
@@ -201,12 +236,12 @@ def _round_robin_pairs(n: int):
     return [(p[k], q[k]) for p, q, k in zip(P, Q, keep)]
 
 
-def _rotate_round(A: np.ndarray, V: np.ndarray, P: np.ndarray,
-                  Q: np.ndarray):
-    """Apply the rotations of one round of disjoint pairs to A and V in
-    place: the cyclic rotation of each pair, computed side by side."""
-    apq = A[P, Q]
-    app, aqq = A[P, P], A[Q, Q]
+def _rotate_round(B: np.ndarray, P: np.ndarray, Q: np.ndarray):
+    """Apply the rotations of one round of disjoint pairs to B in place:
+    the cyclic rotation of each pair, computed side by side, on the paired
+    rows of B and the paired columns of its A block."""
+    apq = B[P, Q]
+    app, aqq = B[P, P], B[Q, Q]
     skip = (np.abs(apq) <= 1e-300) | \
         (np.abs(apq) <= 1e-20 * (np.abs(app) + np.abs(aqq)))
     theta = (aqq - app) / (2.0 * np.where(skip, 1.0, apq))
@@ -216,16 +251,14 @@ def _rotate_round(A: np.ndarray, V: np.ndarray, P: np.ndarray,
     c = np.where(skip, 1.0, 1.0 / np.sqrt(t * t + 1.0))
     s = np.where(skip, 0.0, t * c)
     cc, ss = c[:, None], s[:, None]
-    rp, rq = A[P, :], A[Q, :]
-    A[P, :] = cc * rp - ss * rq
-    A[Q, :] = ss * rp + cc * rq
+    rp, rq = B[P, :], B[Q, :]
+    B[P, :] = cc * rp - ss * rq
+    B[Q, :] = ss * rp + cc * rq
+    A = B[:, :len(B)]
     cp, cq = A[:, P], A[:, Q]
     A[:, P] = cp * c - cq * s
     A[:, Q] = cp * s + cq * c
-    vp, vq = V[:, P], V[:, Q]
-    V[:, P] = vp * c - vq * s
-    V[:, Q] = vp * s + vq * c
-    A[P[skip], Q[skip]] = A[Q[skip], P[skip]] = 0.0
+    B[P[skip], Q[skip]] = B[Q[skip], P[skip]] = 0.0
 
 
 def spectral_norm_sym(matrix: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .cnp import ContextSet
 from .errors import InputError
 from .gp_oracle import posterior_mean
-from .kernels import GramSpectrum, KernelSpec, cross_vector, gram_spectrum, spectrum_of
+from .kernels import GramSpectrum, KernelSpec, cross_vector, gram_spectrum
 from .polyapprox import (PolySchedule, apply_schedule, chebyshev_barrier,
                          chebyshev_error_bound, chebyshev_rho,
                          chebyshev_schedule, minimax_oracle)
@@ -28,36 +28,27 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class AttentionMatrix:
-    """Row-normalized attention D^{-1} K with its conditioning bracket."""
+    """Row-normalized attention D^{-1} K."""
 
     K_tilde: np.ndarray
     D: np.ndarray          # row sums of the source Gram
     gamma: float           # d_max / d_min
-    kappa_source: float
-    kappa_tilde: float
-
-    @property
-    def bracket(self):
-        return (self.kappa_source / self.gamma, self.gamma * self.kappa_source)
 
 
-def normalize_attention(K: GramSpectrum) -> AttentionMatrix:
-    """K_tilde = D^{-1} K with D = diag(K 1); rows sum to one.
+def normalize_attention(K: np.ndarray) -> AttentionMatrix:
+    """K_tilde = D^{-1} K with D = diag(K 1) for a Gram matrix K; rows sum
+    to one.
 
-    The spectrum of K_tilde is computed through the symmetric similar
-    matrix D^{-1/2} K D^{-1/2} and its condition number is attached along
-    with the gamma-bracket it must satisfy.
+    No spectrum is computed.  The condition number of K_tilde, through
+    its symmetric similar matrix D^{-1/2} K D^{-1/2}, lies within a
+    factor gamma = d_max / d_min of that of K.
     """
-    d = K.matrix @ np.ones(K.n)
+    K = np.asarray(K, dtype=float)
+    d = K @ np.ones(len(K))
     if np.any(d <= 0):
         raise InputError("attention normalization needs positive row sums")
     gamma = float(d.max() / d.min())
-    K_tilde = K.matrix / d[:, None]
-    sym = K.matrix / np.sqrt(np.outer(d, d))
-    sym_spec = spectrum_of(sym)
-    kappa_tilde = sym_spec.kappa
-    return AttentionMatrix(K_tilde=K_tilde, D=d, gamma=gamma,
-                           kappa_source=K.kappa, kappa_tilde=kappa_tilde)
+    return AttentionMatrix(K_tilde=K / d[:, None], D=d, gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,22 @@ from nplab import linalg
 
 @pytest.fixture
 def jacobi_calls(monkeypatch):
-    """Count jacobi_eigh calls, wherever an nplab module bound the name;
-    the fixture's value is a one-element list holding the count."""
-    original = linalg.jacobi_eigh
-    count = [0]
+    """Count Jacobi factorizations, wherever an nplab module bound the
+    name; the fixture's value is the list [jacobi_eigh calls,
+    jacobi_eigvalsh calls]."""
+    count = [0, 0]
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
+    def counting(slot, original):
+        def counted(*args, **kwargs):
+            count[slot] += 1
+            return original(*args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "nplab" and \
-                getattr(module, "jacobi_eigh", None) is original:
-            monkeypatch.setattr(module, "jacobi_eigh", counting)
+    for slot, name in enumerate(("jacobi_eigh", "jacobi_eigvalsh")):
+        original = getattr(linalg, name)
+        wrapper = counting(slot, original)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "nplab" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     return count

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.cnp import (Encoder, SYNTHETIC_ISOTROPIC, MONTE_CARLO_STATIONARY,
-                       cnp_predict, collision_separation, context_from_pairs,
+from nplab.cnp import (ContextSet, Encoder, SYNTHETIC_ISOTROPIC,
+                       MONTE_CARLO_STATIONARY, cnp_predict,
+                       collision_separation, context_from_pairs,
                        example_collision_pair, linear_encoder,
                        moment_encoding, moment_encoding_dim,
                        ols_from_encoding, ols_moment_encoder,
@@ -18,6 +19,24 @@ class TestContextSet:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             context_from_pairs([])
+
+    def test_one_dimensional_values_become_a_column(self):
+        C = ContextSet(np.array([[0.0], [1.0], [2.0]]), np.array([4.0, 5.0,
+                                                                 6.0]))
+        assert C.values.shape == (3, 1)
+        assert C.values[:, 0].tolist() == [4.0, 5.0, 6.0]
+        one = ContextSet(np.array([[0.0]]), np.array([7.0]))
+        assert one.values.shape == (1, 1)
+
+    def test_more_values_than_locations_rejected(self):
+        with pytest.raises(InputError, match="1 locations but 2 values"):
+            ContextSet(np.array([[0.0]]), np.array([1.0, 2.0]))
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(InputError, match="2 locations but 3 values"):
+            ContextSet(np.zeros((2, 1)), np.zeros(3))
+        with pytest.raises(InputError, match="3 locations but 2 values"):
+            ContextSet(np.zeros((3, 1)), np.zeros((2, 2)))
 
 
 class TestEncoders:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nplab.cnp import Encoder, example_collision_pair
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec
+from nplab.lab import ExperimentConfig, run_experiment
 from nplab.latent import (RankKLatent, default_latent_builder,
                           encoder_bottleneck_lift, gp_cov_rank_check,
                           latent_predictive, mean_matching_residual,
@@ -80,11 +81,22 @@ class TestCovarianceRank:
         assert out["min_eig"] > 1e-10
 
     def test_gp_cov_rank_check_factors_twice(self, jacobi_calls):
-        # the context Gram inside posterior_cov, then the covariance once
+        # the context Gram inside posterior_cov, then the covariance's
+        # eigenvalues alone
         X_C = np.array([[0.0], [0.8], [1.7], [2.9]])
         out = gp_cov_rank_check(RBF, X_C, X_C + 0.35)
-        assert jacobi_calls[0] == 2
+        assert jacobi_calls == [1, 1]
         assert out["rank"] == out["m"] == 4
+
+    def test_cov_rank_model_loop_factors_values_only(self, jacobi_calls):
+        # per model: the latent covariance's PSD check and the predictive
+        # covariance, both eigenvalues alone; per GP config: the context
+        # Gram (vectors, for the solve) and the posterior covariance
+        params = {"n_models": 7, "n_configs": 2}
+        report = run_experiment(ExperimentConfig("latent.cov_rank", params,
+                                                 0))
+        assert report.error is None and not report.failed
+        assert jacobi_calls == [2, 2 * 7 + 2]
 
     def test_numerical_rank_rule(self):
         vals = np.array([-1e-13, 0.0, 1e-11, 0.5, 1.0])

@@ -9,7 +9,7 @@ import pytest
 from nplab import linalg
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, kernel_matrix
-from nplab.linalg import ROUND_ROBIN_MIN_N, jacobi_eigh
+from nplab.linalg import ROUND_ROBIN_MIN_N, jacobi_eigh, jacobi_eigvalsh
 from nplab.tnp import eig_family
 
 RBF = KernelSpec(family="rbf")
@@ -118,6 +118,50 @@ def _reference_cyclic_eigh(matrix, tol=linalg.JACOBI_TOL,
     return eigvals[order], V[:, order]
 
 
+def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
+                                max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    """The round-robin loop as it was written with V kept apart from A:
+    each round rotates the paired rows and columns of A and then the
+    paired columns of V.  jacobi_eigh, which turns V^T as extra columns
+    of A's rows, must match it bit for bit from ROUND_ROBIN_MIN_N on."""
+    A = np.array(matrix, dtype=float)
+    A = 0.5 * (A + A.T)
+    n = A.shape[0]
+    V = np.eye(n)
+    norm = np.linalg.norm(A)
+    rounds = linalg._round_robin_pairs(n)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(A - np.diag(A.diagonal()))
+        if off <= tol * norm:
+            break
+        for P, Q in rounds:
+            apq = A[P, Q]
+            app, aqq = A[P, P], A[Q, Q]
+            skip = (np.abs(apq) <= 1e-300) | \
+                (np.abs(apq) <= 1e-20 * (np.abs(app) + np.abs(aqq)))
+            theta = (aqq - app) / (2.0 * np.where(skip, 1.0, apq))
+            t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta)
+                                                    + np.hypot(theta, 1.0))
+            c = np.where(skip, 1.0, 1.0 / np.sqrt(t * t + 1.0))
+            s = np.where(skip, 0.0, t * c)
+            cc, ss = c[:, None], s[:, None]
+            rp, rq = A[P, :], A[Q, :]
+            A[P, :] = cc * rp - ss * rq
+            A[Q, :] = ss * rp + cc * rq
+            cp, cq = A[:, P], A[:, Q]
+            A[:, P] = cp * c - cq * s
+            A[:, Q] = cp * s + cq * c
+            vp, vq = V[:, P], V[:, Q]
+            V[:, P] = vp * c - vq * s
+            V[:, Q] = vp * s + vq * c
+            A[P[skip], Q[skip]] = A[Q[skip], P[skip]] = 0.0
+    else:
+        raise NumericError("reference loop did not converge")
+    eigvals = A.diagonal().copy()
+    order = np.argsort(eigvals, kind="stable")
+    return eigvals[order], V[:, order]
+
+
 @pytest.mark.parametrize("n", range(2, ROUND_ROBIN_MIN_N))
 @pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
                                   equal_diagonal, near_skip_threshold])
@@ -127,6 +171,75 @@ def test_cyclic_matches_reference_bit_for_bit(n, make):
     want_vals, want_V = _reference_cyclic_eigh(A)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(V, want_V)
+    assert V.strides == want_V.strides
+
+
+@pytest.mark.parametrize("n", [32, 33, 47, 63, 64])
+@pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
+                                  near_skip_threshold])
+def test_round_robin_matches_reference_bit_for_bit(n, make):
+    A = make(n, seed=n)
+    vals, V = jacobi_eigh(A)
+    want_vals, want_V = _reference_round_robin_eigh(A)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(V, want_V)
+    # the same memory layout too, so BLAS products with V round the same
+    assert V.strides == want_V.strides
+
+
+@pytest.mark.parametrize("n", list(range(1, 34)) + [64])
+@pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
+                                  near_skip_threshold])
+def test_eigvalsh_is_eigh_values_bit_for_bit(n, make):
+    # a rank-k latent covariance needs n >= 2; at n = 1 take its 1 x 1 form
+    A = make(n, seed=n) if n > 1 or make is not low_rank_psd else \
+        low_rank_psd(2, seed=1)[:1, :1]
+    assert np.array_equal(jacobi_eigvalsh(A), jacobi_eigh(A)[0])
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.array([[1.0, 1e300], [1e300, 1.0]]), id="overflow"),
+    pytest.param(random_symmetric(40, seed=4) * 1e300, id="overflow-40"),
+    pytest.param(random_symmetric(5, seed=6) * 2.0 ** -700, id="underflow"),
+    pytest.param(random_symmetric(40, seed=6) * 2.0 ** -700,
+                 id="underflow-40"),
+    pytest.param(np.zeros((5, 5)), id="zero"),
+    pytest.param(np.zeros((ROUND_ROBIN_MIN_N, ROUND_ROBIN_MIN_N)),
+                 id="zero-32"),
+    pytest.param(np.array([[np.finfo(float).max]]), id="1x1-max"),
+    pytest.param(np.array([[-5e-324]]), id="1x1-subnormal"),
+    pytest.param(np.array([[2.0 ** -600]]), id="1x1-scaled")])
+def test_eigvalsh_early_exits_match_eigh(A):
+    res = jacobi_eigh(A)
+    assert type(res) is tuple and len(res) == 2
+    assert np.array_equal(jacobi_eigvalsh(A), res[0])
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_eigvalsh_budget_exhausted_like_eigh(n):
+    A = random_symmetric(n, seed=3)
+    with pytest.raises(NumericError) as vecs:
+        jacobi_eigh(A, max_sweeps=1)
+    with pytest.raises(NumericError) as vals:
+        jacobi_eigvalsh(A, max_sweeps=1)
+    assert vals.value.residual is not None and vals.value.residual > 0.0
+    assert vals.value.residual == vecs.value.residual
+    assert str(vals.value) == str(vecs.value)
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.array([[3.0]]), id="1x1"),
+    pytest.param(np.zeros((4, 4)), id="zero"),
+    pytest.param(np.diag([2.0, 1.0, 3.0]), id="converged-at-once"),
+    pytest.param(random_symmetric(6, seed=1), id="cyclic"),
+    pytest.param(random_symmetric(40, seed=1), id="round-robin"),
+    pytest.param(random_symmetric(6, seed=1) * 2.0 ** -700, id="scaled")])
+def test_eigh_returns_values_and_vectors_on_every_exit(A):
+    res = jacobi_eigh(A)
+    assert type(res) is tuple and len(res) == 2
+    vals, V = res
+    n = len(A)
+    assert vals.shape == (n,) and V.shape == (n, n)
 
 
 def test_reference_reaches_every_reachable_branch():

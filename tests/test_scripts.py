@@ -33,3 +33,11 @@ def test_depth_sweep_writes_csv():
     lines = proc.stdout.splitlines()
     assert lines[0] == "kappa,degree,minimax_error,chebyshev_bound,barrier"
     assert [line.split(",")[1] for line in lines[1:]] == ["4", "6", "8"]
+
+
+def test_bench_pair_help():
+    proc = run_script("bench_pair.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    for flag in ("--base", "--head", "--workdir", "--out", "--workload",
+                 "--seed-from"):
+        assert flag in proc.stdout

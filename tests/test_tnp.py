@@ -28,20 +28,24 @@ def well_spread_context(seed, n=8, gap=0.5):
 class TestNormalizeAttention:
     def test_rows_sum_to_one(self):
         C = well_spread_context(0)
-        A = normalize_attention(gram_spectrum(RBF, C.locations))
+        A = normalize_attention(gram_spectrum(RBF, C.locations).matrix)
         assert np.max(np.abs(A.K_tilde @ np.ones(C.n) - 1.0)) < 1e-12
 
     def test_kappa_within_gamma_bracket(self):
+        # kappa(D^-1/2 K D^-1/2) lies within a factor gamma of kappa(K)
         for seed in range(5):
             C = well_spread_context(seed)
-            A = normalize_attention(gram_spectrum(RBF, C.locations))
-            lo, hi = A.bracket
-            assert lo * (1 - 1e-9) <= A.kappa_tilde <= hi * (1 + 1e-9)
+            K = gram_spectrum(RBF, C.locations).matrix
+            A = normalize_attention(K)
+            kappa_source = spectrum_of(K).kappa
+            kappa_tilde = spectrum_of(K / np.sqrt(np.outer(A.D, A.D))).kappa
+            lo, hi = kappa_source / A.gamma, A.gamma * kappa_source
+            assert lo * (1 - 1e-9) <= kappa_tilde <= hi * (1 + 1e-9)
 
     def test_similarity_preserves_spectrum(self):
         C = well_spread_context(3, n=6)
         S = gram_spectrum(RBF, C.locations)
-        A = normalize_attention(S)
+        A = normalize_attention(S.matrix)
         # eigenvalues of D^{-1} K equal those of the symmetric similar form
         direct = np.sort(np.linalg.eigvals(A.K_tilde).real)
         sym = np.sort(np.linalg.eigvalsh(
@@ -70,7 +74,7 @@ class TestEigFamily:
     def test_attention_normalization_is_identity_on_family(self):
         member = eig_family(8.0, 6, 0.1)
         S = spectrum_of(member.matrix)
-        A = normalize_attention(S)
+        A = normalize_attention(S.matrix)
         assert np.max(np.abs(A.K_tilde - member.matrix)) < 1e-14
         assert np.max(np.abs(A.D - 1.0)) < 1e-14
 
@@ -160,7 +164,22 @@ def test_gp_pipeline_factors_once_per_draw(params, seed, jacobi_calls,
     report = run_experiment(ExperimentConfig("tnp.gp_pipeline", params, seed))
     assert report.error is None
     assert draws[0] >= 1
-    assert jacobi_calls[0] == draws[0]
+    assert jacobi_calls == [draws[0], 0]
+
+
+def test_polynomial_structure_factors_nothing(jacobi_calls):
+    # the layer check reads only K_tilde, so no spectrum is computed
+    report = run_experiment(ExperimentConfig(
+        "tnp.polynomial_structure", {"n": 40, "n_grams": 3}, 0))
+    assert report.error is None and not report.failed
+    assert jacobi_calls == [0, 0]
+
+
+def test_eig_family_factors_values_only(jacobi_calls):
+    params = {"kappas": [4.0, 16.0], "n": 8, "t_points": 3}
+    report = run_experiment(ExperimentConfig("tnp.eig_family", params, 0))
+    assert report.error is None and not report.failed
+    assert jacobi_calls == [0, 6]
 
 
 def test_pipeline_with_given_spectrum_is_bit_identical():
