@@ -20,7 +20,7 @@ def main(argv=None):
 
     spec = KernelSpec(family="rbf")
     pair = example_collision_pair()
-    enc = Encoder(kind="identity")
+    enc = Encoder()
     print("context A:", list(zip(pair.C.locations[:, 0],
                                  pair.C.values[:, 0])))
     print("context B:", list(zip(pair.C2.locations[:, 0],

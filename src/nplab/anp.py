@@ -1,6 +1,6 @@
 """Cross-attention predictor with analytically injected scores.
 
-Attention weights are softmax(s(x_t, x_i, y_i)/tau); with s = log k the
+Attention weights are softmax(s(x_t, x_i, y_i)); with s = log k the
 weighted sum is exactly the Nadaraya-Watson kernel smoother.  Because the
 weight on each context point depends only on the (query, point) pair,
 no such predictor can react to inter-context geometry; the factorization
@@ -32,13 +32,10 @@ class ScoreFunction:
     kind: str = UNIFORM
     spec: Optional[KernelSpec] = None
     custom: Optional[Callable] = field(default=None, compare=False)
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (LOG_KERNEL, UNIFORM, CUSTOM):
             raise InputError(f"unknown score kind {self.kind!r}")
-        if self.temperature <= 0:
-            raise InputError("temperature must be positive")
         if self.kind == LOG_KERNEL and self.spec is None:
             raise InputError("log-kernel score needs a kernel spec")
         if self.kind == CUSTOM and self.custom is None:
@@ -61,7 +58,7 @@ def attention_weights(score: ScoreFunction, C: ContextSet, x_t) -> np.ndarray:
     if C.n < 1:
         raise InputError("context set must be nonempty")
     s = np.array([score.score(x_t, x, y)
-                  for x, y in zip(C.locations, C.values)]) / score.temperature
+                  for x, y in zip(C.locations, C.values)])
     s = s - s.max()
     w = np.exp(s)
     return w / w.sum()
@@ -77,15 +74,6 @@ def anp_predict(score: ScoreFunction, value_map: Callable, decoder: Callable,
     return float(decoder(np.atleast_1d(np.asarray(x_t, dtype=float)), r))
 
 
-def attention_readout(score: ScoreFunction, value_map: Callable,
-                      C: ContextSet, x_t) -> np.ndarray:
-    """The attended value vector r(x_t) before decoding."""
-    alpha = attention_weights(score, C, x_t)
-    values = np.array([np.atleast_1d(value_map(x, y))
-                       for x, y in zip(C.locations, C.values)], dtype=float)
-    return alpha @ values
-
-
 def nadaraya_watson(spec: KernelSpec, C: ContextSet, x_t) -> float:
     """Kernel-weighted mean sum k(x_t,x_i) y_i / sum k(x_t,x_i)."""
     w = np.array([eval_kernel(spec, x_t, x) for x in C.locations])
@@ -99,14 +87,12 @@ def nadaraya_watson(spec: KernelSpec, C: ContextSet, x_t) -> float:
 
 def factorization_counterexample(spec: KernelSpec,
                                  angle_a_deg: float = 180.0,
-                                 angle_b_deg: float = 60.0,
-                                 radius: float = 1.0,
-                                 y_value: float = 1.0) -> dict:
+                                 angle_b_deg: float = 60.0) -> dict:
     """Two planar 2-point configurations with identical per-point geometry
     but different inter-context distance.
 
-    Both place the context points at the same distance from the query and
-    carry the same value, so every score s(x_t, x_i, y_i) sees identical
+    Both place the context points at unit distance from the query and
+    carry the value 1, so every score s(x_t, x_i, y_i) sees identical
     inputs and every factorized attention rule assigns identical weights.
     The exact GP weights differ because they couple through k(x_1, x_2).
     """
@@ -116,8 +102,8 @@ def factorization_counterexample(spec: KernelSpec,
 
     def config(angle_deg):
         half = np.deg2rad(angle_deg) / 2.0
-        x1 = radius * np.array([np.cos(half), np.sin(half)])
-        x2 = radius * np.array([np.cos(half), -np.sin(half)])
+        x1 = np.array([np.cos(half), np.sin(half)])
+        x2 = np.array([np.cos(half), -np.sin(half)])
         return x1, x2
 
     out = {}
@@ -126,8 +112,8 @@ def factorization_counterexample(spec: KernelSpec,
         x1, x2 = config(angle)
         w1, w2 = two_point_weight(spec, x1, x2, x_t)
         # per-point score inputs: (|x_t - x_i|, y_i), identical across configs
-        tuples = [(float(np.linalg.norm(x_t - x1)), y_value),
-                  (float(np.linalg.norm(x_t - x2)), y_value)]
+        tuples = [(float(np.linalg.norm(x_t - x1)), 1.0),
+                  (float(np.linalg.norm(x_t - x2)), 1.0)]
         out[f"config_{label}"] = {"x1": x1, "x2": x2,
                                   "score_inputs": tuples,
                                   "inter_distance": float(np.linalg.norm(x1 - x2))}
@@ -142,15 +128,3 @@ def factorization_counterexample(spec: KernelSpec,
     })
     return out
 
-
-def anp_equivalence_probe(score: ScoreFunction, value_map: Callable,
-                          C: ContextSet, C2: ContextSet, x_t_list) -> np.ndarray:
-    """Per-query gap ||r_C(x_t) - r_C'(x_t)|| of the attended values."""
-    gaps = []
-    for x_t in x_t_list:
-        r1 = attention_readout(score, value_map, C, x_t)
-        r2 = attention_readout(score, value_map, C2, x_t)
-        if r1.shape != r2.shape:
-            raise InputError("value dimensions differ between contexts")
-        gaps.append(float(np.linalg.norm(r1 - r2)))
-    return np.array(gaps)

@@ -11,7 +11,7 @@ measures how far apart the exact GP posterior means are on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,13 @@ from .kernels import KernelSpec
 from .rng import stream
 
 
+def _rows(a) -> np.ndarray:
+    """One row per point: a 1-d array is one scalar coordinate or value per
+    point, so it becomes a column."""
+    a = np.asarray(a, dtype=float)
+    return np.atleast_2d(a.reshape(-1, 1) if a.ndim == 1 else a)
+
+
 @dataclass(frozen=True)
 class ContextSet:
     """Multiset of (location, value) pairs."""
@@ -30,10 +37,7 @@ class ContextSet:
     values: np.ndarray     # n x d_y
 
     def __post_init__(self):
-        loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        val = np.asarray(self.values, dtype=float)
-        # 1-d values are one scalar per location: a column
-        val = np.atleast_2d(val.reshape(-1, 1) if val.ndim == 1 else val)
+        loc, val = _rows(self.locations), _rows(self.values)
         if loc.shape[0] < 1:
             raise InputError("context set must be nonempty")
         if val.shape[0] != loc.shape[0]:
@@ -62,48 +66,18 @@ def context_from_pairs(pairs) -> ContextSet:
 
 
 # ---------------------------------------------------------------------------
-# encoders
+# encoder
 
-IDENTITY = "identity"
-LINEAR = "linear"
-
-
-@dataclass(frozen=True)
 class Encoder:
-    """Deterministic per-pair encoder h(x, y) -> R^d.
-
-    identity: h(x, y) = (x, y).
-    linear:   h(x, y) = W (x, y) + b.
-    """
-
-    kind: str = IDENTITY
-    W: Optional[np.ndarray] = field(default=None)
-    b: Optional[np.ndarray] = field(default=None)
-
-    def __post_init__(self):
-        if self.kind not in (IDENTITY, LINEAR):
-            raise InputError(f"unknown encoder kind {self.kind!r}")
-        if self.kind == LINEAR and self.W is None:
-            raise InputError("linear encoder needs a weight matrix")
+    """The identity pair encoder h(x, y) = (x, y)."""
 
     def encode(self, x, y) -> np.ndarray:
-        z = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
-                            np.atleast_1d(np.asarray(y, dtype=float))])
-        if self.kind == IDENTITY:
-            return z
-        out = self.W @ z
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
+                               np.atleast_1d(np.asarray(y, dtype=float))])
 
     def mean_encoding(self, C: ContextSet) -> np.ndarray:
         return np.mean(
             [self.encode(x, y) for x, y in zip(C.locations, C.values)], axis=0)
-
-
-def linear_encoder(W, b=None) -> Encoder:
-    return Encoder(kind=LINEAR, W=np.atleast_2d(np.asarray(W, dtype=float)),
-                   b=None if b is None else np.asarray(b, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +108,7 @@ def example_collision_pair() -> CollisionResult:
     mean-encode to (1, 1) while being far apart as multisets."""
     C = context_from_pairs([(0.0, 1.0), (2.0, 1.0)])
     C2 = context_from_pairs([(0.5, 0.5), (1.5, 1.5)])
-    enc = Encoder(kind=IDENTITY)
+    enc = Encoder()
     gap = float(np.linalg.norm(enc.mean_encoding(C) - enc.mean_encoding(C2)))
     return CollisionResult(C=C, C2=C2, encoding_gap=gap)
 
@@ -215,7 +189,6 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
         A = rng_enc.normal(size=(d, n))
         random_ratios.append(_relative_mse_for_projection(W_tilde, A))
 
-    rank = int(np.linalg.matrix_rank(W_tilde))
     return {
         "mode": mode,
         "n": n,
@@ -224,7 +197,6 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
         "bound": bound,
         "deviation_from_bound": ratio - bound,
         "best_random_encoder_ratio": float(min(random_ratios)) if random_ratios else float("nan"),
-        "effective_rank": rank,
     }
 
 
@@ -267,7 +239,3 @@ def ols_from_encoding(features, encoding: np.ndarray, x_t) -> float:
 def ols_moment_encoder(features, C: ContextSet, x_t) -> float:
     """OLS prediction computed through the k(k+3)/2 moment encoding."""
     return ols_from_encoding(features, moment_encoding(features, C), x_t)
-
-
-def moment_encoding_dim(k: int) -> int:
-    return k * (k + 3) // 2

@@ -1,11 +1,14 @@
 """Convolutional conditional predictors on periodic grids.
 
-Context sets enter through two functional channels (density and signal);
-a CNN then processes them on a regular grid.  On a periodic grid with a
-periodically wrapped stationary kernel every operator in sight is exactly
-circulant, so the whole stack diagonalizes in the discrete Fourier basis:
-iteration rates, Jacobians and depth requirements all become statements
-about scalar symbols per frequency, which is what this module verifies.
+A ConvCNP puts the context on a regular grid and processes it with a CNN.
+Every grid here is periodic and every kernel on it is stationary and
+periodically wrapped, so every operator in sight is exactly circulant and
+the whole stack diagonalizes in the discrete Fourier basis: iteration
+rates, Jacobians and depth requirements all become statements about
+scalar symbols per frequency, which is what this module verifies.  The
+incomparability witnesses at the end compare the exact GP with a pure
+convolutional readout, which weights each context point by its distance
+from the query alone.
 
 `dft`, `idft` and `frequency_diagonal` go through `numpy.fft`;
 `dft_matrix` is the direct exp(-2 pi i k m / n) sum they are tested
@@ -24,7 +27,7 @@ import numpy as np
 
 from .cnp import ContextSet
 from .errors import InputError, NumericError
-from .kernels import KernelSpec, eval_kernel, spectrum_of
+from .kernels import KernelSpec, eval_kernel
 from .polyapprox import (apply_schedule, chebyshev_error_bound,
                          chebyshev_rho, chebyshev_schedule, remez_discrete)
 
@@ -33,21 +36,17 @@ WRAP_REACH = 6.0  # kernel images summed within this many lengthscales
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular 1-d grid; all circulant experiments require periodic=True."""
+    """Regular periodic 1-d grid of n cells: cell m sits at m * spacing,
+    and the grid wraps after its extent n * spacing."""
 
     n: int
     spacing: float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.n < 2:
             raise InputError("grid needs at least two cells")
         if self.spacing <= 0:
             raise InputError("grid spacing must be positive")
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.spacing * np.arange(self.n)
 
     @property
     def extent(self) -> float:
@@ -109,11 +108,11 @@ def circulant(first_row) -> CirculantOperator:
     return CirculantOperator(first_row=row, dft_eigenvalues=dft(row))
 
 
-def from_symbol(symbol: np.ndarray, imag_tol: float = 1e-8) -> CirculantOperator:
+def from_symbol(symbol: np.ndarray) -> CirculantOperator:
     """Circulant operator with the given DFT symbol; the first row must
-    come out real."""
+    come out real (to 1e-8 relative)."""
     row = idft(np.asarray(symbol, dtype=complex))
-    if np.max(np.abs(row.imag)) > imag_tol * max(1.0, np.max(np.abs(row.real))):
+    if np.max(np.abs(row.imag)) > 1e-8 * max(1.0, np.max(np.abs(row.real))):
         raise NumericError("symbol does not correspond to a real circulant",
                            residual=float(np.max(np.abs(row.imag))))
     return CirculantOperator(first_row=row.real,
@@ -147,8 +146,6 @@ def wrapped_kernel_row(spec: KernelSpec, grid: GridSpec) -> np.ndarray:
     """
     if not spec.stationary:
         raise InputError("wrapped kernel requires a stationary family")
-    if not grid.periodic:
-        raise InputError("kernel wrapping requires a periodic grid")
     reach = WRAP_REACH * spec.lengthscale
     n_images = int(np.ceil(reach / grid.extent)) + 1
     row = np.zeros(grid.n)
@@ -162,59 +159,6 @@ def wrapped_kernel_row(spec: KernelSpec, grid: GridSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# functional channels
-
-def channels(spec_w: KernelSpec, C: ContextSet, queries,
-             value_encoder: Callable = None) -> dict:
-    """Density rho(q) = sum_i w(q - x_i) and signal s(q) = sum_i w(q - x_i)
-    h(y_i); permutation invariant sums."""
-    if not spec_w.stationary:
-        raise InputError("channel filter must be stationary")
-    Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    h = value_encoder or (lambda y: np.atleast_1d(np.asarray(y, dtype=float)))
-    hv = np.array([np.atleast_1d(h(y)) for y in C.values], dtype=float)
-    rho = np.zeros(Q.shape[0])
-    sig = np.zeros((Q.shape[0], hv.shape[1]))
-    for i, x in enumerate(C.locations):
-        w = np.array([eval_kernel(spec_w, q, x) for q in Q])
-        rho += w
-        sig += w[:, None] * hv[i]
-    return {"density": rho, "signal": sig}
-
-
-def recover_context(spec_w: KernelSpec, rho_samples, s_samples,
-                    query_grid) -> ContextSet:
-    """Invert the channel maps: peaks of the density locate the context,
-    then the positive definite system W h = s recovers the values.
-
-    Assumes on-grid distinct locations separated by at least 4 lengthscales
-    and grid resolution at most lengthscale/4.
-    """
-    rho = np.asarray(rho_samples, dtype=float)
-    s = np.atleast_2d(np.asarray(s_samples, dtype=float))
-    if s.shape[0] != len(rho):
-        s = s.reshape(len(rho), -1)
-    grid = np.atleast_2d(np.asarray(query_grid, dtype=float))
-    w0 = eval_kernel(spec_w, grid[0], grid[0])
-    peaks = []
-    for i in range(len(rho)):
-        left = rho[i - 1] if i > 0 else -np.inf
-        right = rho[i + 1] if i < len(rho) - 1 else -np.inf
-        if rho[i] >= left and rho[i] > right and rho[i] > 0.5 * w0:
-            peaks.append(i)
-    if not peaks:
-        raise NumericError("no density peaks found", residual=float(rho.max()))
-    locs = grid[peaks]
-    W = np.array([[eval_kernel(spec_w, a, b) for b in locs] for a in locs])
-    Wspec = spectrum_of(W)
-    if Wspec.kappa > 1e12:
-        raise NumericError("recovery system too ill-conditioned",
-                           lambda_min=Wspec.lambda_min)
-    values = Wspec.solve(s[peaks])
-    return ContextSet(locs, values)
-
-
-# ---------------------------------------------------------------------------
 # grid CNN as a Chebyshev solver
 
 def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
@@ -222,8 +166,6 @@ def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
     """Chebyshev inverse iteration on the wrapped-kernel circulant, each
     factor applied as a circular convolution, read out with the kernel
     cross-weights at an on-grid target."""
-    if not grid.periodic:
-        raise InputError("grid CNN experiments require a periodic grid")
     y = np.asarray(y, dtype=float)
     if len(y) != grid.n:
         raise InputError("observation length must match the grid")
@@ -386,17 +328,15 @@ def nearest_neighbor_row(a: float, b: float, n: int) -> np.ndarray:
 
 def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
                              eps_targets: Sequence[float],
-                             first_row=None,
-                             slope_degrees=(4, 6, 8, 10, 12)) -> dict:
+                             first_row=None) -> dict:
     """Depth needed at filter support p to invert the grid Gram spectrum.
 
     Computes the discrete cosine-polynomial minimax error against
     1/K_hat(omega) per degree; for each eps reports the smallest adequate
     degree D and the implied layer count ceil(D / floor(p/2)), asserting
-    the product L * floor(p/2) covers D.
+    the product L * floor(p/2) covers D.  The decay slope is fit to the
+    errors at degrees 4, 6, ..., 12 that the grid admits.
     """
-    if not grid.periodic:
-        raise InputError("depth-support experiment requires a periodic grid")
     if p < 2:
         raise InputError("filter support must be at least 2")
     half = p // 2
@@ -443,7 +383,7 @@ def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
         required[eps] = {"degree": D, "layers": layers,
                          "achieved": layers * half >= D}
 
-    degs = [D for D in slope_degrees if D <= max_degree]
+    degs = [D for D in (4, 6, 8, 10, 12) if D <= max_degree]
     errs = [errors.setdefault(D, trig_minimax_error(x, target, D))
             for D in degs]
     if all(e > 0 for e in errs) and len(degs) >= 2:
@@ -478,18 +418,17 @@ def equivariance_defect(spec: KernelSpec, C: ContextSet, x_t,
     return abs(moved - base)
 
 
-def pure_convcnp_counterexample(spec: KernelSpec, w_spec: KernelSpec = None,
+def pure_convcnp_counterexample(spec: KernelSpec,
                                 spacing: float = 0.5) -> dict:
     """Two on-grid 1-d contexts with identical query-point distance sets
     but different inter-context distances.
 
     Every pure convolutional predictor weights points by w(x_t - x_i)
     alone, so its outputs agree on the pair; the exact GP means differ
-    through k(x_1, x_2).
+    through k(x_1, x_2).  The readout filter w is the kernel itself.
     """
     if not spec.stationary:
         raise InputError("counterexample requires a stationary kernel")
-    w_spec = w_spec or spec
     x_t = np.zeros(1)
     # distances from the query are {1, 2} in both configurations
     config_a = ContextSet(np.array([[1.0], [2.0]]), np.ones((2, 1)))
@@ -500,8 +439,8 @@ def pure_convcnp_counterexample(spec: KernelSpec, w_spec: KernelSpec = None,
             raise InputError("counterexample locations must sit on the grid")
     from .anp import nadaraya_watson
     from .gp_oracle import posterior_mean
-    pure_a = nadaraya_watson(w_spec, config_a, x_t)
-    pure_b = nadaraya_watson(w_spec, config_b, x_t)
+    pure_a = nadaraya_watson(spec, config_a, x_t)
+    pure_b = nadaraya_watson(spec, config_b, x_t)
     gp_a = posterior_mean(spec, config_a.locations, config_a.values[:, 0], x_t)
     gp_b = posterior_mean(spec, config_b.locations, config_b.values[:, 0], x_t)
     return {

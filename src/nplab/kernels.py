@@ -20,8 +20,8 @@ import numpy as np
 from .errors import InputError, NumericError
 from .linalg import jacobi_eigh
 
-# default jitter as a fraction of the kernel variance; experiments that
-# study condition numbers directly pin jitter to 0 instead
+# default diagonal jitter (every kernel has unit variance); experiments
+# that study condition numbers directly pin jitter to 0 instead
 DEFAULT_JITTER_SCALE = 1e-10
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
@@ -29,7 +29,7 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family with its hyperparameters.
+    """A unit-variance kernel family with its hyperparameters.
 
     family is one of ``"rbf"``, ``"matern"``, ``"polynomial"``,
     ``"scaled"``.  Matern requires ``nu`` in {1/2, 3/2, 5/2}; polynomial
@@ -39,8 +39,7 @@ class KernelSpec:
 
     family: str = "rbf"
     lengthscale: float = 1.0
-    variance: float = 1.0
-    jitter: Optional[float] = None  # None -> DEFAULT_JITTER_SCALE * variance
+    jitter: Optional[float] = None  # None -> DEFAULT_JITTER_SCALE
     nu: float = 0.5
     degree: int = 2
     base: Optional["KernelSpec"] = None
@@ -50,8 +49,6 @@ class KernelSpec:
     def __post_init__(self):
         if self.lengthscale <= 0:
             raise InputError("lengthscale must be positive")
-        if self.variance <= 0:
-            raise InputError("variance must be positive")
         if self.jitter is not None and self.jitter < 0:
             raise InputError("jitter must be nonnegative")
         if self.family == "matern" and self.nu not in _MATERN_NUS:
@@ -66,7 +63,7 @@ class KernelSpec:
     @property
     def effective_jitter(self) -> float:
         if self.jitter is None:
-            return DEFAULT_JITTER_SCALE * self.variance
+            return DEFAULT_JITTER_SCALE
         return self.jitter
 
     @property
@@ -127,18 +124,18 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
         return (spec.amplitude(p) * spec.amplitude(q)
                 * eval_kernel(spec.base, p, q))
     if spec.family == "polynomial":
-        return spec.variance * (1.0 + float(p @ q) / spec.lengthscale**2) ** spec.degree
+        return (1.0 + float(p @ q) / spec.lengthscale**2) ** spec.degree
     r = float(np.linalg.norm(p - q)) / spec.lengthscale
     if spec.family == "rbf":
-        return spec.variance * np.exp(-0.5 * r * r)
+        return np.exp(-0.5 * r * r)
     # half-integer Matern closed forms
     if spec.nu == 0.5:
-        return spec.variance * np.exp(-r)
+        return np.exp(-r)
     if spec.nu == 1.5:
         a = np.sqrt(3.0) * r
-        return spec.variance * (1.0 + a) * np.exp(-a)
+        return (1.0 + a) * np.exp(-a)
     a = np.sqrt(5.0) * r
-    return spec.variance * (1.0 + a + a * a / 3.0) * np.exp(-a)
+    return (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
 def kernel_matrix(spec: KernelSpec, X, Y=None) -> np.ndarray:

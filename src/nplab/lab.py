@@ -222,8 +222,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                    seed=parse_seed(config.seed, f"{eid}: seed"))
 
 
-def _rbf(ell=1.0, jitter=None) -> KernelSpec:
-    return KernelSpec(family="rbf", lengthscale=ell, jitter=jitter)
+def _rbf(ell=1.0) -> KernelSpec:
+    return KernelSpec(family="rbf", lengthscale=ell)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def _rbf(ell=1.0, jitter=None) -> KernelSpec:
     "encoding and prediction gaps exactly 0; GP separation > 0.01")
 def _run_cnp_collision(params, seed):
     pair = cnp.example_collision_pair()
-    enc = cnp.Encoder(kind=cnp.IDENTITY)
+    enc = cnp.Encoder()
     decoder = lambda r, x: r[0]
     x_t = params["x_t"]
     out1 = cnp.cnp_predict(enc, decoder, pair.C, x_t)
@@ -705,9 +705,9 @@ def _run_cov_rank(params, seed):
 _MAX_DRAWS = 10_000
 
 
-def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
-    """Place points one at a time, rejecting candidates that fall within
-    `min_separation` of a placed point."""
+def _separated_points(rng, count, min_separation):
+    """Place points in [-4, 4] one at a time, rejecting candidates that
+    fall within `min_separation` of a placed point."""
     pts = []
     widest = 0.0  # largest nearest-point gap of a rejected candidate
     draws = 0
@@ -719,7 +719,7 @@ def _separated_points(rng, count, min_separation, low=-4.0, high=4.0):
                 f"rejected candidate lay {widest:.6g} from a placed point",
                 bracket=(widest, min_separation))
         draws += 1
-        cand = float(rng.uniform(low, high))
+        cand = float(rng.uniform(-4.0, 4.0))
         gap = min((abs(cand - p) for p in pts), default=np.inf)
         if gap >= min_separation:
             pts.append(cand)
@@ -789,7 +789,7 @@ def _run_mercer(params, seed):
     "separates by > 1e-3")
 def _run_bottleneck_lift(params, seed):
     pair = cnp.example_collision_pair()
-    enc = cnp.Encoder(kind=cnp.IDENTITY)
+    enc = cnp.Encoder()
     builder = latent.default_latent_builder(params["k"])
     rep = latent.encoder_bottleneck_lift(
         enc, pair.C, pair.C2, builder,

@@ -157,9 +157,10 @@ def mercer_tail(spec: KernelSpec, grid, k: int) -> dict:
     }
 
 
-def default_latent_builder(k: int, sigma2: float = 0.01) -> Callable:
-    """Deterministic map from a mean encoding to a RankKLatent; used to
-    show that equal encodings force equal predictives."""
+def default_latent_builder(k: int) -> Callable:
+    """Deterministic map from a mean encoding to a RankKLatent with
+    observation noise 0.01; used to show that equal encodings force equal
+    predictives."""
 
     def build(encoding: np.ndarray) -> RankKLatent:
         enc = np.asarray(encoding, dtype=float).ravel()
@@ -174,16 +175,15 @@ def default_latent_builder(k: int, sigma2: float = 0.01) -> Callable:
         def b(x):
             return 0.1 * float(np.atleast_1d(x)[0])
 
-        return RankKLatent(k=k, a=a, b=b, m=m, S=S, sigma2=sigma2)
+        return RankKLatent(k=k, a=a, b=b, m=m, S=S, sigma2=0.01)
 
     return build
 
 
 def encoder_bottleneck_lift(encoder, C, C2, builder: Callable,
-                            n_target_sets: int = 20, targets_per_set: int = 3,
-                            seed: int = 0) -> dict:
+                            n_target_sets: int = 20, seed: int = 0) -> dict:
     """Route two equal-encoding contexts through the same encoding-to-latent
-    map and compare the predictives on random target sets."""
+    map and compare the predictives on random sets of three targets."""
     from .rng import stream
     enc1 = encoder.mean_encoding(C)
     enc2 = encoder.mean_encoding(C2)
@@ -196,7 +196,7 @@ def encoder_bottleneck_lift(encoder, C, C2, builder: Callable,
     max_mean_gap = 0.0
     max_cov_gap = 0.0
     for _ in range(n_target_sets):
-        X_T = rng.uniform(-3.0, 3.0, size=(targets_per_set, 1))
+        X_T = rng.uniform(-3.0, 3.0, size=(3, 1))
         p1 = latent_predictive(model1, X_T)
         p2 = latent_predictive(model2, X_T)
         max_mean_gap = max(max_mean_gap,

@@ -36,14 +36,13 @@ JACOBI_MAX_SWEEPS = 100
 ROUND_ROBIN_MIN_N = 32
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
-                max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Eigendecomposition of a symmetric matrix by Jacobi sweeps.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns.  Convergence is declared when the
-    off-diagonal Frobenius norm falls below ``tol`` relative to the full
-    Frobenius norm.  When only the eigenvalues are read, call
+    off-diagonal Frobenius norm falls below ``JACOBI_TOL`` relative to the
+    full Frobenius norm.  When only the eigenvalues are read, call
     ``jacobi_eigvalsh``: it gives the same eigenvalues bit for bit.
 
     The sweeps rotate the n x 2n array B = [A | V^T] with V = I at the
@@ -90,25 +89,25 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL,
     non-finite matrix, and NumericError (with the final off-diagonal
     residual attached) if the sweep budget is exhausted.
     """
-    vals, B = _jacobi(matrix, tol, max_sweeps, vectors=True)
+    vals, B = _jacobi(matrix, max_sweeps, vectors=True)
     V = B[:, len(vals):].T.copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], V[:, order]
 
 
-def jacobi_eigvalsh(matrix: np.ndarray, tol: float = JACOBI_TOL,
+def jacobi_eigvalsh(matrix: np.ndarray,
                     max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by Jacobi sweeps.
 
     The same sweeps as ``jacobi_eigh`` on B = A, with no eigenvector
-    columns, so the result is ``jacobi_eigh(matrix, tol, max_sweeps)[0]``
+    columns, so the result is ``jacobi_eigh(matrix, max_sweeps)[0]``
     bit for bit at about half the row work.  Raises as ``jacobi_eigh``.
     """
-    vals, _ = _jacobi(matrix, tol, max_sweeps, vectors=False)
+    vals, _ = _jacobi(matrix, max_sweeps, vectors=False)
     return vals[np.argsort(vals, kind="stable")]
 
 
-def _jacobi(matrix, tol, max_sweeps, vectors):
+def _jacobi(matrix, max_sweeps, vectors):
     """Validate, sweep and return (eigenvalues in diagonal order, B).
 
     B is the swept [A | V^T] when ``vectors`` is true and the swept A
@@ -156,7 +155,7 @@ def _jacobi(matrix, tol, max_sweeps, vectors):
     for _ in range(max_sweeps):
         A = B[:, :n]
         off = np.linalg.norm(A - np.diag(A.diagonal()))
-        if off <= tol * norm:
+        if off <= JACOBI_TOL * norm:
             break
         if cyclic:
             _cyclic_sweep(rows)

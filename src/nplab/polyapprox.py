@@ -19,9 +19,12 @@ sequence interleaved (first, last, second, second-to-last, ...); the natural
 ascending order is catastrophically unstable in double precision once L is
 a few dozen.  The interleaving changes nothing in exact arithmetic.  The true
 iteration error sits within a factor 1 + rho^(2L) of the (2/lam_min) rho^L
-bound, which is far below double-precision resolution at large L, so exact
-verification of the bound at depth 40 uses `schedule_spectral_error_exact`
-(mpmath, order-independent) rather than the float64 matrix recurrence.
+bound, which is far below double-precision resolution at large L, so the
+exact verification of the bound at depth 40 (`polyapprox.inverse_bounds`)
+uses `chebyshev_exact_check`, the closed form T_L(u)/T_L(u0) in mpmath,
+rather than the float64 matrix recurrence.  `schedule_spectral_error_exact`
+evaluates any schedule's node product in mpmath; it is the oracle that
+closed form is tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ PRODUCT = "product"
 
 DEFAULT_GRID = 2000
 REMEZ_MAX_ITER = 100
+DEPTH_SEARCH_MAX = 5000  # deepest schedule depth_to_target tries
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,6 @@ class PolySchedule:
     interval: Tuple[float, float]
     depth: int
     rho: float
-
-    @property
-    def nodes(self) -> np.ndarray:
-        if self.form != CHEBYSHEV:
-            raise InputError("nodes are defined for Chebyshev schedules only")
-        return 1.0 / np.asarray(self.coefficients)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -201,9 +199,8 @@ def chebyshev_error_bound(lambda_min: float, lambda_max: float, L: int) -> float
     return (2.0 / lambda_min) * chebyshev_rho(lambda_max / lambda_min) ** L
 
 
-def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
-                                  dps: int = 60) -> float:
-    """max_i |q(lambda_i) - 1/lambda_i| evaluated in high precision.
+def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule) -> float:
+    """max_i |q(lambda_i) - 1/lambda_i| evaluated in 60 significant digits.
 
     Order-independent, so it certifies the bound the affine recurrence
     satisfies in exact arithmetic even when the float64 error is within
@@ -212,7 +209,7 @@ def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
     # imported here, not at module level, so that loading nplab loads no
     # mpmath
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(60):
         worst = mp.mpf(0)
         if schedule.form == CHEBYSHEV:
             nodes = [mp.mpf(1) / mp.mpf(c) for c in schedule.coefficients]
@@ -233,10 +230,10 @@ def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule,
         return float(worst)
 
 
-def chebyshev_exact_check(eigenvalues, L: int, dps: int = 80):
+def chebyshev_exact_check(eigenvalues, L: int):
     """Exact-arithmetic check of the depth-L iteration bound on a spectrum.
 
-    Builds the interval, nodes and bound in working precision dps from the
+    Builds the interval, nodes and bound in 80 significant digits from the
     given eigenvalues and evaluates the residual through the closed form
     r(lambda) = T_L(u(lambda)) / T_L(u0), which equals the node product
     identically.  Returns (error, bound, margin); margin is positive in
@@ -246,7 +243,7 @@ def chebyshev_exact_check(eigenvalues, L: int, dps: int = 80):
     import mpmath as mp
     if L < 1:
         raise InputError("depth must be at least 1")
-    with mp.workdps(dps):
+    with mp.workdps(80):
         lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
         a, b = min(lams), max(lams)
         if a <= 0:
@@ -265,12 +262,13 @@ def chebyshev_exact_check(eigenvalues, L: int, dps: int = 80):
         return float(err), float(bound), float(bound - err)
 
 
-def neumann_exact_check(eigenvalues, L: int, dps: int = 80):
-    """Exact-arithmetic counterpart for the truncated geometric series."""
+def neumann_exact_check(eigenvalues, L: int):
+    """Exact-arithmetic counterpart for the truncated geometric series, in
+    80 significant digits."""
     import mpmath as mp
     if L < 1:
         raise InputError("depth must be at least 1")
-    with mp.workdps(dps):
+    with mp.workdps(80):
         lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
         a, b = min(lams), max(lams)
         if a <= 0:
@@ -281,30 +279,30 @@ def neumann_exact_check(eigenvalues, L: int, dps: int = 80):
 
 
 def depth_to_target(form: str, lambda_min: float, lambda_max: float,
-                    eps: float, max_depth: int = 5000,
-                    grid_size: int = 1024) -> int:
-    """Smallest depth whose measured sup inverse error on the interval
-    is at most eps; scalar evaluation on a dense spectrum grid."""
+                    eps: float) -> int:
+    """Smallest depth up to DEPTH_SEARCH_MAX whose measured sup inverse
+    error on the interval is at most eps; scalar evaluation on 1024
+    evenly spaced points of the interval."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    lam = np.linspace(lambda_min, lambda_max, grid_size)
+    lam = np.linspace(lambda_min, lambda_max, 1024)
     if form == NEUMANN:
         r = np.ones_like(lam)
         step = 1.0 - lam / lambda_max
-        for L in range(1, max_depth + 1):
+        for L in range(1, DEPTH_SEARCH_MAX + 1):
             r *= step
             if np.max(np.abs(r) / lam) <= eps:
                 return L
     elif form == CHEBYSHEV:
-        for L in range(1, max_depth + 1):
+        for L in range(1, DEPTH_SEARCH_MAX + 1):
             sched = chebyshev_schedule(lambda_min, lambda_max, L)
             q = schedule_inverse_values(sched, lam)
             if np.max(np.abs(q - 1.0 / lam)) <= eps:
                 return L
     else:
         raise InputError("depth search supports neumann and chebyshev forms")
-    raise NumericError(f"no depth up to {max_depth} reaches eps={eps}",
-                       bracket=(max_depth, eps))
+    raise NumericError(f"no depth up to {DEPTH_SEARCH_MAX} reaches eps={eps}",
+                       bracket=(DEPTH_SEARCH_MAX, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +466,11 @@ def chebyshev_barrier(a: float, b: float, L: int) -> float:
     return (2.0 / (a + b)) * chebyshev_rho(b / a) ** L
 
 
-def equioscillation_count(result: MinimaxResult, grid_size: int = None) -> int:
-    """Number of sign alternations of the witness residual at its extrema."""
-    gs = grid_size or result.grid_size
+def equioscillation_count(result: MinimaxResult) -> int:
+    """Number of sign alternations of the witness residual at its extrema
+    on the result's own grid."""
     a, b = result.interval
-    xs = np.linspace(a, b, gs)
+    xs = np.linspace(a, b, result.grid_size)
     resid = 1.0 / xs - result.evaluate(xs)
     near = np.abs(resid) >= result.error * (1.0 - 1e-6)
     signs = np.sign(resid[near])

@@ -182,7 +182,7 @@ def quadratic_form_sweep(kappa: float, n: int, alphas, t_grid: int):
     mus = np.empty(t_grid)
     vals = np.empty(t_grid)
     from .polyapprox import product_schedule
-    schedule = product_schedule(alphas, 1.0 / kappa, 1.0)
+    schedule = product_schedule(alphas)
     for i, t in enumerate(ts):
         member = eig_family(kappa, n, t)
         H = tnp_forward(member.matrix, schedule, member.v1.reshape(-1, 1))

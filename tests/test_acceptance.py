@@ -42,7 +42,7 @@ def random_spd(rng, n, kappa):
 
 def test_criterion_01_cnp_collisions():
     pair = cnp.example_collision_pair()
-    enc = cnp.Encoder(kind="identity")
+    enc = cnp.Encoder()
     r1, r2 = enc.mean_encoding(pair.C), enc.mean_encoding(pair.C2)
     encodings_equal = np.array_equal(r1, r2) and np.array_equal(r1, [1.0, 1.0])
 

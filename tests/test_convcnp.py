@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.anp import nadaraya_watson
-from nplab.cnp import ContextSet, context_from_pairs
+from nplab.cnp import context_from_pairs
 from nplab import convcnp
-from nplab.convcnp import (CirculantOperator, GridSpec, channels, circulant,
+from nplab.convcnp import (CirculantOperator, GridSpec, circulant,
                            circulant_jacobian, circulant_matrix,
                            circular_convolve, dft, dft_matrix,
                            depth_support_experiment, equivariance_defect,
                            frequency_diagonal, from_symbol, full_support_solve,
                            grid_cnn_gp, grid_forward_map, idft,
                            nearest_neighbor_row, pure_convcnp_counterexample,
-                           recover_context, softplus, trig_minimax_error,
-                           wrapped_kernel_row)
+                           softplus, trig_minimax_error, wrapped_kernel_row)
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, eval_kernel
 from nplab.tnp import fd_jacobian
@@ -152,47 +150,6 @@ class TestWrappedKernel:
         with pytest.raises(InputError):
             wrapped_kernel_row(KernelSpec(family="polynomial", degree=2),
                                GridSpec(n=8, spacing=0.5))
-
-
-class TestChannels:
-    def test_additive_in_context(self):
-        grid = np.linspace(-2, 2, 9).reshape(-1, 1)
-        C1 = context_from_pairs([(0.3, 1.0)])
-        C2 = context_from_pairs([(-0.8, -2.0)])
-        C12 = context_from_pairs([(0.3, 1.0), (-0.8, -2.0)])
-        ch1 = channels(RBF, C1, grid)
-        ch2 = channels(RBF, C2, grid)
-        ch12 = channels(RBF, C12, grid)
-        assert np.max(np.abs(ch12["density"]
-                             - ch1["density"] - ch2["density"])) < 1e-12
-        assert np.max(np.abs(ch12["signal"]
-                             - ch1["signal"] - ch2["signal"])) < 1e-12
-
-    def test_signal_over_density_is_kernel_smoother(self):
-        C = context_from_pairs([(0.0, 1.0), (1.0, -0.5), (2.5, 2.0)])
-        q = np.array([[0.7]])
-        ch = channels(RBF, C, q)
-        ratio = ch["signal"][0, 0] / ch["density"][0]
-        assert ratio == pytest.approx(nadaraya_watson(RBF, C, 0.7), abs=1e-12)
-
-    def test_recover_context_roundtrip(self):
-        # separation >= 4 lengthscales, resolution <= lengthscale/4
-        spec_w = KernelSpec(family="rbf", lengthscale=0.4)
-        grid = np.arange(0.0, 14.0, 0.1).reshape(-1, 1)
-        C = ContextSet(np.array([[2.0], [6.5], [11.0]]),
-                       np.array([[1.2], [-0.7], [0.4]]))
-        ch = channels(spec_w, C, grid)
-        rec = recover_context(spec_w, ch["density"], ch["signal"], grid)
-        assert rec.n == 3
-        assert np.max(np.abs(rec.locations - C.locations)) <= 1e-6
-        assert np.max(np.abs(rec.values - C.values)) <= 1e-6
-
-    def test_recover_no_peaks(self):
-        spec_w = KernelSpec(family="rbf", lengthscale=0.4)
-        grid = np.arange(0.0, 4.0, 0.1).reshape(-1, 1)
-        with pytest.raises(NumericError):
-            recover_context(spec_w, np.zeros(len(grid)),
-                            np.zeros((len(grid), 1)), grid)
 
 
 class TestGridCnnGp:

@@ -188,7 +188,7 @@ class TestMercerTail:
 class TestBottleneckLift:
     def test_collision_lifts_to_identical_predictives(self):
         res = example_collision_pair()
-        out = encoder_bottleneck_lift(Encoder(kind="identity"), res.C, res.C2,
+        out = encoder_bottleneck_lift(Encoder(), res.C, res.C2,
                                       default_latent_builder(3))
         assert out["identical"]
         assert out["max_mean_gap"] <= 1e-6
@@ -199,7 +199,7 @@ class TestBottleneckLift:
         C = context_from_pairs([(0.0, 1.0), (1.0, 2.0)])
         C2 = context_from_pairs([(0.0, 1.0), (1.0, 5.0)])
         with pytest.raises(InputError):
-            encoder_bottleneck_lift(Encoder(kind="identity"), C, C2,
+            encoder_bottleneck_lift(Encoder(), C, C2,
                                     default_latent_builder(2))
 
 
