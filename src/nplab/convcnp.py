@@ -15,7 +15,10 @@ from the query alone.
 against.  Circular convolutions stay dense matvecs with the matrix
 `circulant_matrix` builds: on grids up to 256 points a circulant built
 once is faster per product than an FFT convolution, and its product is
-the direct sum.
+the direct sum.  A block of columns goes through the same circulant as
+one matrix product, which is how `grid_forward_map` serves the column
+blocks of `tnp.fd_jacobian`; a product of a block rounds differently
+from the matvecs of its columns, by about one unit in the last place.
 """
 
 from __future__ import annotations
@@ -147,12 +150,13 @@ def wrapped_kernel_row(spec: KernelSpec, grid: GridSpec) -> np.ndarray:
     if not spec.stationary:
         raise InputError("wrapped kernel requires a stationary family")
     reach = WRAP_REACH * spec.lengthscale
-    n_images = int(np.ceil(reach / grid.extent)) + 1
+    extent = grid.extent
+    n_images = int(np.ceil(reach / extent)) + 1
     row = np.zeros(grid.n)
     for m in range(grid.n):
         base = m * grid.spacing
         for j in range(-n_images, n_images + 1):
-            offset = base + j * grid.extent
+            offset = base + j * extent
             if abs(offset) <= reach:
                 row[m] += eval_kernel(spec, [0.0], [offset])
     return row
@@ -244,7 +248,9 @@ def grid_forward_map(filters: Sequence, w_row, g_row) -> Callable:
     activation derivative at the uniform zero input is exactly 1/2,
     then a linear readout convolution.  Filters are first rows, zero-padded
     to the grid; every circulant is built here, so a call of the map does
-    only matvecs.
+    only matrix products.  The map takes a grid signal y of n values, or an
+    (n, k) block of k signals as columns, which it maps in one product per
+    layer.
     """
     W = circulant_matrix(w_row)
     n = len(W)

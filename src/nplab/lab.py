@@ -769,8 +769,11 @@ def _run_mean_bottleneck(params, seed):
     "kernel's finite rank, and trace-norm optimality of eigenvalue "
     "truncation.",
     {"m": Param(32, 8, 256), "k": Param(3, 1, 32), "degree": Param(2, 0, 8)},
-    "polynomial tail exactly 0 at k >= 3; Eckart-Young gap <= 1e-10",
-    relations=(("m >= 8 k", lambda p: p["m"] >= 8 * p["k"]),))
+    "polynomial tail exactly 0 at k >= degree + 1; Eckart-Young gap <= "
+    "1e-10",
+    relations=(("m >= 8 k", lambda p: p["m"] >= 8 * p["k"]),
+               ("k >= degree + 1 (the degree-d kernel has rank d + 1)",
+                lambda p: p["k"] >= p["degree"] + 1)))
 def _run_mercer(params, seed):
     grid = np.linspace(-1.0, 1.0, params["m"]).reshape(-1, 1)
     spec = KernelSpec(family="polynomial", degree=params["degree"])

@@ -331,6 +331,24 @@ def _cheb_design(t: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols[:degree + 1])
 
 
+def _sign_run_peaks(resid: np.ndarray) -> np.ndarray:
+    """Index of the largest |resid| in each maximal run of same-signed
+    residuals (zeros count as +), the leftmost one on a tie.
+
+    resid must be finite: a nan peak matches no point of its run.
+    """
+    positive = resid >= 0
+    change = positive[1:] != positive[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    mags = np.abs(resid)
+    peaks = np.maximum.reduceat(mags, starts)
+    run = np.cumsum(np.concatenate(([0], change)))
+    at_peak = np.flatnonzero(mags == peaks[run])
+    # runs are contiguous and every run holds its peak, so the first
+    # peak at or after a run's start is that run's leftmost peak
+    return at_peak[np.searchsorted(at_peak, starts)]
+
+
 def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
     """Best degree-`degree` polynomial fit to fs over the discrete set xs
     in the sup norm, by multi-point exchange.
@@ -357,8 +375,8 @@ def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
     coeffs = np.zeros(degree + 1)
     level = 0.0
     scale = max(1.0, float(np.max(np.abs(fs))))
+    signs = (-1.0) ** np.arange(m)
     for _ in range(REMEZ_MAX_ITER):
-        signs = (-1.0) ** np.arange(m)
         A = np.column_stack([design[ref], signs])
         try:
             sol = np.linalg.solve(A, fs[ref])
@@ -373,16 +391,10 @@ def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
         if worst <= abs(level) * (1.0 + 1e-12) + 1e-13 * scale:
             return tuple(coeffs), worst
 
-        # candidate extrema: peak of each maximal same-sign run of resid
-        sgn = np.where(resid >= 0, 1, -1)
-        cands = []
-        start = 0
-        for i in range(1, len(xs) + 1):
-            if i == len(xs) or sgn[i] != sgn[start]:
-                seg = np.abs(resid[start:i])
-                cands.append(start + int(np.argmax(seg)))
-                start = i
-        cands = np.asarray(cands)
+        if not np.isfinite(worst):
+            raise NumericError("exchange residual not finite",
+                               bracket=(level, None))
+        cands = _sign_run_peaks(resid)
         if len(cands) < m:
             # too few sign runs; merge with the previous reference, which
             # alternates at the solved level, then re-collapse same-sign runs

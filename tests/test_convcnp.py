@@ -212,6 +212,17 @@ class TestJacobianFactorization:
         symbol_fd = np.diag(Fm @ J @ Fm.conj().T / n)
         assert np.max(np.abs(symbol_fd - pred.dft_eigenvalues)) <= 1e-5
 
+    def test_block_matches_columns(self):
+        # a block is one matrix product per layer; it may round apart from
+        # the matvecs of its columns by a few units in the last place
+        filters, w_row, g_row = self.build(2, n=40, n_layers=3)
+        F = grid_forward_map(filters, w_row, g_row)
+        Y = np.random.default_rng(4).normal(scale=0.5, size=(40, 7))
+        out = F(Y)
+        assert out.shape == (40, 7)
+        cols = np.column_stack([F(Y[:, j]) for j in range(7)])
+        assert np.allclose(out, cols, rtol=1e-13, atol=1e-14)
+
     def test_jacobian_matrix_is_circulant(self):
         filters, w_row, g_row = self.build(3, n=12, n_layers=2)
         F = grid_forward_map(filters, w_row, g_row)

@@ -152,6 +152,9 @@ class TestDeclarations:
         ("latent.cov_rank", {"min_separation": 0.89}, "9 min_separation"),
         ("latent.mean_bottleneck", {"n": 16}, "(n - 1) 0.4 < 6"),
         ("tnp.depth_barrier", {"L": 6}, "t_grid >= 4 L + 4"),
+        ("latent.mercer", {"k": 1}, "k >= degree + 1"),
+        ("latent.mercer", {"k": 2}, "k >= degree + 1"),
+        ("latent.mercer", {"degree": 8}, "k >= degree + 1"),
     ])
     def test_relations_name_themselves(self, eid, params, text):
         with pytest.raises(UsageError) as info:

@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import circulant
 
-from nplab.convcnp import GridSpec, circular_convolve, wrapped_kernel_row
-from nplab.errors import ContractError, InputError
+from nplab import polyapprox
+from nplab.convcnp import (GridSpec, circular_convolve,
+                           depth_support_experiment, nearest_neighbor_row,
+                           trig_minimax_error, wrapped_kernel_row)
+from nplab.errors import ContractError, InputError, NumericError
 from nplab.kernels import KernelSpec, spectrum_of
 from nplab.polyapprox import (CHEBYSHEV, NEUMANN, PRODUCT, chebyshev_barrier,
                               chebyshev_error_bound, chebyshev_exact_check,
@@ -244,3 +247,104 @@ def test_neumann_exact_check_property(seed, L):
     _, lams = random_spd(seed, n=6, kappa=float(10 + seed % 90))
     err, bound, margin = neumann_exact_check(lams, L)
     assert 0 <= err <= bound * (1 + 1e-15) and margin >= -1e-300
+
+
+def _reference_sign_run_peaks(resid):
+    """The per-point scan remez_discrete used before its array form, kept
+    as the oracle for `polyapprox._sign_run_peaks`."""
+    sgn = np.where(resid >= 0, 1, -1)
+    cands = []
+    start = 0
+    for i in range(1, len(resid) + 1):
+        if i == len(resid) or sgn[i] != sgn[start]:
+            seg = np.abs(resid[start:i])
+            cands.append(start + int(np.argmax(seg)))
+            start = i
+    return np.asarray(cands)
+
+
+def _assert_same_peaks(resid):
+    resid = np.asarray(resid, dtype=float)
+    got = polyapprox._sign_run_peaks(resid)
+    want = _reference_sign_run_peaks(resid)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, want), (resid, got, want)
+
+
+class TestSignRunPeaks:
+    # small integers make exact ties and zeros common
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_matches_loop_with_ties_and_zeros(self, values):
+        _assert_same_peaks(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False,
+                              allow_subnormal=True),
+                    min_size=1, max_size=60))
+    def test_matches_loop_on_floats(self, values):
+        _assert_same_peaks(values)
+
+    @pytest.mark.parametrize("resid,want", [
+        ([2.0, 5.0, 5.0, 1.0], [1]),                 # one run, tie -> left
+        ([0.0, -0.0, 0.0], [0]),                     # zeros count as +
+        ([-1.0, 0.0, -2.0], [0, 1, 2]),              # a zero splits a run
+        ([1.0, -1.0, 1.0, -1.0, 1.0], [0, 1, 2, 3, 4]),  # strict alternation
+        ([-3.0, -3.0, 2.0, 4.0, 4.0, -1.0], [0, 3, 5]),
+        ([7.0], [0]),
+    ])
+    def test_cases(self, resid, want):
+        _assert_same_peaks(resid)
+        assert polyapprox._sign_run_peaks(np.asarray(resid)).tolist() == want
+
+    def test_nonfinite_residual_is_a_numeric_error(self):
+        xs = np.linspace(0.0, 1.0, 50)
+        fs = np.where(xs > 0.5, np.inf, xs)
+        with pytest.raises(NumericError, match="not finite"):
+            remez_discrete(xs, fs, 2)
+
+
+class TestRemezBitIdentical:
+    """Remez with the array scan returns exactly what it returned with the
+    per-point loop."""
+
+    @pytest.fixture
+    def loop_scan(self, monkeypatch):
+        def use_loop():
+            monkeypatch.setattr(polyapprox, "_sign_run_peaks",
+                                _reference_sign_run_peaks)
+        return use_loop
+
+    @pytest.mark.parametrize("a,b,degree", [
+        (0.25, 1.0, 3), (1.0 / 16.0, 1.0, 8), (1.0 / 64.0, 1.0, 16),
+        (0.1, 1.0, 0), (1.0, 16.0, 5), (1.0 / 4.0, 1.0, 12)])
+    def test_minimax_oracle(self, a, b, degree, loop_scan):
+        fast = minimax_oracle(a, b, degree)
+        loop_scan()
+        assert minimax_oracle(a, b, degree) == fast
+
+    def test_trig_minimax_error(self, loop_scan):
+        omega = 2.0 * np.pi * np.arange(64) / 64
+        rng = np.random.default_rng(3)
+        target = 1.0 / (1.5 + np.cos(omega) + 0.2 * rng.uniform(size=64))
+        fast = [trig_minimax_error(np.cos(omega), target, D)
+                for D in range(12)]
+        loop_scan()
+        assert [trig_minimax_error(np.cos(omega), target, D)
+                for D in range(12)] == fast
+
+    def test_grid_256_depth_support(self, loop_scan):
+        # the depth_support config of the benchmark's grid_256 workload,
+        # with the affine-symbol run its experiment makes
+        spec = KernelSpec(family="rbf", lengthscale=1.0)
+        grid = GridSpec(n=256, spacing=1.0)
+        eps = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+        row = nearest_neighbor_row(2.5, 0.75, 256)
+
+        def both():
+            return (depth_support_experiment(spec, grid, 4, eps),
+                    depth_support_experiment(spec, grid, 4, [1e-2],
+                                             first_row=row))
+        fast = both()
+        loop_scan()
+        assert both() == fast

@@ -11,10 +11,10 @@ from nplab.lab import ExperimentConfig, run_experiment
 from nplab.polyapprox import (chebyshev_schedule, minimax_oracle,
                               product_schedule, schedule_inverse_values)
 from nplab.rng import stream
-from nplab.tnp import (depth_barrier_experiment, eig_family, family_vector,
-                       fd_jacobian, gp_weight_row, normalize_attention,
-                       pipeline_as_map, quadratic_form_sweep,
-                       tnp_forward, tnp_gp_pipeline)
+from nplab.tnp import (FD_BLOCK, depth_barrier_experiment, eig_family,
+                       family_vector, fd_jacobian, gp_weight_row,
+                       normalize_attention, pipeline_as_map,
+                       quadratic_form_sweep, tnp_forward, tnp_gp_pipeline)
 
 RBF = KernelSpec(family="rbf")
 
@@ -203,6 +203,51 @@ class TestFdJacobian:
     def test_bad_step(self):
         with pytest.raises(InputError):
             fd_jacobian(lambda y: y, np.zeros(2), step=0.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 130])
+    def test_blocks_cover_every_column(self, n):
+        # 65 and 130 end in a partial block
+        M = np.random.default_rng(n).normal(size=(3, n))
+        widths = []
+
+        def F(y):
+            widths.append(y.shape[1] if y.ndim == 2 else None)
+            return M @ y
+
+        J = fd_jacobian(F, np.random.default_rng(0).normal(size=n))
+        assert np.max(np.abs(J - M)) < 1e-9
+        blocks = -(-n // FD_BLOCK)
+        assert len(widths) == 2 * blocks + 1 and widths[0] is None
+        assert sum(widths[1:]) == 2 * n
+        assert max(widths[1:]) <= FD_BLOCK
+
+    def test_scalar_output(self):
+        # a (k,) result for a block of k columns is the m = 1 case
+        y0 = np.linspace(-1.0, 2.0, 70)
+        J = fd_jacobian(lambda y: np.sum(y ** 2, axis=0), y0)
+        assert J.shape == (1, 70)
+        assert np.max(np.abs(J[0] - 2.0 * y0)) < 1e-8
+
+    def test_block_of_wrong_shape(self):
+        with pytest.raises(InputError, match="columns"):
+            fd_jacobian(lambda y: y.ravel(), np.zeros(3))
+
+
+class TestPipelineMap:
+    def test_vector_gives_the_prediction(self):
+        C = well_spread_context(6, n=5)
+        F = pipeline_as_map(RBF, C.locations, 0.3, 6)
+        out = F(C.values[:, 0])
+        assert isinstance(out, float)
+        assert out == tnp_gp_pipeline(RBF, C, 0.3, 6)["prediction"]
+
+    def test_block_maps_column_by_column(self):
+        C = well_spread_context(7, n=5)
+        F = pipeline_as_map(RBF, C.locations, -0.2, 4)
+        Y = np.random.default_rng(1).normal(size=(5, 3))
+        out = F(Y)
+        assert out.shape == (3,)
+        assert out.tolist() == [F(Y[:, j]) for j in range(3)]
 
 
 class TestDepthBarrier:
