@@ -390,8 +390,10 @@ def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
                          "achieved": layers * half >= D}
 
     degs = [D for D in (4, 6, 8, 10, 12) if D <= max_degree]
-    errs = [errors.setdefault(D, trig_minimax_error(x, target, D))
-            for D in degs]
+    for D in degs:
+        if D not in errors:
+            errors[D] = trig_minimax_error(x, target, D)
+    errs = [errors[D] for D in degs]
     if all(e > 0 for e in errs) and len(degs) >= 2:
         slope = float(np.polyfit(degs, np.log(errs), 1)[0])
     else:

@@ -14,7 +14,12 @@ outweighs the O(n) arithmetic of a rotation, and the list form does the
 same IEEE operations in the same order as the array form, so it gives the
 same bits.  From ``ROUND_ROBIN_MIN_N`` on, each sweep is split into rounds
 of disjoint pairs in round-robin order and a round is applied as one
-vectorised update (Brent & Luk 1985; Golub & Van Loan sec. 8.5).
+vectorised update (Brent & Luk 1985; Golub & Van Loan sec. 8.5).  The
+update runs on a paired-halves layout, which holds the k-th pair of every
+round at rows and columns k and half + k, so a round is slices and
+products of same-shape arrays, with no index gathers or scatters, and it
+does the same IEEE operations on every entry as the cyclic rotation of
+its pair.
 
 The lab deliberately carries its own eigensolver so that spectra entering
 the experiments do not depend on the LAPACK build; ``numpy.linalg.eigh``
@@ -66,20 +71,59 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     solution of singular-value and symmetric eigenvalue problems on
     multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6, 1985).
     Rotations on disjoint pairs commute, so a round is one vectorised
-    update of the paired rows of B and the paired columns of A.
+    update of the paired rows of B and the paired columns of A.  The sweep
+    keeps B in a paired-halves layout (``_paired_layout``): rows and
+    columns k and half + k hold the k-th pair of the round, and a round
+    writes each new row, and then each new column, straight into its
+    position for the next round, which is a fixed ring shift.  So a round
+    reads diagonals and slices, and every product is of two contiguous
+    arrays of one shape; the columns of A turn as the rows of a contiguous
+    copy of A^T.  Odd n adds a zero row and column for the dummy index.
+
+    Every entry gets the IEEE operations of the cyclic rotation of its
+    pair (p, q), p < q, so values, vectors and their strides are
+    bit-identical to a round that gathers the pairs by index (kept as the
+    oracle in the tests):
+
+    - a_pq is read above the diagonal, as the cyclic rotation reads it,
+      since A is not bitwise symmetric mid-sweep;
+    - where the top slot holds q, the pair turns as (q, p) with -s in
+      place of s: c x - (-s) y is s y + c x, and (-s) x + c y is
+      c y - s x, exactly, since IEEE negation is exact and + and *
+      commute;
+    - the sign enters through t.  The slots give theta_u = (a_bot -
+      a_top) / (2 a_pq), which is theta where the top holds p and -theta
+      where it holds q (a zero where theta is a zero).  t is
+      -1 / (|theta_u| + hypot(theta_u, 1)) where theta_u < cut and
+      +1 / (...) elsewhere, with cut = 0 where the top holds p and the
+      least positive float where it holds q.  That is theta < 0 on one
+      side and theta >= 0 (theta_u <= 0) on the other, so t is the
+      cyclic t, negated where the top holds q, c is unchanged and s = t c
+      is negated;
+    - a skipped pair gets theta = inf (-inf where the top holds q), so
+      t = +-0.0, c = 1 and s = +-0.0 exactly: the skip branch's c = 1,
+      s = 0, seen from either side;
+    - the dummy's pair always skips, and 1 x - 0 * 0 = x and (-0) * 0 + x
+      = x for every x, -0.0 included, so its entries stay 0.0 and its
+      partner is left as the round that drops the dummy leaves it.
+
+    The off-diagonal norm that decides convergence is taken once per
+    sweep, on the unpadded A in index order, so the sweep count is the
+    same too.
 
     Why 32 and not the crossover: per call on an RBF Gram (one BLAS
-    thread, 2-vCPU Xeon VM), round-robin takes 5-7x the cyclic list time
-    at n = 4-8, 2x at n = 16, 0.75x at n = 24-31 and 0.3x at n = 64, so
-    the crossover is near n = 20.  The two orders round differently, and
-    the hierarchy suite's ``tnp.gp_pipeline`` compares a 16 x 16 Gram
-    solve against a bound below float64 rounding: with the limit at 8, 58
-    report cells of suite seeds 0-11 moved and the failing seeds went from
-    1, 5, 6, 9, 10, 11 to 3, 10.  Until that check allows for rounding, the
-    limit stays above its Gram.  At 32 the suite's reports stay
-    byte-identical: its only matrices of that size are the two 32 x 32
-    ones of ``latent.mercer``, whose checks floor rounding-level
-    eigenvalues to zero.
+    thread, 2-vCPU Xeon VM), round-robin takes about 4x the cyclic list
+    time at n = 4, 3.4x at n = 8, 0.8-1.05x at n = 16, 0.5-0.6x at
+    n = 24, 0.4x at n = 28-31 and 0.15x at n = 64, so the crossover is
+    near n = 16 (with the rounds that gathered by index it was near
+    n = 20).  The two orders round differently, and the hierarchy suite's
+    ``tnp.gp_pipeline`` compares a 16 x 16 Gram solve against a bound
+    below float64 rounding: with the limit at 8, 58 report cells of suite
+    seeds 0-11 moved and the failing seeds went from 1, 5, 6, 9, 10, 11
+    to 3, 10.  Until that check allows for rounding, the limit stays above
+    its Gram.  At 32 the suite's reports stay byte-identical: its only
+    matrices of that size are the two 32 x 32 ones of ``latent.mercer``,
+    whose checks floor rounding-level eigenvalues to zero.
 
     A finite matrix whose Frobenius norm overflows, or underflows to zero,
     is swept at an exact power-of-two scale and its eigenvalues scaled
@@ -124,7 +168,9 @@ def _jacobi(matrix, max_sweeps, vectors):
     amax = np.abs(M).max()
     if not np.isfinite(amax):
         raise InputError("matrix has non-finite entries")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, amax)):
+    # np.allclose(M, M.T, atol) on a finite M, without its overhead
+    atol = 1e-12 * max(1.0, amax)
+    if not (np.abs(M - M.T) <= atol + 1e-5 * np.abs(M.T)).all():
         raise InputError("matrix is not symmetric")
     # The Frobenius norm's sum of squares can overflow only when
     # n * max|a| > 2**512, and underflow to zero only when max|a| < 2**-511.
@@ -151,7 +197,7 @@ def _jacobi(matrix, max_sweeps, vectors):
     if cyclic:
         rows = B.tolist()
     else:
-        rounds = _round_robin_pairs(n)
+        layout = _paired_layout(n)
     for _ in range(max_sweeps):
         A = B[:, :n]
         off = np.linalg.norm(A - np.diag(A.diagonal()))
@@ -161,8 +207,7 @@ def _jacobi(matrix, max_sweeps, vectors):
             _cyclic_sweep(rows)
             B = np.array(rows)
         else:
-            for P, Q in rounds:
-                _rotate_round(B, P, Q)
+            _round_robin_sweep(B, layout)
     else:
         A = B[:, :n]
         off = np.linalg.norm(A - np.diag(A.diagonal()))
@@ -217,47 +262,121 @@ def _cyclic_sweep(rows: list):
                 row[q] = s * x + c * y
 
 
-def _round_robin_pairs(n: int):
-    """The rounds of one round-robin sweep as (P, Q) index arrays, P < Q.
+def _paired_layout(n: int):
+    """The paired-halves layout of a round-robin sweep of an n x n matrix.
 
-    Circle method: index 0 stays put and the other m - 1 indices turn one
-    place per round, so every pair meets exactly once in m - 1 rounds.  For
-    odd n, m = n + 1 and the pair holding the dummy index n is dropped.
+    Returns ``(start, inv, flip, dest)``.  The sweep keeps its rows and
+    columns at positions 0..m-1, m = n + n % 2 (odd n adds a zero dummy
+    index n), where positions k and half + k hold the k-th pair of every
+    round.  ``start[k]`` is the index at position k at the start of a sweep
+    and ``inv`` its inverse.  Round 0 pairs k with m - 1 - k, as the circle
+    method does, and each round moves every position by the same ring
+    shift, so a sweep visits Brent & Luk's rounds in order and is back at
+    ``start`` after m - 1 rounds.  ``flip[r, k]`` is true where round r
+    holds the larger index of pair k in its top slot k, and ``dest[k]`` is
+    the position the entry at position k moves to for the next round.
     """
     m = n + n % 2
     half = m // 2
-    r = np.arange(m - 1)[:, None]
-    seat = np.arange(m)[None, :]
-    order = np.where(seat == 0, 0, 1 + (seat - 1 + r) % (m - 1))
-    left, right = order[:, :half], order[:, ::-1][:, :half]
-    P, Q = np.minimum(left, right), np.maximum(left, right)
-    keep = Q < n
-    return [(p[k], q[k]) for p, q, k in zip(P, Q, keep)]
+    # The identity rotation (c = 1, s = 0) moves each slot as a round does,
+    # so the shift is read off the sweep's own move rather than restated.
+    came_from = np.arange(m, dtype=float)[:, None]
+    _pair_rotation(came_from, np.ones(half), np.zeros(half))()
+    shift = came_from[:, 0].astype(int)
+    start = np.concatenate([np.arange(half), np.arange(m - 1, half - 1, -1)])
+    rounds = [start]
+    for _ in range(m - 2):
+        rounds.append(rounds[-1][shift])
+    rounds = np.array(rounds)
+    flip = rounds[:, :half] > rounds[:, half:]
+    return start, np.argsort(start), flip, np.argsort(shift)
 
 
-def _rotate_round(B: np.ndarray, P: np.ndarray, Q: np.ndarray):
-    """Apply the rotations of one round of disjoint pairs to B in place:
-    the cyclic rotation of each pair, computed side by side, on the paired
-    rows of B and the paired columns of its A block."""
-    apq = B[P, Q]
-    app, aqq = B[P, P], B[Q, Q]
-    skip = (np.abs(apq) <= 1e-300) | \
-        (np.abs(apq) <= 1e-20 * (np.abs(app) + np.abs(aqq)))
-    theta = (aqq - app) / (2.0 * np.where(skip, 1.0, apq))
-    # hypot(theta, 1) cannot overflow, so no asymptotic branch is needed
-    t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta)
-                                            + np.hypot(theta, 1.0))
-    c = np.where(skip, 1.0, 1.0 / np.sqrt(t * t + 1.0))
-    s = np.where(skip, 0.0, t * c)
-    cc, ss = c[:, None], s[:, None]
-    rp, rq = B[P, :], B[Q, :]
-    B[P, :] = cc * rp - ss * rq
-    B[Q, :] = ss * rp + cc * rq
-    A = B[:, :len(B)]
-    cp, cq = A[:, P], A[:, Q]
-    A[:, P] = cp * c - cq * s
-    A[:, Q] = cp * s + cq * c
-    B[P[skip], Q[skip]] = B[Q[skip], P[skip]] = 0.0
+def _round_robin_sweep(B: np.ndarray, layout):
+    """One round-robin sweep of B = [A | V^T], or B = A, in place.
+
+    B is swept in the paired-halves layout of ``_paired_layout(len(B))``
+    and put back in index order at the end; see jacobi_eigh for why each
+    entry gets the IEEE operations of the cyclic rotation of its pair.
+    """
+    start, inv, flip, dest = layout
+    n, m, half = len(B), len(start), len(start) // 2
+    X = np.zeros((m, m + B.shape[1] - n))
+    X[:n, :n], X[:n, m:] = B[:, :n], B[:, n:]
+    X = X[start]
+    X[:, :m] = X[:, start]
+    A, AT = X[:, :m], np.empty((m, m))
+    diag, upper, lower = A.diagonal(), A.diagonal(half), A.diagonal(-half)
+    a_top, a_bot = diag[:half], diag[half:]
+    abs_diag = np.empty(m)
+    abs_top, abs_bot = abs_diag[:half], abs_diag[half:]
+    # Where the top slot holds q, theta < cut is theta <= 0, and a skipped
+    # pair's theta is -inf in place of +inf: see jacobi_eigh.
+    cut = np.where(flip, np.nextafter(0.0, 1.0), 0.0)
+    skipped = np.where(flip, -np.inf, np.inf)
+    c, s = np.empty(half), np.empty(half)
+    rotate_rows = _pair_rotation(X, c, s)
+    # the columns of A turn as the rows of a contiguous A^T
+    rotate_cols = _pair_rotation(AT, c, s)
+    for r in range(m - 1):
+        # a_pq is read above the diagonal: A is not bitwise symmetric
+        apq = np.where(flip[r], lower, upper)
+        # |a_pq| <= 1e-300 or |a_pq| <= 1e-20 (|a_pp| + |a_qq|)
+        np.abs(diag, out=abs_diag)
+        skip = np.abs(apq) <= np.maximum(1e-300, 1e-20 * (abs_top + abs_bot))
+        theta = np.where(skip, skipped[r], (a_bot - a_top)
+                         / (2.0 * np.where(skip, 1.0, apq)))
+        # hypot(theta, 1) cannot overflow, so no asymptotic branch is needed
+        t = np.where(theta < cut[r], -1.0, 1.0) / (np.abs(theta)
+                                                   + np.hypot(theta, 1.0))
+        np.divide(1.0, np.sqrt(t * t + 1.0), out=c)
+        np.multiply(t, c, out=s)
+        rotate_rows()
+        np.copyto(AT, A.T)
+        rotate_cols()
+        np.copyto(A, AT.T)
+        # for odd n the dummy pair always skips; its entries stay 0.0
+        if np.count_nonzero(skip) > m - n:
+            top, bot = dest[:half][skip], dest[half:][skip]
+            X[top, bot] = X[bot, top] = 0.0
+    X = X[inv]
+    X[:, :m] = X[:, inv]
+    B[:, :n], B[:, n:] = X[:n, :n], X[:n, m:]
+
+
+def _pair_rotation(M: np.ndarray, c: np.ndarray, s: np.ndarray):
+    """A function that turns each row pair (k, half + k) of the contiguous
+    array M by whatever (c[k], s[k]) then hold, and writes the new rows at
+    their next-round positions, in place.
+
+    The top row becomes c x - s y and the bottom one s x + c y.  c and s
+    are copied out over the rows first, so that every product is of two
+    contiguous arrays of one shape, which costs about a third less than
+    broadcasting c over a row.  The ring shift: top slot 0 stays, top slot
+    1 moves to position half, the other top slots move up one place, the
+    last bottom slot moves to position half - 1 and the other bottom slots
+    move down one place.  Every view is taken once, here.
+    """
+    half = len(c)
+    C, S, P1, P2, P3, P4 = (np.empty((half, M.shape[1])) for _ in range(6))
+    top, bot = M[:half], M[half:]
+    c_rows, s_rows = c[:, None], s[:, None]
+    moves = ((np.subtract, P1[:1], P2[:1], M[:1]),
+             (np.subtract, P1[1:2], P2[1:2], M[half:half + 1]),
+             (np.subtract, P1[2:], P2[2:], M[1:half - 1]),
+             (np.add, P3[-1:], P4[-1:], M[half - 1:half]),
+             (np.add, P3[:-1], P4[:-1], M[half + 1:]))
+
+    def rotate():
+        np.copyto(C, c_rows)
+        np.copyto(S, s_rows)
+        np.multiply(C, top, out=P1)
+        np.multiply(S, bot, out=P2)
+        np.multiply(S, top, out=P3)
+        np.multiply(C, bot, out=P4)
+        for op, x, y, out in moves:
+            op(x, y, out=out)
+    return rotate
 
 
 def spectral_norm_sym(matrix: np.ndarray) -> float:

@@ -328,6 +328,25 @@ class TestDepthSupport:
             assert entry["achieved"]
             assert entry["layers"] * out["per_layer_degree"] >= entry["degree"]
 
+    def test_each_degree_is_fitted_once(self, monkeypatch):
+        # eps = 1e-8 takes the eps loop past degree 12, so the slope fit's
+        # degrees 4..12 are all fitted before it reads them
+        fitted = []
+        fit = convcnp.trig_minimax_error
+
+        def counted(x, f, degree):
+            fitted.append(degree)
+            return fit(x, f, degree)
+
+        monkeypatch.setattr(convcnp, "trig_minimax_error", counted)
+        grid = GridSpec(n=64, spacing=0.5)
+        row = nearest_neighbor_row(2.5, 0.75, 64)
+        out = depth_support_experiment(RBF, grid, p=5,
+                                       eps_targets=[1e-1, 1e-8],
+                                       first_row=row)
+        assert max(fitted) > 12
+        assert sorted(fitted) == sorted(out["minimax_errors"])
+
     def test_slope_matches_log_rho(self):
         # symbol 2.5 + 1.5 cos(w) ranges over [1, 4]: kappa = 4
         grid = GridSpec(n=64, spacing=0.5)

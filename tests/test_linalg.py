@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nplab import linalg
 from nplab.errors import InputError, NumericError
@@ -45,6 +46,34 @@ def equal_diagonal(n, seed):
     B = rng.uniform(0.1, 1.0, (n, n))
     A = B + B.T
     np.fill_diagonal(A, 3.0)
+    return A
+
+
+def equal_diagonal_matching(n, seed):
+    """One diagonal value and off-diagonal entries on a random matching
+    only.  Every other pair skips, so each matched pair still has
+    a_pp == a_qq (theta == 0) when it first meets, whichever of p and q
+    the round-robin order holds first."""
+    rng = np.random.default_rng(seed)
+    A = 3.0 * np.eye(n)
+    p, q = rng.permutation(n)[:2 * (n // 2)].reshape(2, -1)
+    A[p, q] = A[q, p] = rng.uniform(0.1, 1.0, n // 2)
+    return A
+
+
+def signed_zeros(n, seed):
+    """Zeros of both signs, mirrored, and one or two rotations to do.
+
+    Nearly every pair skips, and the rows it turns hold -0.0 and 0.0, so
+    the result keeps the sign of a zero only if each skipped pair is
+    turned with the sign of s that its cyclic rotation uses."""
+    rng = np.random.default_rng(seed)
+    negative = rng.uniform(size=(n, n)) < 0.5
+    A = np.where(negative & negative.T, -0.0, 0.0)
+    k = min(n // 2, max(1, n // 32))
+    p, q = rng.permutation(n)[:2 * k].reshape(2, -1)
+    A[p, q] = A[q, p] = rng.normal(size=k)
+    np.fill_diagonal(A, np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0))
     return A
 
 
@@ -118,6 +147,23 @@ def _reference_cyclic_eigh(matrix, tol=linalg.JACOBI_TOL,
     return eigvals[order], V[:, order]
 
 
+def _circle_rounds(n):
+    """The rounds of one round-robin sweep as (P, Q) index arrays, P < Q,
+    by the circle method: index 0 stays put and the other m - 1 indices
+    turn one place per round, so every pair meets exactly once in m - 1
+    rounds.  For odd n, m = n + 1 and the pair holding the dummy index n is
+    dropped."""
+    m = n + n % 2
+    half = m // 2
+    r = np.arange(m - 1)[:, None]
+    seat = np.arange(m)[None, :]
+    order = np.where(seat == 0, 0, 1 + (seat - 1 + r) % (m - 1))
+    left, right = order[:, :half], order[:, ::-1][:, :half]
+    P, Q = np.minimum(left, right), np.maximum(left, right)
+    keep = Q < n
+    return [(p[k], q[k]) for p, q, k in zip(P, Q, keep)]
+
+
 def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
                                 max_sweeps=linalg.JACOBI_MAX_SWEEPS):
     """The round-robin loop as it was written with V kept apart from A:
@@ -129,7 +175,7 @@ def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
     n = A.shape[0]
     V = np.eye(n)
     norm = np.linalg.norm(A)
-    rounds = linalg._round_robin_pairs(n)
+    rounds = _circle_rounds(n)
     for _ in range(max_sweeps):
         off = np.linalg.norm(A - np.diag(A.diagonal()))
         if off <= tol * norm:
@@ -156,7 +202,9 @@ def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
             V[:, Q] = vp * s + vq * c
             A[P[skip], Q[skip]] = A[Q[skip], P[skip]] = 0.0
     else:
-        raise NumericError("reference loop did not converge")
+        off = np.linalg.norm(A - np.diag(A.diagonal()))
+        raise NumericError("reference loop did not converge",
+                           residual=float(off))
     eigvals = A.diagonal().copy()
     order = np.argsort(eigvals, kind="stable")
     return eigvals[order], V[:, order]
@@ -174,27 +222,49 @@ def test_cyclic_matches_reference_bit_for_bit(n, make):
     assert V.strides == want_V.strides
 
 
+def same_bits(a, b):
+    """Equal values and equal signs, so -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
 @pytest.mark.parametrize("n", [32, 33, 47, 63, 64])
 @pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
-                                  near_skip_threshold])
+                                  equal_diagonal, equal_diagonal_matching,
+                                  signed_zeros, near_skip_threshold])
 def test_round_robin_matches_reference_bit_for_bit(n, make):
+    # equal_diagonal_matching meets theta == 0 both in rounds that hold p
+    # first and in rounds that hold q first
     A = make(n, seed=n)
     vals, V = jacobi_eigh(A)
     want_vals, want_V = _reference_round_robin_eigh(A)
-    assert np.array_equal(vals, want_vals)
-    assert np.array_equal(V, want_V)
+    assert same_bits(vals, want_vals)
+    assert same_bits(V, want_V)
     # the same memory layout too, so BLAS products with V round the same
     assert V.strides == want_V.strides
 
 
 @pytest.mark.parametrize("n", list(range(1, 34)) + [64])
 @pytest.mark.parametrize("make", [rbf_gram, random_symmetric, low_rank_psd,
-                                  near_skip_threshold])
+                                  equal_diagonal, equal_diagonal_matching,
+                                  signed_zeros, near_skip_threshold])
 def test_eigvalsh_is_eigh_values_bit_for_bit(n, make):
     # a rank-k latent covariance needs n >= 2; at n = 1 take its 1 x 1 form
     A = make(n, seed=n) if n > 1 or make is not low_rank_psd else \
         low_rank_psd(2, seed=1)[:1, :1]
-    assert np.array_equal(jacobi_eigvalsh(A), jacobi_eigh(A)[0])
+    assert same_bits(jacobi_eigvalsh(A), jacobi_eigh(A)[0])
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_round_robin_budget_residual_matches_reference(n):
+    # the off-norm after one sweep, taken in index order on the unpadded A
+    A = random_symmetric(n, seed=3)
+    with pytest.raises(NumericError) as want:
+        _reference_round_robin_eigh(A, max_sweeps=1)
+    for solve in (jacobi_eigh, jacobi_eigvalsh):
+        with pytest.raises(NumericError) as got:
+            solve(A, max_sweeps=1)
+        assert got.value.residual == want.value.residual
 
 
 @pytest.mark.parametrize("A", [
@@ -282,14 +352,28 @@ def test_large_n_matches_lapack(n, make):
 
 
 @pytest.mark.parametrize("n", [32, 33, 64])
-def test_round_robin_pairs_cover_every_pair_once(n):
-    rounds = linalg._round_robin_pairs(n)
-    assert len(rounds) == n - 1 + n % 2
+def test_paired_layout_visits_the_circle_rounds_in_order(n):
+    start, inv, flip, dest = linalg._paired_layout(n)
+    m = n + n % 2
+    half = m // 2
+    assert np.array_equal(start[inv], np.arange(m))
+    rounds = _circle_rounds(n)
+    assert len(rounds) == len(flip) == m - 1
+    at = start  # the index held at each position
     pairs = []
-    for P, Q in rounds:
-        assert np.all(P < Q) and np.all(Q < n)
-        assert len(set(P) | set(Q)) == 2 * len(P)  # disjoint within a round
+    for r, (P, Q) in enumerate(rounds):
+        top, bot = at[:half], at[half:]
+        assert np.array_equal(flip[r], top > bot)
+        lo, hi = np.minimum(top, bot), np.maximum(top, bot)
+        keep = hi < n  # the dummy index n pairs with one index for odd n
+        assert np.array_equal(lo[keep], P) and np.array_equal(hi[keep], Q)
         pairs += list(zip(P.tolist(), Q.tolist()))
+        moved = np.empty_like(at)
+        moved[dest] = at
+        at = moved
+    # a sweep ends where it started, so it is put back in order by inv
+    assert np.array_equal(at, start)
+    # and it meets every pair exactly once
     assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
@@ -346,6 +430,38 @@ def test_large_n_input_errors():
     A[0, 1] += 1e-3
     with pytest.raises(InputError):
         jacobi_eigh(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3, 1e9]),
+       zero_partner=st.booleans(), sign=st.sampled_from([-1.0, 1.0]),
+       steps=st.integers(-2, 2))
+def test_symmetry_guard_decides_as_allclose(n, seed, scale, zero_partner,
+                                            sign, steps):
+    # one entry is moved off its mirror by the bound atol + 1e-5 |mirror|,
+    # then a few floats either way; with a zero mirror, a_pq - 0.0 lands
+    # exactly on the bound
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-scale, scale, (n, n))
+    M = U + U.T
+    M[0, 0] = 4.0 * scale  # the largest entry, so atol is known up front
+    p, q = rng.choice(n, 2, replace=False)
+    if zero_partner:
+        M[q, p] = 0.0
+    atol = 1e-12 * max(1.0, 4.0 * scale)
+    a = M[q, p] + sign * (atol + 1e-5 * abs(M[q, p]))
+    for _ in range(abs(steps)):
+        a = np.nextafter(a, np.copysign(np.inf, steps))
+    M[p, q] = a
+    assume(np.abs(M).max() == 4.0 * scale)
+    symmetric = np.allclose(M, M.T, atol=atol)
+    try:
+        jacobi_eigvalsh(M)
+    except InputError:
+        assert not symmetric
+    else:
+        assert symmetric
 
 
 @pytest.mark.parametrize("bad", [
