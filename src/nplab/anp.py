@@ -18,7 +18,7 @@ import numpy as np
 from .cnp import ContextSet
 from .errors import InputError, NumericError
 from .gp_oracle import two_point_weight
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec, cross_vector
 
 LOG_KERNEL = "log_kernel"
 UNIFORM = "uniform"
@@ -41,15 +41,21 @@ class ScoreFunction:
         if self.kind == CUSTOM and self.custom is None:
             raise InputError("custom score needs a callable")
 
-    def score(self, x_t, x, y) -> float:
+    def scores(self, C: ContextSet, x_t) -> np.ndarray:
+        """Score s(x_t, x_i, y_i) of every context point, in context order.
+
+        LOG_KERNEL takes log k(x_i, x_t) from one `cross_vector`; UNIFORM
+        is all zeros; only CUSTOM calls its map once per point.
+        """
         if self.kind == UNIFORM:
-            return 0.0
+            return np.zeros(C.n)
         if self.kind == LOG_KERNEL:
-            val = eval_kernel(self.spec, x_t, x)
-            if val <= 0:
+            k = cross_vector(self.spec, C.locations, x_t)
+            if np.any(k <= 0):
                 raise InputError("log-kernel score needs positive kernel values")
-            return float(np.log(val))
-        return float(self.custom(x_t, x, y))
+            return np.log(k)
+        return np.array([float(self.custom(x_t, x, y))
+                         for x, y in zip(C.locations, C.values)])
 
 
 def attention_weights(score: ScoreFunction, C: ContextSet, x_t) -> np.ndarray:
@@ -57,8 +63,7 @@ def attention_weights(score: ScoreFunction, C: ContextSet, x_t) -> np.ndarray:
     Max-score subtraction keeps the exponentials in range exactly."""
     if C.n < 1:
         raise InputError("context set must be nonempty")
-    s = np.array([score.score(x_t, x, y)
-                  for x, y in zip(C.locations, C.values)])
+    s = score.scores(C, x_t)
     s = s - s.max()
     w = np.exp(s)
     return w / w.sum()
@@ -76,7 +81,7 @@ def anp_predict(score: ScoreFunction, value_map: Callable, decoder: Callable,
 
 def nadaraya_watson(spec: KernelSpec, C: ContextSet, x_t) -> float:
     """Kernel-weighted mean sum k(x_t,x_i) y_i / sum k(x_t,x_i)."""
-    w = np.array([eval_kernel(spec, x_t, x) for x in C.locations])
+    w = cross_vector(spec, C.locations, x_t)
     total = w.sum()
     if total <= 1e-300:
         raise NumericError(

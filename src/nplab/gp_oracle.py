@@ -102,13 +102,14 @@ def two_point_weight(spec: KernelSpec, x1, x2, x_t):
     """
     p1 = np.atleast_1d(np.asarray(x1, dtype=float))
     p2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    t = np.atleast_1d(np.asarray(x_t, dtype=float))
+    if not p1.shape == p2.shape == t.shape:
+        raise InputError(f"dimension mismatch: x1 {p1.shape}, x2 {p2.shape}, "
+                         f"x_t {t.shape}")
     if np.allclose(p1, p2, atol=1e-12):
         raise DegenerateConfigurationError("two-point context must be distinct")
-    from .kernels import eval_kernel
-    a = eval_kernel(spec, x_t, p1)
-    b = eval_kernel(spec, x_t, p2)
-    c = eval_kernel(spec, p1, p2)
-    v = eval_kernel(spec, p1, p1)
+    (a, b), (v, c) = kernel_matrix(spec, np.vstack([t, p1]),
+                                   np.vstack([p1, p2]))
     det = v * v - c * c
     if abs(det) < 1e-300:
         raise NumericError("two-point Gram is singular", lambda_min=det)

@@ -5,6 +5,10 @@ supported families are RBF, half-integer Matern, polynomial, and a
 non-stationary amplitude-scaled wrapper ``sigma(x) sigma(x') k_base(x, x')``
 used by the equivariance-violation experiments.
 
+`kernel_matrix` is the one path to kernel values: every other module takes
+them from it or from `cross_vector`, which calls it, and only
+`kernel_matrix` calls the scalar `eval_kernel`.
+
 Gram matrices carry their full symmetric eigendecomposition (`GramSpectrum`)
 so that downstream solves, condition numbers and polynomial-in-K evaluations
 all share one factorization.
@@ -116,7 +120,13 @@ def _as_point(x) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """Evaluate k(x, x') for a single pair of points."""
+    """Evaluate k(x, x') for a single pair of points.
+
+    The scalar form `kernel_matrix` loops over; other modules take kernel
+    values from `kernel_matrix` or `cross_vector` instead of calling it.
+    Symmetric bit for bit: |p - q| and |q - p| are the same norm, and the
+    amplitude and dot products commute.
+    """
     p, q = _as_point(x), _as_point(x2)
     if p.shape != q.shape:
         raise InputError(f"dimension mismatch: {p.shape} vs {q.shape}")

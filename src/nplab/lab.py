@@ -390,11 +390,15 @@ def _run_eig_family(params, seed):
     "tnp.gp_pipeline",
     "Chebyshev-iteration attention stack solves the Gram system and reads "
     "out the posterior mean within the depth-L rate bound.",
-    {"n": Param(16, 1, 64), "L": Param(30, 1, 1000),
+    {"n": Param(16, 2, 64), "L": Param(30, 1, 1000),
      "max_kappa": Param(100.0, 1.0, 1e8),
      "lengthscale": Param(0.4, 0.01, 10.0),
      "min_separation": Param(0.5, 0.0, 10.0)},
-    "prediction error <= ||k|| ||y|| (2/lambda_min) rho^L")
+    "prediction error <= ||k|| ||y|| (2/lambda_min) rho^L",
+    # n = 1 gives kappa = 1 and a rate bound of 0, which rounding alone
+    # fails; n >= 2 distinct points give kappa > 1
+    relations=(("max_kappa > 1 (kappa > 1 for any n >= 2 distinct points)",
+                lambda p: p["max_kappa"] > 1),))
 def _run_gp_pipeline(params, seed):
     spec = _rbf(params["lengthscale"])
     for attempt in range(200):

@@ -153,7 +153,6 @@ def mercer_tail(spec: KernelSpec, grid, k: int) -> dict:
     return {
         "tail_trace": tail,
         "best_rank_k_error": best,
-        "eigenvalues": vals,
     }
 
 

@@ -30,7 +30,7 @@ closed form is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,15 +52,16 @@ class PolySchedule:
     """Coefficient schedule for a depth-L inverse approximation.
 
     For CHEBYSHEV the coefficients are the node reciprocals 1/x_l in
-    application order (interleaved for roundoff stability); for PRODUCT the
-    alpha_l of prod(I + alpha_l K).
+    application order (interleaved for roundoff stability), and interval
+    is the [lambda_min, lambda_max] the nodes were placed on;
+    `apply_inverse_schedule` checks a spectrum against it.  For PRODUCT
+    the coefficients are the alpha_l of prod(I + alpha_l K), free of any
+    interval, which is None.  The depth L is len(coefficients).
     """
 
     form: str
     coefficients: Tuple[float, ...]
-    interval: Tuple[float, float]
-    depth: int
-    rho: float
+    interval: Optional[Tuple[float, float]] = None
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -95,35 +96,13 @@ def chebyshev_schedule(lambda_min: float, lambda_max: float, L: int) -> PolySche
     return PolySchedule(
         form=CHEBYSHEV,
         coefficients=tuple(1.0 / nodes),
-        interval=(lambda_min, lambda_max),
-        depth=L,
-        rho=chebyshev_rho(lambda_max / lambda_min))
+        interval=(lambda_min, lambda_max))
 
 
-def product_schedule(alphas, lambda_min: float = None,
-                     lambda_max: float = None) -> PolySchedule:
-    """Literal product-form schedule prod(I + alpha_l K); p(0) = 1 always.
-
-    The interval is optional; without it the convergence factor is not
-    defined and is reported as nan.
-    """
-    alphas = tuple(float(a) for a in alphas)
-    if lambda_min is None or lambda_max is None:
-        return PolySchedule(form=PRODUCT, coefficients=alphas,
-                            interval=(float("nan"), float("nan")),
-                            depth=len(alphas), rho=float("nan"))
-    if not (0 < lambda_min <= lambda_max):
-        raise InputError("need 0 < lambda_min <= lambda_max")
-    grid = np.linspace(lambda_min, lambda_max, 512)
-    p = eval_schedule_poly_vals(PRODUCT, alphas, grid)
-    resid = np.abs(1.0 - grid * p)
-    L = max(len(alphas), 1)
-    return PolySchedule(
-        form=PRODUCT,
-        coefficients=alphas,
-        interval=(lambda_min, lambda_max),
-        depth=len(alphas),
-        rho=float(np.max(resid) ** (1.0 / L)))
+def product_schedule(alphas) -> PolySchedule:
+    """Literal product-form schedule prod(I + alpha_l K); p(0) = 1 always."""
+    return PolySchedule(form=PRODUCT,
+                        coefficients=tuple(float(a) for a in alphas))
 
 
 def eval_schedule_poly_vals(form: str, coefficients,
@@ -176,13 +155,15 @@ def apply_schedule(matvec, schedule: PolySchedule,
 
 def apply_inverse_schedule(K: GramSpectrum, schedule: PolySchedule) -> np.ndarray:
     """Materialize the schedule's polynomial in K as a matrix: q_L(K) for
-    CHEBYSHEV, p(K) for PRODUCT."""
-    a, b = schedule.interval
-    slack = 1e-9 * max(abs(b), 1.0)
-    if K.lambda_min < a - slack or K.lambda_max > b + slack:
-        raise ContractError(
-            f"spectrum [{K.lambda_min:g}, {K.lambda_max:g}] escapes the "
-            f"schedule interval [{a:g}, {b:g}]")
+    CHEBYSHEV, p(K) for PRODUCT.  A schedule with an interval must hold
+    K's spectrum in it."""
+    if schedule.interval is not None:
+        a, b = schedule.interval
+        slack = 1e-9 * max(abs(b), 1.0)
+        if K.lambda_min < a - slack or K.lambda_max > b + slack:
+            raise ContractError(
+                f"spectrum [{K.lambda_min:g}, {K.lambda_max:g}] escapes the "
+                f"schedule interval [{a:g}, {b:g}]")
     M = K.matrix
     return apply_schedule(lambda X: M @ X, schedule, np.eye(K.n))
 

@@ -134,8 +134,6 @@ def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int,
         "error_vs_oracle": abs(prediction - oracle),
         "bound": float(bound),
         "kappa": S.kappa,
-        "rho": schedule.rho,
-        "depth": L,
     }
 
 
@@ -248,7 +246,6 @@ def depth_barrier_experiment(kappa: float, n: int, L: int, t_grid: int,
 
     oracle = minimax_oracle(1.0 / kappa, 1.0, 2 * L)
     barrier = chebyshev_barrier(1.0 / kappa, 1.0, 2 * L)
-    rho = chebyshev_rho(kappa)
 
     implied_min_depth = 1
     while chebyshev_barrier(1.0 / kappa, 1.0, 2 * implied_min_depth) > eps:
@@ -259,16 +256,11 @@ def depth_barrier_experiment(kappa: float, n: int, L: int, t_grid: int,
     slope = float(np.polyfit(degs, np.log(errs), 1)[0])
 
     return {
-        "kappa": kappa,
-        "depth": L,
-        "fitted_poly_degree": L,
         "fit_residual": residual,
         "structural_ok": residual <= 1e-6,
         "oracle_error": oracle.error,
         "barrier": barrier,
-        "rho": rho,
         "decay_slope": slope,
-        "log_rho": float(np.log(rho)),
-        "eps": eps,
+        "log_rho": float(np.log(chebyshev_rho(kappa))),
         "implied_min_depth": implied_min_depth,
     }

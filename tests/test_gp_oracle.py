@@ -76,6 +76,13 @@ class TestTwoPointWeight:
         with pytest.raises(DegenerateConfigurationError):
             two_point_weight(RBF, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("x1,x2,x_t", [([0.0, 0.0], [1.0, 1.0], 0.5),
+                                           (0.0, [1.0, 1.0], [0.5, 0.5]),
+                                           (0.0, 1.0, [[0.5]])])
+    def test_dimension_mismatch_rejected(self, x1, x2, x_t):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            two_point_weight(RBF, x1, x2, x_t)
+
 
 class TestPosteriorCov:
     def test_empty_context_is_prior(self):

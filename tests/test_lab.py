@@ -143,6 +143,10 @@ class TestDegenerateParams:
         # is constant, and a rank-1 latent reads only the mean location
         ("convcnp.equivariance", {"n": 1}),
         ("latent.bottleneck_lift", {"k": 1}),
+        # one point has kappa = 1 and a rate bound of 0; no Gram of n >= 2
+        # distinct points has kappa <= 1
+        ("tnp.gp_pipeline", {"n": 1}),
+        ("tnp.gp_pipeline", {"max_kappa": 1.0}),
     ])
     def test_nothing_to_check_is_usage_error(self, eid, params):
         with pytest.raises(UsageError):

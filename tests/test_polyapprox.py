@@ -50,20 +50,15 @@ class TestSchedules:
         expected = raw[[0, 4, 1, 3, 2]]
         assert np.max(np.abs(nodes - expected)) < 1e-14
 
-    def test_product_rho_without_interval_is_nan(self):
-        sched = product_schedule([-0.1, -0.2])
-        assert np.isnan(sched.rho)
-
     def test_product_poly_is_one_at_zero(self):
-        sched = product_schedule([-0.3, 0.1, -0.05], 0.5, 2.0)
+        sched = product_schedule([-0.3, 0.1, -0.05])
+        assert sched.interval is None
         vals = schedule_inverse_values(sched, np.array([1e-12]))
         assert vals[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_intervals(self):
         with pytest.raises(InputError):
             chebyshev_schedule(0.0, 1.0, 3)
-        with pytest.raises(InputError):
-            product_schedule([-0.1], 2.0, 1.0)
         with pytest.raises(InputError):
             chebyshev_schedule(1.0, 2.0, 0)
 
@@ -76,8 +71,7 @@ class TestApplySchedule:
         S = spectrum_of(M)
         sched = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
         if form == PRODUCT:  # the residual polynomial prod(1 - lambda/x_l)
-            sched = product_schedule(-np.asarray(sched.coefficients),
-                                     S.lambda_min, S.lambda_max)
+            sched = product_schedule(-np.asarray(sched.coefficients))
         X = apply_inverse_schedule(S, sched)
         qvals = schedule_inverse_values(sched, S.eigenvalues)
         ref = (S.eigenvectors * qvals) @ S.eigenvectors.T

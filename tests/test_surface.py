@@ -94,3 +94,20 @@ def test_kept_names_are_current():
             f"{qualified} has a caller now; drop it from the kept list")
         assert reason.strip(), f"{qualified} needs a reason"
     assert len(_kept()) == len(ORACLES + WITNESSES), "a name is listed twice"
+
+
+
+def test_only_kernels_names_eval_kernel():
+    # one kernel path: every other module takes its kernel values from
+    # kernel_matrix or cross_vector, so only kernels may name or import
+    # the scalar eval_kernel
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for a in n.names}
+        if path.stem != "kernels" and "eval_kernel" in \
+                _names_in(tree) | imported:
+            naming.append(path.stem)
+    assert not naming, f"modules that name eval_kernel: {naming}"
