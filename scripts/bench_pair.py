@@ -21,6 +21,12 @@ median is within the metric's bound.  ``gain`` is true only when the head
 won at least nine of the ten pairs, its median beats the base's by more
 than the base's interquartile range, and the interval excludes 1.  Both
 revisions and the Python, numpy and mpmath versions are recorded too.
+
+Before the workloads, each side runs the Tier-1 test command of ROADMAP.md
+once on its own sources and tests; ``tier1_s`` holds each side's wall
+seconds and ``tier1_outcome`` pytest's last line.  One run per side is a
+trajectory, not a paired claim, and it is not one of BENCHMARK.json's
+metrics.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -109,6 +116,24 @@ def run_bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+
+
+def run_tier1(side: Path):
+    """Wall seconds and pytest's last output line of one Tier-1 run on the
+    side's own ``src`` and ``tests``; failing tests do not stop it."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "NPLAB_SEED")}
+    env["PYTHONPATH"] = str(side / "src")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=side, env=env,
+                          capture_output=True, text=True, timeout=3600)
+    seconds = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return seconds, lines[-1] if lines else f"exit {proc.returncode}"
+
+
 def quartiles(values):
     if len(values) == 1:
         return values[0], values[0]
@@ -174,7 +199,14 @@ def main(argv=None):
         "versions": {"python": platform.python_version(),
                      "numpy": version("numpy"), "mpmath": version("mpmath")},
         "workloads": {},
+        "tier1_s": {},
+        "tier1_outcome": {},
     }
+    for side in ("base", "head"):
+        seconds, outcome = run_tier1(sides[side])
+        out["tier1_s"][side] = seconds
+        out["tier1_outcome"][side] = outcome
+        print(f"tier1 {side}: {seconds:.1f} s, {outcome}", file=sys.stderr)
     for workload in args.workload or WORKLOADS:
         runs = {"base": [], "head": []}
         for i in range(PAIRS):

@@ -342,8 +342,11 @@ def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
     Computes the discrete cosine-polynomial minimax error against
     1/K_hat(omega) per degree; for each eps reports the smallest adequate
     degree D and the implied layer count ceil(D / floor(p/2)), asserting
-    the product L * floor(p/2) covers D.  The decay slope is fit to the
-    errors at degrees 4, 6, ..., 12 that the grid admits.
+    the product L * floor(p/2) covers D.  An eps that no degree up to n//2
+    reaches, or whose layer count the grid cannot host (n <= 2 L
+    floor(p/2)), is recorded as not achieved, with no degree or layer
+    count.  The decay slope is fit to the errors at degrees 4, 6, ..., 12
+    that the grid admits.
     """
     if p < 2:
         raise InputError("filter support must be at least 2")
@@ -375,19 +378,19 @@ def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
                 break
             D += 1
         if D > max_degree:
-            required[eps] = {"degree": None, "layers": None,
-                             "achieved": False}
-            continue
-        if D == 0:
+            layers = None
+        elif D == 0:
             # rescaling convention: zero layers only if the symbol is
             # already inverted
             layers = 0 if np.max(np.abs(lam - 1.0)) <= eps else 1
         else:
             layers = int(np.ceil(D / half))
-        if layers and grid.n <= 2 * layers * half:
-            raise InputError(
-                f"grid of {grid.n} cells cannot host {layers} layers of "
-                f"support {p}")
+        # no degree up to n//2 reaches eps, or the grid cannot host the
+        # layers
+        if layers is None or (layers and grid.n <= 2 * layers * half):
+            required[eps] = {"degree": None, "layers": None,
+                             "achieved": False}
+            continue
         required[eps] = {"degree": D, "layers": layers,
                          "achieved": layers * half >= D}
 

@@ -65,16 +65,26 @@ def posterior_mean(spec: KernelSpec, X_C, y_C, x_t,
 def _check_distinct(points: np.ndarray, what: str):
     """Raise on the first pair i < j, in row order, whose points are
     ``np.allclose(points[i], points[j], atol=1e-12)``."""
-    close = np.isclose(points[:, None, :], points[None, :, :],
-                       atol=1e-12).all(axis=2)
+    x, y = points[:, None, :], points[None, :, :]
+    if np.isfinite(points).all():
+        # np.isclose's own expression on finite points, without its call
+        close = np.abs(x - y) <= 1e-12 + 1e-5 * np.abs(y)
+    else:
+        close = np.isclose(x, y, atol=1e-12)
+    close = close.all(axis=2)
     rows, cols = np.nonzero(np.triu(close, k=1))
     if rows.size:
         raise DegenerateConfigurationError(
             f"duplicated {what} at indices {rows[0]}, {cols[0]}")
 
 
-def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0) -> np.ndarray:
-    """Posterior covariance K_TT - K_TC K^{-1} K_CT + sigma2 I."""
+def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0,
+                  spectrum: Optional[GramSpectrum] = None) -> np.ndarray:
+    """Posterior covariance K_TT - K_TC K^{-1} K_CT + sigma2 I.
+
+    ``spectrum``, when given, must be ``gram_spectrum(spec, X_C)``, as in
+    ``posterior_weights``.
+    """
     Xt = np.atleast_2d(np.asarray(X_T, dtype=float))
     m = Xt.shape[0]
     if m == 0:
@@ -87,7 +97,10 @@ def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0) -> np.ndarray
     _check_distinct(allpts, "point")
     K_TT = kernel_matrix(spec, Xt)
     K_TC = kernel_matrix(spec, Xt, Xc)
-    S = gram_spectrum(spec, Xc)
+    S = gram_spectrum(spec, Xc) if spectrum is None else spectrum
+    if S.n != Xc.shape[0]:
+        raise InputError(f"spectrum of a {S.n}-point Gram given for "
+                         f"{Xc.shape[0]} context points")
     cov = K_TT - K_TC @ S.solve(K_TC.T) + sigma2 * np.eye(m)
     return 0.5 * (cov + cov.T)
 

@@ -7,22 +7,28 @@ used by the equivariance-violation experiments.
 
 `kernel_matrix` is the one path to kernel values: every other module takes
 them from it or from `cross_vector`, which calls it, and only
-`kernel_matrix` calls the scalar `eval_kernel`.
+`kernel_matrix` calls the scalar `eval_kernel`, once per pair.  Its cost is
+per-call overhead, so `eval_kernel` takes the distance as sqrt(d . d),
+which is np.linalg.norm's own expression for a 1-d vector, without the
+call, and `kernel_matrix` walks a list of Y's rows built once.  The
+exponentials stay np.exp: math.exp may round differently.
 
 Gram matrices carry their full symmetric eigendecomposition (`GramSpectrum`)
 so that downstream solves, condition numbers and polynomial-in-K evaluations
-all share one factorization.
+all share one factorization; `gram_spectra` factors many Grams by one
+stacked Jacobi call, with the bits of a `gram_spectrum` call each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, jacobi_eigh_many
 
 # default diagonal jitter (every kernel has unit variance); experiments
 # that study condition numbers directly pin jitter to 0 instead
@@ -113,10 +119,18 @@ class GramSpectrum:
 
 
 def _as_point(x) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:  # what np.atleast_1d does, without its call
+        p = p.reshape(1)
     if p.ndim != 1:
         raise InputError(f"a point must be a 1-d coordinate vector, got shape {p.shape}")
     return p
+
+
+def _as_rows(X) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(X, dtype=float))``, without its call."""
+    a = np.asarray(X, dtype=float)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
@@ -135,7 +149,9 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
                 * eval_kernel(spec.base, p, q))
     if spec.family == "polynomial":
         return (1.0 + float(p @ q) / spec.lengthscale**2) ** spec.degree
-    r = float(np.linalg.norm(p - q)) / spec.lengthscale
+    d = p - q
+    # np.linalg.norm's own expression for a 1-d vector, without its call
+    r = sqrt(d.dot(d)) / spec.lengthscale
     if spec.family == "rbf":
         return np.exp(-0.5 * r * r)
     # half-integer Matern closed forms
@@ -150,20 +166,21 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 def kernel_matrix(spec: KernelSpec, X, Y=None) -> np.ndarray:
     """Cross-kernel matrix k(X, Y); no jitter is applied here."""
-    Xa = np.atleast_2d(np.asarray(X, dtype=float))
-    Ya = Xa if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
+    Xa = _as_rows(X)
+    Ya = Xa if Y is None else _as_rows(Y)
     if Xa.shape[1] != Ya.shape[1]:
         raise InputError("dimension mismatch between point sets")
     out = np.empty((Xa.shape[0], Ya.shape[0]))
+    rows = list(Ya)
     for i, xi in enumerate(Xa):
-        for j, yj in enumerate(Ya):
+        for j, yj in enumerate(rows):
             out[i, j] = eval_kernel(spec, xi, yj)
     return out
 
 
 def cross_vector(spec: KernelSpec, X, x_t) -> np.ndarray:
     """Vector of k(x_i, x_t) over rows of X."""
-    return kernel_matrix(spec, X, np.atleast_2d(_as_point(x_t)))[:, 0]
+    return kernel_matrix(spec, X, _as_point(x_t)[None, :])[:, 0]
 
 
 def _gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -191,6 +208,20 @@ def gram_spectrum(spec: KernelSpec, X) -> GramSpectrum:
             "eigensolver failed on Gram matrix",
             residual=getattr(err, "residual", None)) from err
     return GramSpectrum(matrix=K, eigenvalues=vals, eigenvectors=vecs)
+
+
+def gram_spectra(entries) -> list:
+    """``[gram_spectrum(spec, X) for spec, X in entries]``, bit for bit,
+    with every Gram factored by one ``jacobi_eigh_many`` call."""
+    Ks = [_gram_matrix(spec, X) for spec, X in entries]
+    try:
+        pairs = jacobi_eigh_many(Ks)
+    except NumericError as err:
+        raise NumericError(
+            "eigensolver failed on Gram matrix",
+            residual=getattr(err, "residual", None)) from err
+    return [GramSpectrum(matrix=K, eigenvalues=vals, eigenvectors=vecs)
+            for K, (vals, vecs) in zip(Ks, pairs)]
 
 
 def spectrum_of(matrix: np.ndarray) -> GramSpectrum:

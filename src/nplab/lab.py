@@ -24,7 +24,7 @@ import numpy as np
 from . import anp, cnp, convcnp, latent, polyapprox, tnp
 from .errors import ContractError, NumericError, UsageError
 from .kernels import KernelSpec, _gram_matrix, gram_spectrum
-from .linalg import jacobi_eigvalsh
+from .linalg import jacobi_eigvalsh, jacobi_eigvalsh_many
 from .rng import stream
 
 PASS = "pass"
@@ -289,7 +289,7 @@ def _run_pca_bound(params, seed):
 def _run_kernel_smoother(params, seed):
     spec = _rbf(params["lengthscale"])
     score = anp.ScoreFunction(kind=anp.LOG_KERNEL, spec=spec)
-    value_map = lambda x, y: np.array([float(np.atleast_1d(y)[0]), 1.0])
+    value_map = lambda x, y: (y[0], 1.0)
     decoder = lambda x, r: r[0] / r[1]
     worst = 0.0
     for i in range(params["n_configs"]):
@@ -370,17 +370,18 @@ def _run_poly_structure(params, seed):
     "all three deviations <= 1e-10 on the t grid")
 def _run_eig_family(params, seed):
     dev_rows = dev_quad = dev_spec = 0.0
-    for kappa in params["kappas"]:
-        for t in np.linspace(0.0, 1.0 - 1.0 / kappa, params["t_points"]):
-            mem = tnp.eig_family(kappa, params["n"], t)
-            dev_rows = max(dev_rows, float(np.max(np.abs(
-                mem.matrix @ np.ones(mem.n) - 1.0))))
-            dev_quad = max(dev_quad, abs(
-                float(mem.v1 @ mem.matrix @ mem.v1) - mem.mu1))
-            vals = jacobi_eigvalsh(mem.matrix)
-            expected = np.sort(np.concatenate([[mem.mu1],
-                                               np.ones(mem.n - 1)]))
-            dev_spec = max(dev_spec, float(np.max(np.abs(vals - expected))))
+    members = [tnp.eig_family(kappa, params["n"], t)
+               for kappa in params["kappas"]
+               for t in np.linspace(0.0, 1.0 - 1.0 / kappa,
+                                    params["t_points"])]
+    spectra = jacobi_eigvalsh_many([mem.matrix for mem in members])
+    for mem, vals in zip(members, spectra):
+        dev_rows = max(dev_rows, float(np.max(np.abs(
+            mem.matrix @ np.ones(mem.n) - 1.0))))
+        dev_quad = max(dev_quad, abs(
+            float(mem.v1 @ mem.matrix @ mem.v1) - mem.mu1))
+        expected = np.sort(np.concatenate([[mem.mu1], np.ones(mem.n - 1)]))
+        dev_spec = max(dev_spec, float(np.max(np.abs(vals - expected))))
     return [Check("row_sum_deviation", dev_rows, 1e-10, "<="),
             Check("eigenvalue_deviation", dev_quad, 1e-10, "<="),
             Check("spectrum_deviation", dev_spec, 1e-10, "<=")]
@@ -467,11 +468,13 @@ def _run_inverse_bounds(params, seed):
         lams = np.concatenate([[1.0 / kappa, 1.0],
                                rng.uniform(1.0 / kappa, 1.0, n - 2)])
         eigenvalues = jacobi_eigvalsh((Q * lams) @ Q.T)
-        for L in (1, 3, 5, params["max_depth"]):
-            _, _, margin = polyapprox.chebyshev_exact_check(eigenvalues, L)
+        depths = (1, 3, 5, params["max_depth"])
+        for _, _, margin in polyapprox.chebyshev_exact_check(eigenvalues,
+                                                             depths):
             chebyshev_ok &= margin >= 0.0
             worst_margin = min(worst_margin, margin)
-            _, _, nmargin = polyapprox.neumann_exact_check(eigenvalues, L)
+        for _, _, nmargin in polyapprox.neumann_exact_check(eigenvalues,
+                                                            depths):
             neumann_ok &= nmargin >= 0.0
     return [Check("chebyshev_bound_ok", chebyshev_ok, 1.0, "=="),
             Check("neumann_bound_ok", neumann_ok, 1.0, "=="),
@@ -672,7 +675,9 @@ def _run_depth_support(params, seed):
     relations=(("9 min_separation < 8 (10 points fit in [-4, 4])",
                 lambda p: 9 * p["min_separation"] < 8.0),))
 def _run_cov_rank(params, seed):
-    worst_rel = 0.0
+    # every draw has its own stream, so all are drawn first and each size
+    # group of matrices is factored by one call
+    models, covs = [], []
     for i in range(params["n_models"]):
         rng = stream(seed, "latent.cov_rank", "models", i)
         k = 1 + int(rng.integers(0, params["k_max"]))
@@ -688,18 +693,22 @@ def _run_cov_rank(params, seed):
             sigma2=float(rng.uniform(0.0, 0.5)))
         X_T = rng.uniform(-3, 3, (k + 3, 1))
         pred = latent.latent_predictive(model, X_T)["cov"]
-        vals = jacobi_eigvalsh(pred - model.sigma2 * np.eye(len(X_T)))
+        models.append(model)
+        covs.append(pred - model.sigma2 * np.eye(len(X_T)))
+    worst_rel = 0.0
+    for model, vals in zip(models, jacobi_eigvalsh_many(covs)):
         vals = np.sort(vals)[::-1]
         tr = max(float(np.sum(np.abs(vals))), 1e-300)
-        worst_rel = max(worst_rel, float(vals[k]) / tr)
+        worst_rel = max(worst_rel, float(vals[model.k]) / tr)
 
-    worst_min_eig = np.inf
+    entries = []
     for i in range(params["n_configs"]):
         rng = stream(seed, "latent.cov_rank", "gp", i)
         spec = _rbf() if i % 2 == 0 else KernelSpec(family="matern", nu=0.5)
         pts = _separated_points(rng, 10, params["min_separation"])
-        rep = latent.gp_cov_rank_check(spec, pts[:4].reshape(-1, 1),
-                                       pts[4:].reshape(-1, 1))
+        entries.append((spec, pts[:4].reshape(-1, 1), pts[4:].reshape(-1, 1)))
+    worst_min_eig = np.inf
+    for rep in latent.gp_cov_rank_check(entries):
         worst_min_eig = min(worst_min_eig, rep["min_eig"])
     return [Check("max_rank_excess", worst_rel, 1e-8, "<="),
             Check("min_gp_eigenvalue", worst_min_eig, 1e-10, ">")]

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_cov
-from .kernels import KernelSpec, cross_vector, gram_spectrum, kernel_matrix
-from .linalg import jacobi_eigh, jacobi_eigvalsh
+from .kernels import (KernelSpec, cross_vector, gram_spectra, gram_spectrum,
+                      kernel_matrix)
+from .linalg import jacobi_eigh, jacobi_eigvalsh, jacobi_eigvalsh_many
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,13 @@ class RankKLatent:
         if self.sigma2 < 0:
             raise InputError("observation noise must be nonnegative")
         if self.k > 0:
-            if not np.allclose(S, S.T, atol=1e-10):
+            if np.isfinite(S).all():
+                # np.allclose's own expression on a finite S, without its call
+                symmetric = (np.abs(S - S.T) <= 1e-10
+                             + 1e-5 * np.abs(S.T)).all()
+            else:
+                symmetric = np.allclose(S, S.T, atol=1e-10)
+            if not symmetric:
                 raise InputError("latent covariance must be symmetric")
             vals = jacobi_eigvalsh(0.5 * (S + S.T))
             if vals[0] < -1e-10:
@@ -77,16 +84,26 @@ def numerical_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> int:
     return int(np.count_nonzero(vals > rel_tol * tr))
 
 
-def gp_cov_rank_check(spec: KernelSpec, X_C, X_T) -> dict:
+def gp_cov_rank_check(entries) -> list:
     """Minimum eigenvalue and numerical rank of the exact posterior
-    covariance; full rank m whenever all points are distinct."""
-    cov = posterior_cov(spec, X_C, X_T, sigma2=0.0)
-    vals = jacobi_eigvalsh(cov)
-    return {
-        "min_eig": float(vals[0]),
-        "rank": numerical_rank(vals),
-        "m": cov.shape[0],
-    }
+    covariance, one dict per (spec, X_C, X_T) entry; full rank m whenever
+    all points are distinct.
+
+    The context Grams are factored by one ``gram_spectra`` call and the
+    covariances by one ``jacobi_eigvalsh_many`` call, with the bits of a
+    call per entry.
+    """
+    entries = list(entries)
+    # posterior_cov factors no Gram for an empty context or target set
+    factored = [i for i, (_, X_C, X_T) in enumerate(entries)
+                if np.size(X_C) and len(np.atleast_2d(X_T))]
+    spectra = dict(zip(factored, gram_spectra(
+        [entries[i][:2] for i in factored])))
+    covs = [posterior_cov(spec, X_C, X_T, sigma2=0.0, spectrum=spectra.get(i))
+            for i, (spec, X_C, X_T) in enumerate(entries)]
+    return [{"min_eig": float(vals[0]), "rank": numerical_rank(vals),
+             "m": cov.shape[0]}
+            for cov, vals in zip(covs, jacobi_eigvalsh_many(covs))]
 
 
 def posterior_weight_matrix(spec: KernelSpec, X_C, X_T) -> np.ndarray:

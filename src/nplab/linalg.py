@@ -21,6 +21,14 @@ products of same-shape arrays, with no index gathers or scatters, and it
 does the same IEEE operations on every entry as the cyclic rotation of
 its pair.
 
+Many small matrices are factored by ``jacobi_eigh_many`` and
+``jacobi_eigvalsh_many``, which sweep each group of same-size matrices
+below ``ROUND_ROBIN_MIN_N`` as one (b, n, n) stack in lockstep: one numpy
+step turns the pair (p, q) of every member.  Each member still gets the
+IEEE operations of its own cyclic sweep in the same order, so its result
+is its own call's bit for bit, at a fraction of the per-call overhead
+that dominates at these sizes.
+
 The lab deliberately carries its own eigensolver so that spectra entering
 the experiments do not depend on the LAPACK build; ``numpy.linalg.eigh``
 is used only as an independent oracle in the test suite.
@@ -125,6 +133,32 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     matrices of that size are the two 32 x 32 ones of ``latent.mercer``,
     whose checks floor rounding-level eigenvalues to zero.
 
+    ``jacobi_eigh_many`` sweeps a group of at least ``_STACK_MIN``
+    same-size matrices below ``ROUND_ROBIN_MIN_N`` as one stack, one
+    rotation (p, q) across the stack per numpy step (``_stacked_sweep``).
+    A member's result is bit-identical to its own call because every
+    entry of it gets the operations of the cyclic rotation, in the same
+    order, and nothing of another member enters them:
+
+    - theta, t, c and s are elementwise ufuncs over the stack, with the
+      same roundings as the float operations of ``_cyclic_sweep``
+      (``np.sqrt`` and ``math.sqrt`` are both correctly rounded, and
+      copysign(1 / d, theta + 0.0) is copysign(1, theta) / d, with
+      theta == 0 giving t = 1);
+    - the rows, then the columns, are turned as c x - s y and s x + c y;
+      a member whose pair skips keeps its rows and columns by selection,
+      not by a c = 1, s = 0 rotation, which would turn a -0.0 into 0.0;
+    - the convergence test is the member's own: a stacked off-norm
+      decides it only outside a 1e-9 relative margin around the
+      threshold, far wider than any difference a summation order makes
+      (about n^2 u), and the member's own 2-D ``np.linalg.norm`` decides
+      it inside; a member that passes leaves the stack, so its sweep
+      count is its own, and once fewer than ``_STACK_MIN`` are left they
+      finish one at a time from where they are;
+    - a member that ``_jacobi`` would reject, scale or return unswept,
+      and one whose budget runs out, takes its own call, so errors,
+      messages and residuals are its own too.
+
     A finite matrix whose Frobenius norm overflows, or underflows to zero,
     is swept at an exact power-of-two scale and its eigenvalues scaled
     back (one beyond the float range comes back as +-inf).
@@ -133,10 +167,7 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     non-finite matrix, and NumericError (with the final off-diagonal
     residual attached) if the sweep budget is exhausted.
     """
-    vals, B = _jacobi(matrix, max_sweeps, vectors=True)
-    V = B[:, len(vals):].T.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
+    return _sorted_pair(*_jacobi(matrix, max_sweeps, vectors=True))
 
 
 def jacobi_eigvalsh(matrix: np.ndarray,
@@ -148,7 +179,37 @@ def jacobi_eigvalsh(matrix: np.ndarray,
     bit for bit at about half the row work.  Raises as ``jacobi_eigh``.
     """
     vals, _ = _jacobi(matrix, max_sweeps, vectors=False)
+    return _sorted(vals)
+
+
+def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
+    """``[jacobi_eigh(M, max_sweeps) for M in matrices]``, bit for bit.
+
+    Same-size members below ``ROUND_ROBIN_MIN_N`` are swept together as
+    stacks (see ``jacobi_eigh``); every other member takes its own call.
+    Raises what the first member in input order whose own call raises
+    would raise.
+    """
+    return [_sorted_pair(vals, B)
+            for vals, B in _jacobi_many(matrices, max_sweeps, True)]
+
+
+def jacobi_eigvalsh_many(matrices,
+                         max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
+    """``[jacobi_eigvalsh(M, max_sweeps) for M in matrices]``, bit for
+    bit, swept as ``jacobi_eigh_many`` sweeps them."""
+    return [_sorted(vals)
+            for vals, _ in _jacobi_many(matrices, max_sweeps, False)]
+
+
+def _sorted(vals):
     return vals[np.argsort(vals, kind="stable")]
+
+
+def _sorted_pair(vals, B):
+    V = B[:, len(vals):].T.copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], V[:, order]
 
 
 def _jacobi(matrix, max_sweeps, vectors):
@@ -193,32 +254,40 @@ def _jacobi(matrix, max_sweeps, vectors):
     if norm == 0.0:
         return np.zeros(n), B
 
+    B = _converge(B, norm, max_sweeps)
+    eigvals = B.diagonal().copy()
+    if shift:
+        eigvals = np.ldexp(eigvals, shift)
+    return eigvals, B
+
+
+def _off_norm(B):
+    """Frobenius norm of the off-diagonal part of the A block of B."""
+    A = B[:, :len(B)]
+    return np.linalg.norm(A - np.diag(A.diagonal()))
+
+
+def _converge(B, norm, max_sweeps):
+    """Sweep B until the off-diagonal norm of its A block is at most
+    JACOBI_TOL * norm, testing before each of at most max_sweeps sweeps;
+    returns the swept B or raises NumericError with the final residual."""
+    n = len(B)
     cyclic = n < ROUND_ROBIN_MIN_N
     if cyclic:
         rows = B.tolist()
     else:
         layout = _paired_layout(n)
     for _ in range(max_sweeps):
-        A = B[:, :n]
-        off = np.linalg.norm(A - np.diag(A.diagonal()))
-        if off <= JACOBI_TOL * norm:
-            break
+        if _off_norm(B) <= JACOBI_TOL * norm:
+            return B
         if cyclic:
             _cyclic_sweep(rows)
             B = np.array(rows)
         else:
             _round_robin_sweep(B, layout)
-    else:
-        A = B[:, :n]
-        off = np.linalg.norm(A - np.diag(A.diagonal()))
-        raise NumericError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
-            residual=float(off))
-
-    eigvals = B.diagonal().copy()
-    if shift:
-        eigvals = np.ldexp(eigvals, shift)
-    return eigvals, B
+    raise NumericError(
+        f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
+        residual=float(_off_norm(B)))
 
 
 def _cyclic_sweep(rows: list):
@@ -260,6 +329,153 @@ def _cyclic_sweep(rows: list):
                 x, y = row[p], row[q]
                 row[p] = c * x - s * y
                 row[q] = s * x + c * y
+
+
+def _jacobi_many(matrices, max_sweeps, vectors):
+    """``[_jacobi(M, max_sweeps, vectors) for M in matrices]``, bit for bit.
+
+    Members of one size n, 2 <= n < ROUND_ROBIN_MIN_N, go to
+    ``_sweep_stack`` together when there are at least ``_STACK_MIN`` of
+    them.  Every member the stack does not finish takes its own ``_jacobi``
+    call, in input order, so the first member whose call raises raises
+    here, and nothing is raised before it.
+    """
+    matrices = list(matrices)
+    groups = {}
+    for i, matrix in enumerate(matrices):
+        try:
+            M = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):  # ragged or non-numeric: _jacobi says
+            continue
+        n = len(M) if M.ndim == 2 else 0
+        if 2 <= n < ROUND_ROBIN_MIN_N and M.shape == (n, n):
+            groups.setdefault(n, []).append((i, M))
+    out = [None] * len(matrices)
+    for members in groups.values():
+        if len(members) >= _STACK_MIN:
+            ids, Ms = zip(*members)
+            for i, res in zip(ids, _sweep_stack(np.array(Ms), max_sweeps,
+                                                vectors)):
+                out[i] = res
+    return [_jacobi(matrix, max_sweeps, vectors) if res is None else res
+            for matrix, res in zip(matrices, out)]
+
+
+# Fewest same-size members swept as one stack; a smaller group is swept a
+# member at a time, which costs less below about this count.
+_STACK_MIN = 4
+
+# Relative margin within which a stacked off-norm or norm can differ from
+# the member's own np.linalg.norm (another summation order: at most about
+# n^2 u relative, under 2e-13 for n < 32); a test that close to its
+# threshold is decided by the member's own norms.
+_SCREEN_MARGIN = 1e-9
+
+
+def _sweep_stack(S, max_sweeps, vectors):
+    """``_jacobi`` on each member of a (b, n, n) stack, with the members
+    swept in lockstep; see jacobi_eigh for why each result is bit-identical
+    to the member's own call.
+
+    Returns one (eigenvalues in diagonal order, B) per member, or None for
+    a member the stack leaves to its own ``_jacobi`` call: one that
+    ``_jacobi`` would reject, scale or return unswept, and one whose
+    sweep budget runs out.
+    """
+    b, n = len(S), S.shape[1]
+    out = [None] * b
+    ST = S.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # inf - inf of a rejected member
+        amax = np.abs(S).max(axis=(1, 2))
+        # _jacobi's symmetry guard, entry for entry
+        symmetric = (np.abs(S - ST) <= (1e-12 * np.maximum(1.0, amax))
+                     [:, None, None] + 1e-5 * np.abs(ST)).all(axis=(1, 2))
+    # finite, nonzero, symmetric and inside _jacobi's unscaled range
+    ids = np.flatnonzero(symmetric & (amax >= 2.0 ** -511)
+                         & (amax <= 2.0 ** 511 / n))
+    A0 = 0.5 * (S[ids] + ST[ids])
+    if vectors:
+        X = np.empty((len(ids), n, 2 * n))
+        X[:, :, :n], X[:, :, n:] = A0, np.eye(n)
+    else:
+        X = A0.copy()
+    rel = np.arange(len(ids))  # each row of X as a row of A0
+    norm = np.sqrt(np.einsum("bij,bij->b", A0, A0))
+    off_diagonal = 1.0 - np.eye(n)
+    for sweep in range(max_sweeps):
+        D = X[:, :, :n] * off_diagonal
+        off = np.sqrt(np.einsum("bij,bij->b", D, D))
+        tol = JACOBI_TOL * norm[rel]
+        done = off <= tol * (1.0 - _SCREEN_MARGIN)
+        # below 1e-150 the squares may be subnormal, with no relative bound
+        unsure = (~done & (off <= tol * (1.0 + _SCREEN_MARGIN))) \
+            | (tol < 1e-150)
+        for j in np.flatnonzero(unsure):
+            done[j] = _off_norm(X[j]) <= JACOBI_TOL * _own_norm(A0[rel[j]])
+        for j in np.flatnonzero(done):
+            out[ids[rel[j]]] = (X[j].diagonal().copy(), X[j])
+        X, rel = X[~done], rel[~done]
+        if len(X) < _STACK_MIN:
+            # the last few finish one at a time, from where they are
+            for j in range(len(X)):
+                try:
+                    B = _converge(X[j].copy(), _own_norm(A0[rel[j]]),
+                                  max_sweeps - sweep)
+                except NumericError:
+                    continue  # its own call raises the error
+                out[ids[rel[j]]] = (B.diagonal().copy(), B)
+            break
+        _stacked_sweep(X)
+    return out
+
+
+def _own_norm(A):
+    """np.linalg.norm of A as ``_jacobi`` takes it, on a fresh array."""
+    return np.linalg.norm(A.copy())
+
+
+def _stacked_sweep(X):
+    """One cyclic sweep, in place, of every member of the (b, n, w) stack
+    X, whose first n columns are A: one rotation (p, q) across the stack
+    per step, in ``_cyclic_sweep``'s order and with its IEEE operations.
+
+    t is copysign(1 / (|theta| + sqrt(theta^2 + 1)), theta + 0.0): the
+    sign of a division by a positive number is exact, and + 0.0 makes a
+    -0.0 theta +0.0, so theta == 0 gives ``_cyclic_sweep``'s t = 1.0.  A
+    member whose pair skips keeps its rows and columns by selection, not
+    by a c = 1, s = 0 rotation, since x - 0 * y turns -0.0 into 0.0; then
+    its a_pq and a_qp are set to 0.0.  Its theta may be inf or nan, with
+    the warnings off once for the whole sweep; it is never used.
+    """
+    n = X.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in range(n - 1):
+            rp, cp = X[:, p], X[:, :, p]
+            for q in range(p + 1, n):
+                rq, cq = X[:, q], X[:, :, q]
+                apq, app, aqq = rp[:, q], rp[:, p], rq[:, q]
+                skip = np.abs(apq) <= np.maximum(
+                    1e-300, 1e-20 * (np.abs(app) + np.abs(aqq)))
+                theta = (aqq - app) / (2.0 * apq)
+                t = np.copysign(1.0 / (np.abs(theta)
+                                       + np.sqrt(theta * theta + 1.0)),
+                                theta + 0.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = (t * c)[:, None]
+                c = c[:, None]
+                turn = ~skip[:, None] if skip.any() else True
+                _turn(rp, rq, c, s, turn)
+                _turn(cp, cq, c, s, turn)
+                if turn is not True:
+                    apq[skip] = 0.0
+                    X[:, q, p][skip] = 0.0
+
+
+def _turn(x, y, c, s, where):
+    """x, y <- c x - s y, s x + c y, in place, where ``where`` holds."""
+    new_x, new_y = c * x - s * y, s * x + c * y
+    np.copyto(x, new_x, where=where)
+    np.copyto(y, new_y, where=where)
 
 
 def _paired_layout(n: int):

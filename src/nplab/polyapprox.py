@@ -22,9 +22,12 @@ iteration error sits within a factor 1 + rho^(2L) of the (2/lam_min) rho^L
 bound, which is far below double-precision resolution at large L, so the
 exact verification of the bound at depth 40 (`polyapprox.inverse_bounds`)
 uses `chebyshev_exact_check`, the closed form T_L(u)/T_L(u0) in mpmath,
-rather than the float64 matrix recurrence.  `schedule_spectral_error_exact`
-evaluates any schedule's node product in mpmath; it is the oracle that
-closed form is tested against.
+rather than the float64 matrix recurrence.  It and `neumann_exact_check`
+take a sequence of depths and compute what does not depend on the depth
+(each eigenvalue's acos(u) or |1 - lambda/b|, acosh(u0), rho) once per
+spectrum; at the four depths of `polyapprox.inverse_bounds` that halves
+their time.  `schedule_spectral_error_exact` evaluates any schedule's node
+product in mpmath; it is the oracle that closed form is tested against.
 """
 
 from __future__ import annotations
@@ -211,52 +214,76 @@ def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule) -> float:
         return float(worst)
 
 
-def chebyshev_exact_check(eigenvalues, L: int):
-    """Exact-arithmetic check of the depth-L iteration bound on a spectrum.
+def chebyshev_exact_check(eigenvalues, depths):
+    """Exact-arithmetic check of the depth-L iteration bound on a spectrum,
+    for each L in ``depths``.
 
     Builds the interval, nodes and bound in 80 significant digits from the
     given eigenvalues and evaluates the residual through the closed form
     r(lambda) = T_L(u(lambda)) / T_L(u0), which equals the node product
-    identically.  Returns (error, bound, margin); margin is positive in
-    exact arithmetic for every spectrum, but only by a factor rho^(2L),
-    far below float64 resolution at large depth.
+    identically.  Returns one (error, bound, margin) per depth; margin is
+    positive in exact arithmetic for every spectrum, but only by a factor
+    rho^(2L), far below float64 resolution at large depth.  What does not
+    depend on L (each acos(u), acosh(u0) and rho) is computed once; every
+    mpmath operation is the one a single-depth evaluation makes, so each
+    float returned is too.
     """
     import mpmath as mp
-    if L < 1:
-        raise InputError("depth must be at least 1")
+    depths = _depths(depths)
     with mp.workdps(80):
-        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
-        a, b = min(lams), max(lams)
-        if a <= 0:
-            raise InputError("spectrum must be positive")
+        lams, a, b = _exact_spectrum(eigenvalues)
         if a == b:
-            return 0.0, float(2 / a), float(2 / a)
-        u0 = (b + a) / (b - a)
-        TL0 = mp.cosh(L * mp.acosh(u0))
-        err = mp.mpf(0)
-        for lam in lams:
-            u = (b + a - 2 * lam) / (b - a)
-            u = max(mp.mpf(-1), min(mp.mpf(1), u))
-            err = max(err, abs(mp.cos(L * mp.acos(u))) / (lam * TL0))
+            return [(0.0, float(2 / a), float(2 / a)) for _ in depths]
+        acosh_u0 = mp.acosh((b + a) / (b - a))
+        acos_u = [mp.acos(max(mp.mpf(-1), min(mp.mpf(1),
+                                              (b + a - 2 * lam) / (b - a))))
+                  for lam in lams]
         rho = (mp.sqrt(b / a) - 1) / (mp.sqrt(b / a) + 1)
-        bound = 2 / a * rho ** L
-        return float(err), float(bound), float(bound - err)
+        out = []
+        for L in depths:
+            TL0 = mp.cosh(L * acosh_u0)
+            err = mp.mpf(0)
+            for lam, angle in zip(lams, acos_u):
+                err = max(err, abs(mp.cos(L * angle)) / (lam * TL0))
+            bound = 2 / a * rho ** L
+            out.append((float(err), float(bound), float(bound - err)))
+        return out
 
 
-def neumann_exact_check(eigenvalues, L: int):
+def neumann_exact_check(eigenvalues, depths):
     """Exact-arithmetic counterpart for the truncated geometric series, in
-    80 significant digits."""
+    80 significant digits: one (error, bound, margin) per depth, with each
+    |1 - lambda/b| and 1 - a/b computed once."""
     import mpmath as mp
-    if L < 1:
-        raise InputError("depth must be at least 1")
+    depths = _depths(depths)
     with mp.workdps(80):
-        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
-        a, b = min(lams), max(lams)
-        if a <= 0:
-            raise InputError("spectrum must be positive")
-        err = max(abs(1 - lam / b) ** L / lam for lam in lams)
-        bound = (1 - a / b) ** L / a
-        return float(err), float(bound), float(bound - err)
+        lams, a, b = _exact_spectrum(eigenvalues)
+        steps = [abs(1 - lam / b) for lam in lams]
+        step_min = 1 - a / b
+        out = []
+        for L in depths:
+            err = max(g ** L / lam for g, lam in zip(steps, lams))
+            bound = step_min ** L / a
+            out.append((float(err), float(bound), float(bound - err)))
+        return out
+
+
+def _depths(depths):
+    depths = list(depths)
+    if any(L < 1 for L in depths):
+        raise InputError("depth must be at least 1")
+    return depths
+
+
+def _exact_spectrum(eigenvalues):
+    """The eigenvalues as mpf at the working precision, and their extremes;
+    the extremes must be positive."""
+    import mpmath as mp
+    lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
+    a, b = min(lams), max(lams)
+    if a <= 0:
+        raise InputError("spectrum must be positive")
+    return lams, a, b
 
 
 def depth_to_target(form: str, lambda_min: float, lambda_max: float,

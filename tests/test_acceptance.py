@@ -132,8 +132,8 @@ def test_criterion_06_chebyshev_upper_bound():
         n = int(rng.integers(4, 17))
         kappa = float(rng.uniform(2.0, 100.0))
         _, lams = random_spd(rng, n, kappa)
-        for L in range(1, 41):
-            err, bound, margin = polyapprox.chebyshev_exact_check(lams, L)
+        for err, bound, margin in polyapprox.chebyshev_exact_check(
+                lams, range(1, 41)):
             min_margin = min(min_margin, margin)
             if margin <= 0:
                 break

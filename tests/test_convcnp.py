@@ -14,6 +14,7 @@ from nplab.convcnp import (CirculantOperator, GridSpec, circulant,
                            softplus, trig_minimax_error, wrapped_kernel_row)
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, eval_kernel
+from nplab.lab import ExperimentConfig, run_experiment
 from nplab.tnp import fd_jacobian
 
 RBF = KernelSpec(family="rbf")
@@ -367,11 +368,22 @@ class TestDepthSupport:
         assert entry["degree"] == 0 and entry["layers"] == 0
 
     def test_grid_too_small_for_layers(self):
+        # the degree is found, but its layers do not fit the grid: the eps
+        # is recorded as not achieved, like one past the largest degree
         grid = GridSpec(n=8, spacing=0.5)
         row = nearest_neighbor_row(2.5, 0.75, 8)
-        with pytest.raises(InputError):
-            depth_support_experiment(RBF, grid, p=5, eps_targets=[1e-8],
-                                     first_row=row)
+        rep = depth_support_experiment(RBF, grid, p=5, eps_targets=[1e-8],
+                                       first_row=row)
+        assert rep["required"][1e-8] == {"degree": None, "layers": None,
+                                         "achieved": False}
+
+    @pytest.mark.parametrize("params", [{"n": 2}, {"support": 256}])
+    def test_layers_that_do_not_fit_still_give_a_report(self, params):
+        report = run_experiment(ExperimentConfig("convcnp.depth_support",
+                                                 params, 0))
+        assert report.error is None
+        coverage = {c.name: c for c in report.checks}["coverage_ok"]
+        assert coverage.value == 1.0
 
 
 class TestIncomparability:

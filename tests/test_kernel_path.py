@@ -160,3 +160,58 @@ def test_two_point_weight_takes_scalar_points():
     spec = KernelSpec(family="matern", nu=2.5)
     assert np.array_equal(two_point_weight(spec, 0.0, 2.0, 0.5),
                           _reference_two_point_weight(spec, 0.0, 2.0, 0.5))
+
+
+def _reference_eval_kernel(spec, x, x2):
+    """`eval_kernel` as it was written with np.atleast_1d and
+    np.linalg.norm, frozen as the oracle of its leaner form."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    q = np.atleast_1d(np.asarray(x2, dtype=float))
+    if p.ndim != 1 or q.ndim != 1 or p.shape != q.shape:
+        raise InputError("bad points")
+    if spec.family == "scaled":
+        return (spec.amplitude(p) * spec.amplitude(q)
+                * _reference_eval_kernel(spec.base, p, q))
+    if spec.family == "polynomial":
+        return (1.0 + float(p @ q) / spec.lengthscale**2) ** spec.degree
+    r = float(np.linalg.norm(p - q)) / spec.lengthscale
+    if spec.family == "rbf":
+        return np.exp(-0.5 * r * r)
+    if spec.nu == 0.5:
+        return np.exp(-r)
+    if spec.nu == 1.5:
+        a = np.sqrt(3.0) * r
+        return (1.0 + a) * np.exp(-a)
+    a = np.sqrt(5.0) * r
+    return (1.0 + a + a * a / 3.0) * np.exp(-a)
+
+
+def _point_pairs():
+    """Pairs in 1, 2 and 3 dimensions, as scalars where 1-d, at ordinary
+    distances, at distances whose square overflows (1e200) and at
+    subnormal ones."""
+    rng = np.random.default_rng(0)
+    pairs = [(0.3, -1.2), (np.float64(2.0), np.array([2.5])), (0.0, -0.0)]
+    for d in (1, 2, 3):
+        for scale in (1.0, 1e200, 1e-310):
+            for _ in range(4):
+                x = rng.normal(size=d) * scale
+                pairs.append((x, x + rng.normal(size=d) * scale))
+                pairs.append((x, x))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", SPECS + [
+    KernelSpec(family="polynomial", degree=3, lengthscale=1.5)],
+    ids=SPEC_IDS + ["polynomial"])
+def test_lean_eval_kernel_matches_norm_reference(spec):
+    for x, x2 in _point_pairs():
+        if spec.family == "scaled" and np.ndim(x) == 0:
+            continue  # the amplitude map reads x[0] of a point
+        # both forms overflow alike at 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eval_kernel(spec, x, x2)
+            want = _reference_eval_kernel(spec, x, x2)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.signbit(got) == np.signbit(want)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from nplab.errors import InputError
 from nplab.kernels import (DEFAULT_JITTER_SCALE, KernelSpec, eval_kernel,
-                           gram_spectrum, kernel_matrix, spectrum_of)
+                           gram_spectra, gram_spectrum, kernel_matrix,
+                           spectrum_of)
 from nplab.linalg import jacobi_eigh
 
 RBF = KernelSpec(family="rbf")
@@ -149,3 +150,20 @@ def test_jacobi_agrees_with_lapack_on_grams():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(InputError):
         jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_gram_spectra_match_gram_spectrum_bit_for_bit():
+    # one stack of 4-point Grams, with a 3-point and a 40-point one
+    rng = np.random.default_rng(2)
+    specs = [KernelSpec(), KernelSpec(family="matern", nu=0.5),
+             KernelSpec(family="matern", nu=2.5, lengthscale=0.6)]
+    entries = [(specs[i % 3], np.cumsum(0.3 + rng.uniform(0, 0.4, n))
+                .reshape(-1, 1)) for i, n in enumerate([4] * 7 + [3, 40])]
+    for got, (spec, X) in zip(gram_spectra(entries), entries):
+        want = gram_spectrum(spec, X)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert got.eigenvectors.strides == want.eigenvectors.strides
+    with pytest.raises(InputError):
+        gram_spectra([(specs[0], [[0.0], [np.inf]])])

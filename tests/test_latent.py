@@ -57,6 +57,23 @@ class TestRankKLatent:
                         m=np.zeros(1), S=np.eye(1), sigma2=-0.1)
 
 
+    @pytest.mark.parametrize("S, message", [
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+        (np.array([[1.0, np.inf], [-np.inf, 1.0]]), "symmetric"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "symmetric"),
+        (np.array([[1.0, 0.5], [0.5 + 1e-4, 1.0]]), "symmetric")])
+    def test_covariance_guard_decides_as_allclose(self, S, message):
+        # a symmetric inf reaches the eigensolver's non-finite error, as
+        # under np.allclose
+        with pytest.raises(InputError, match=message):
+            RankKLatent(k=2, a=lambda x: np.zeros(2), b=lambda x: 0.0,
+                        m=np.zeros(2), S=S)
+        near = np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]])
+        assert np.allclose(near, near.T, atol=1e-10)
+        RankKLatent(k=2, a=lambda x: np.zeros(2), b=lambda x: 0.0,
+                    m=np.zeros(2), S=near)
+
+
 class TestCovarianceRank:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_noiseless_cov_rank_at_most_k(self, k):
@@ -76,7 +93,7 @@ class TestCovarianceRank:
         rng = np.random.default_rng(3)
         X_C = (np.cumsum(0.6 + rng.uniform(0, 0.3, 5))).reshape(-1, 1)
         X_T = X_C + 0.27
-        out = gp_cov_rank_check(RBF, X_C, X_T)
+        [out] = gp_cov_rank_check([(RBF, X_C, X_T)])
         assert out["rank"] == out["m"]
         assert out["min_eig"] > 1e-10
 
@@ -84,9 +101,23 @@ class TestCovarianceRank:
         # the context Gram inside posterior_cov, then the covariance's
         # eigenvalues alone
         X_C = np.array([[0.0], [0.8], [1.7], [2.9]])
-        out = gp_cov_rank_check(RBF, X_C, X_C + 0.35)
+        [out] = gp_cov_rank_check([(RBF, X_C, X_C + 0.35)])
         assert jacobi_calls == [1, 1]
         assert out["rank"] == out["m"] == 4
+
+    def test_gp_cov_rank_check_entries_match_single_entries(self):
+        # one call over many entries gives each entry's single-entry result
+        rng = np.random.default_rng(5)
+        matern = KernelSpec(family="matern", nu=0.5)
+        entries = []
+        for i in range(9):
+            pts = np.cumsum(0.4 + rng.uniform(0, 0.5, 10)).reshape(-1, 1)
+            n_c = 4 if i < 6 else 2 + i % 3
+            entries.append((RBF if i % 2 else matern, pts[:n_c], pts[n_c:]))
+        got = gp_cov_rank_check(entries)
+        want = [gp_cov_rank_check([entry])[0] for entry in entries]
+        assert got == want
+        assert gp_cov_rank_check([]) == []
 
     def test_cov_rank_model_loop_factors_values_only(self, jacobi_calls):
         # per model: the latent covariance's PSD check and the predictive

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from nplab import linalg
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, kernel_matrix
-from nplab.linalg import ROUND_ROBIN_MIN_N, jacobi_eigh, jacobi_eigvalsh
+from nplab.linalg import (ROUND_ROBIN_MIN_N, jacobi_eigh, jacobi_eigh_many,
+                          jacobi_eigvalsh, jacobi_eigvalsh_many)
 from nplab.tnp import eig_family
 
 RBF = KernelSpec(family="rbf")
@@ -529,3 +530,169 @@ def test_one_by_one_at_the_float_limits():
     top = np.finfo(float).max
     assert jacobi_eigh([[top]])[0][0] == top
     assert jacobi_eigh([[-5e-324]])[0][0] == -5e-324
+
+
+# -- stacks: jacobi_eigh_many and jacobi_eigvalsh_many ---------------------
+
+GENERATORS = [rbf_gram, random_symmetric, low_rank_psd, equal_diagonal,
+              equal_diagonal_matching, signed_zeros, near_skip_threshold]
+
+
+def own_calls(solve, matrices, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    """[solve(M) for M in matrices], or the first exception it raises."""
+    out = []
+    for M in matrices:
+        try:
+            out.append(solve(M, max_sweeps=max_sweeps))
+        except (InputError, NumericError) as err:
+            return err
+    return out
+
+
+def assert_same_results(got, want, vectors):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if vectors:
+            assert same_bits(g[0], w[0]) and same_bits(g[1], w[1])
+            assert g[1].strides == w[1].strides
+        else:
+            assert same_bits(g, w)
+
+
+@pytest.fixture
+def stacked(monkeypatch):
+    """Count the stacks formed and the lockstep sweeps made, to know the
+    stack was taken."""
+    count = {"stacks": 0, "sweeps": 0}
+
+    def counting(name, key):
+        original = getattr(linalg, name)
+
+        def counted(*args):
+            count[key] += 1
+            return original(*args)
+        monkeypatch.setattr(linalg, name, counted)
+
+    counting("_sweep_stack", "stacks")
+    counting("_stacked_sweep", "sweeps")
+    return count
+
+
+@pytest.mark.parametrize("n, margin", [
+    (n, linalg._SCREEN_MARGIN) for n in (2, 3, 4, 5, 8, 16, 31)]
+    # margin inf sends every convergence test to the member's own norms
+    + [(3, np.inf), (8, np.inf)])
+@pytest.mark.parametrize("make", GENERATORS)
+def test_stack_matches_own_calls_bit_for_bit(make, n, margin, monkeypatch,
+                                             stacked):
+    monkeypatch.setattr(linalg, "_SCREEN_MARGIN", margin)
+    matrices = [make(n, seed) for seed in range(n, n + 6)]
+    assert_same_results(jacobi_eigh_many(matrices),
+                        own_calls(jacobi_eigh, matrices), vectors=True)
+    assert_same_results(jacobi_eigvalsh_many(matrices),
+                        own_calls(jacobi_eigvalsh, matrices), vectors=False)
+    assert stacked["stacks"] == 2
+
+
+def test_stack_stragglers_finish_on_their_own(stacked):
+    # four diagonal members leave at the first test, so the two that need
+    # sweeps finish one at a time from where the stack left them
+    matrices = ([np.diag([1.0, -0.0, 3.0, 2.0, 5.0]) * k for k in (1, 2, 3, 4)]
+                + [random_symmetric(5, 1), rbf_gram(5, 2)])
+    assert_same_results(jacobi_eigh_many(matrices),
+                        own_calls(jacobi_eigh, matrices), vectors=True)
+    assert stacked == {"stacks": 1, "sweeps": 0}
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_stack_stragglers_keep_their_own_budget(vectors, stacked):
+    # rbf_gram(5, 2) needs six sweeps and random_symmetric(5, 1) five, so
+    # as stragglers they finish at max_sweeps = 6 and fail at 5 and 4 as
+    # their own calls do
+    many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
+                 else (jacobi_eigvalsh_many, jacobi_eigvalsh))
+    matrices = ([np.diag([1.0, 3.0, 2.0, 5.0, 4.0]) * k for k in (1, 2, 3, 4)]
+                + [random_symmetric(5, 1), rbf_gram(5, 2)])
+    for max_sweeps in (4, 5, 6):
+        want = own_calls(own, matrices, max_sweeps)
+        if isinstance(want, NumericError):
+            with pytest.raises(NumericError) as got:
+                many(matrices, max_sweeps=max_sweeps)
+            assert got.value.residual == want.residual
+        else:
+            assert max_sweeps == 6
+            assert_same_results(many(matrices, max_sweeps=max_sweeps), want,
+                                vectors)
+    assert stacked == {"stacks": 3, "sweeps": 0}
+
+
+def mixed_list():
+    """One stack of 5 x 5 members, with a 1 x 1, a 33 x 33, a member that
+    needs the power-of-two scaling, a zero matrix and a lone 3 x 3 among
+    them."""
+    return ([random_symmetric(5, seed) for seed in range(4)]
+            + [np.array([[2.0]]), random_symmetric(33, 1),
+               random_symmetric(5, 9) * 2.0 ** -700, np.zeros((5, 5)),
+               rbf_gram(5, 3), random_symmetric(3, 2),
+               low_rank_psd(5, 4)])
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_stack_mixed_list_matches_own_calls(vectors):
+    many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
+                 else (jacobi_eigvalsh_many, jacobi_eigvalsh))
+    matrices = mixed_list()
+    assert_same_results(many(matrices), own_calls(own, matrices), vectors)
+
+
+def asymmetric():
+    A = random_symmetric(5, 7)
+    A[0, 1] += 1e-3
+    return A
+
+
+def non_finite():
+    A = random_symmetric(5, 8)
+    A[2, 3] = A[3, 2] = np.inf
+    return A
+
+
+@pytest.mark.parametrize("bad", [asymmetric, non_finite,
+                                 lambda: [[1.0, 2.0], [3.0]]],
+                         ids=["asymmetric", "non-finite", "ragged"])
+@pytest.mark.parametrize("numeric_first", [True, False])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_stack_raises_the_first_failing_member(bad, numeric_first, vectors):
+    # with two sweeps the random 5 x 5 members fail and the diagonal ones
+    # converge; the error raised is the first in input order, with its
+    # own message and residual
+    many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
+                 else (jacobi_eigvalsh_many, jacobi_eigvalsh))
+    diagonal = [np.diag([3.0, 1.0, 2.0, 5.0, 4.0]) * k for k in (1, 2, 3)]
+    failing = [random_symmetric(5, seed) for seed in range(4)]
+    matrices = diagonal + ([failing[0], bad()] if numeric_first
+                           else [bad(), failing[0]]) + failing[1:]
+    want = own_calls(own, matrices, max_sweeps=2)
+    assert isinstance(want, NumericError if numeric_first else InputError)
+    with pytest.raises(type(want)) as got:
+        many(matrices, max_sweeps=2)
+    assert str(got.value) == str(want)
+    assert getattr(got.value, "residual", None) == \
+        getattr(want, "residual", None)
+
+
+def test_stack_budget_residual_matches_own_call(stacked):
+    matrices = [random_symmetric(6, seed) for seed in range(6)]
+    for max_sweeps in (0, 1, 3):
+        want = own_calls(jacobi_eigh, matrices, max_sweeps)
+        with pytest.raises(NumericError) as got:
+            jacobi_eigh_many(matrices, max_sweeps=max_sweeps)
+        assert str(got.value) == str(want)
+        assert got.value.residual == want.residual
+    assert stacked["stacks"] == 3 and stacked["sweeps"] == 4
+
+
+def test_stack_takes_no_three_d_array_through_jacobi_eigh():
+    with pytest.raises(InputError):
+        jacobi_eigh(np.stack([np.eye(3)] * 4))
+    assert jacobi_eigh_many([]) == [] and jacobi_eigvalsh_many([]) == []

@@ -114,8 +114,8 @@ class TestApplySchedule:
 class TestExactChecks:
     def test_margin_positive_at_all_depths(self):
         _, lams = random_spd(5, kappa=80.0)
-        for L in (1, 5, 20, 40):
-            err, bound, margin = chebyshev_exact_check(lams, L)
+        for err, bound, margin in chebyshev_exact_check(lams,
+                                                        (1, 5, 20, 40)):
             assert margin > 0
             assert err <= bound
 
@@ -123,18 +123,18 @@ class TestExactChecks:
         _, lams = random_spd(9, kappa=25.0)
         sched = chebyshev_schedule(lams[0], lams[-1], 3)
         err_f64 = schedule_spectral_error_exact(lams, sched)
-        err_mp, _, _ = chebyshev_exact_check(lams, 3)
+        [(err_mp, _, _)] = chebyshev_exact_check(lams, [3])
         assert err_f64 == pytest.approx(err_mp, rel=1e-10)
 
     def test_neumann_equality_at_lambda_min(self):
         # the spectrum contains lambda_min, where the bound is attained
         _, lams = random_spd(2, kappa=40.0)
-        err, bound, margin = neumann_exact_check(lams, 7)
+        [(err, bound, margin)] = neumann_exact_check(lams, [7])
         assert err == pytest.approx(bound, rel=1e-12)
         assert margin >= 0
 
     def test_degenerate_spectrum(self):
-        err, bound, margin = chebyshev_exact_check([2.0, 2.0, 2.0], 5)
+        [(err, bound, margin)] = chebyshev_exact_check([2.0, 2.0, 2.0], [5])
         assert err == 0.0 and margin > 0
 
 
@@ -231,7 +231,7 @@ class TestMinimaxOracle:
 @given(st.integers(0, 10_000), st.integers(1, 12))
 def test_exact_check_dominates_float64_error(seed, L):
     _, lams = random_spd(seed, n=6, kappa=float(10 + seed % 90))
-    err, bound, margin = chebyshev_exact_check(lams, L)
+    [(err, bound, margin)] = chebyshev_exact_check(lams, [L])
     assert 0 <= err <= bound and margin > 0
 
 
@@ -239,7 +239,7 @@ def test_exact_check_dominates_float64_error(seed, L):
 @given(st.integers(0, 10_000), st.integers(1, 12))
 def test_neumann_exact_check_property(seed, L):
     _, lams = random_spd(seed, n=6, kappa=float(10 + seed % 90))
-    err, bound, margin = neumann_exact_check(lams, L)
+    [(err, bound, margin)] = neumann_exact_check(lams, [L])
     assert 0 <= err <= bound * (1 + 1e-15) and margin >= -1e-300
 
 
@@ -342,3 +342,77 @@ class TestRemezBitIdentical:
         fast = both()
         loop_scan()
         assert both() == fast
+
+
+def _reference_chebyshev_exact_check(eigenvalues, L):
+    """The single-depth check as it was written before it took a sequence
+    of depths, frozen as the oracle of the depth-free reuse."""
+    import mpmath as mp
+    if L < 1:
+        raise InputError("depth must be at least 1")
+    with mp.workdps(80):
+        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
+        a, b = min(lams), max(lams)
+        if a <= 0:
+            raise InputError("spectrum must be positive")
+        if a == b:
+            return 0.0, float(2 / a), float(2 / a)
+        u0 = (b + a) / (b - a)
+        TL0 = mp.cosh(L * mp.acosh(u0))
+        err = mp.mpf(0)
+        for lam in lams:
+            u = (b + a - 2 * lam) / (b - a)
+            u = max(mp.mpf(-1), min(mp.mpf(1), u))
+            err = max(err, abs(mp.cos(L * mp.acos(u))) / (lam * TL0))
+        rho = (mp.sqrt(b / a) - 1) / (mp.sqrt(b / a) + 1)
+        bound = 2 / a * rho ** L
+        return float(err), float(bound), float(bound - err)
+
+
+def _reference_neumann_exact_check(eigenvalues, L):
+    import mpmath as mp
+    if L < 1:
+        raise InputError("depth must be at least 1")
+    with mp.workdps(80):
+        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
+        a, b = min(lams), max(lams)
+        if a <= 0:
+            raise InputError("spectrum must be positive")
+        err = max(abs(1 - lam / b) ** L / lam for lam in lams)
+        bound = (1 - a / b) ** L / a
+        return float(err), float(bound), float(bound - err)
+
+
+EXACT_CHECKS = [(chebyshev_exact_check, _reference_chebyshev_exact_check),
+                (neumann_exact_check, _reference_neumann_exact_check)]
+
+
+@pytest.mark.parametrize("check, reference", EXACT_CHECKS)
+@pytest.mark.parametrize("seed", range(6))
+def test_depth_sequence_matches_single_depth_reference(check, reference,
+                                                       seed):
+    # the depths polyapprox.inverse_bounds runs, repeated and unordered
+    # ones, on spectra with and without a repeated extreme
+    rng = np.random.default_rng(seed)
+    _, lams = random_spd(seed, n=int(rng.integers(4, 17)),
+                         kappa=float(rng.uniform(2.0, 1000.0)))
+    if seed % 2:
+        lams = np.concatenate([lams, lams[:1], lams[-1:]])
+    depths = [1, 3, 5, 40, 100, 7, 3]
+    got = check(lams, depths)
+    assert got == [reference(lams, L) for L in depths]
+
+
+@pytest.mark.parametrize("check, reference", EXACT_CHECKS)
+def test_depth_sequence_edge_cases(check, reference):
+    flat = [2.0, 2.0, 2.0]
+    assert check(flat, [1, 5]) == [reference(flat, 1), reference(flat, 5)]
+    assert check([0.5, 1.0], []) == []
+    for bad_depths, lams in (([3, 0], [0.5, 1.0]), ([2], [0.0, 1.0]),
+                             ([2], [-1.0, 1.0])):
+        with pytest.raises(InputError) as got:
+            check(lams, bad_depths)
+        with pytest.raises(InputError) as want:
+            for L in bad_depths:
+                reference(lams, L)
+        assert str(got.value) == str(want.value)

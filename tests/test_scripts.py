@@ -1,6 +1,9 @@
 """Smoke runs of the documented scripts on this checkout's sources."""
 
+import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +44,57 @@ def test_bench_pair_help():
     for flag in ("--base", "--head", "--workdir", "--out", "--workload",
                  "--seed-from"):
         assert flag in proc.stdout
+
+
+def load_bench_pair():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pair", SCRIPTS / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_tier1_run_times_one_side(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text(
+        "def test_one():\n    assert True\n\n\n"
+        "def test_two():\n    assert False\n")
+    seconds, outcome = load_bench_pair().run_tier1(tmp_path)
+    assert seconds > 0.0
+    assert "1 failed, 1 passed" in outcome
+
+
+def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
+    bench_pair = load_bench_pair()
+    root = SCRIPTS.parent
+    tier1 = {}
+
+    def export(treeish, dest):
+        dest.mkdir(parents=True)
+        shutil.copy(root / "BENCHMARK.json", dest / "BENCHMARK.json")
+
+    def run_tier1(side):
+        tier1[side.name] = 12.5 if side.name == "base" else 10.0
+        return tier1[side.name], "9 passed"
+
+    def run_bench(side, workload, seed, seconds):
+        metrics = {"setup_s": 0.3, "cold_run_s": 1.0, "pass_s": 0.5,
+                   "peak_rss_mb": 45.0}
+        return {"seed": seed, "exit": 0, "correct": True, "attempted": 1,
+                "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "git", lambda *argv, **kw: "abc123\n")
+    monkeypatch.setattr(bench_pair, "export", export)
+    monkeypatch.setattr(bench_pair, "run_tier1", run_tier1)
+    monkeypatch.setattr(bench_pair, "run_bench", run_bench)
+    out = tmp_path / "pair.json"
+    code = bench_pair.main(["--base", "b", "--head", "h", "--workdir",
+                            str(tmp_path / "work"), "--out", str(out),
+                            "--workload", "hierarchy"])
+    assert code == 0
+    written = json.loads(out.read_text())
+    assert written["tier1_s"] == {"base": 12.5, "head": 10.0}
+    assert written["tier1_outcome"] == {"base": "9 passed",
+                                        "head": "9 passed"}
+    assert set(tier1) == {"base", "head"}
