@@ -147,8 +147,7 @@ def pca_encoder_ratio(W_tilde: np.ndarray, d: int):
 
 def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
                          spec: Optional[KernelSpec] = None,
-                         n_targets: int = 2000, seed: int = 0,
-                         n_random_encoders: int = 30) -> dict:
+                         n_targets: int = 2000, seed: int = 0) -> dict:
     """Relative MSE of the best d-dimensional linear encoder against the
     1 - d/n floor.
 
@@ -156,7 +155,7 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
     singular values (scaled orthogonal), so the optimal ratio is 1 - d/n
     to rounding.  MonteCarloStationary samples i.i.d. locations, builds the
     whitened GP weight rows K^{1/2} w(x_t), and reports the measured ratio
-    next to the same floor.
+    next to the same floor, and the best ratio of 30 random encoders.
     """
     if not (1 <= d <= n):
         raise InputError("need 1 <= d <= n")
@@ -184,10 +183,9 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
     bound = 1.0 - d / n
 
     rng_enc = stream(seed, "cnp", "pca_bound", "random_encoders")
-    random_ratios = []
-    for _ in range(n_random_encoders):
-        A = rng_enc.normal(size=(d, n))
-        random_ratios.append(_relative_mse_for_projection(W_tilde, A))
+    best_random = min(
+        _relative_mse_for_projection(W_tilde, rng_enc.normal(size=(d, n)))
+        for _ in range(30))
 
     return {
         "mode": mode,
@@ -196,7 +194,7 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
         "measured_ratio": ratio,
         "bound": bound,
         "deviation_from_bound": ratio - bound,
-        "best_random_encoder_ratio": float(min(random_ratios)) if random_ratios else float("nan"),
+        "best_random_encoder_ratio": best_random,
     }
 
 

@@ -215,9 +215,10 @@ def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
 # Jacobian factorization in frequency space
 
 def circulant_jacobian(filters: Sequence, d_coeffs: Sequence[float],
-                       w_hat: CirculantOperator, g_hat: CirculantOperator,
-                       h_prime: float) -> CirculantOperator:
-    """J_hat(k) = g_hat(k) prod_l (1 + d_l tau_hat_l(k)) h'(0) w_hat(k).
+                       w_hat: CirculantOperator,
+                       g_hat: CirculantOperator) -> CirculantOperator:
+    """J_hat(k) = g_hat(k) prod_l (1 + d_l tau_hat_l(k)) h'(0) w_hat(k),
+    with h'(0) = 1 for the tanh encoder of ``grid_forward_map``.
 
     Filters are first rows (shorter rows are zero-padded to length n).
     """
@@ -226,7 +227,7 @@ def circulant_jacobian(filters: Sequence, d_coeffs: Sequence[float],
         raise InputError("operator sizes disagree")
     if len(filters) != len(d_coeffs):
         raise InputError("need one derivative coefficient per filter")
-    symbol = g_hat.dft_eigenvalues * h_prime * w_hat.dft_eigenvalues
+    symbol = g_hat.dft_eigenvalues * w_hat.dft_eigenvalues
     acc = np.ones(n, dtype=complex)
     for row, d in zip(filters, d_coeffs):
         row = np.asarray(row, dtype=float)
@@ -281,12 +282,12 @@ def grid_forward_map(filters: Sequence, w_row, g_row) -> Callable:
 
 
 def full_support_solve(K_hat: CirculantOperator, g_hat: CirculantOperator,
-                       w_hat: CirculantOperator, h_prime: float,
-                       d1: float) -> np.ndarray:
+                       w_hat: CirculantOperator, d1: float) -> np.ndarray:
     """Single full-support filter making the one-layer Jacobian invert the
-    Gram exactly: tau_hat(k) = (1/(lam_k g_hat h' w_hat) - 1)/d1."""
-    if d1 == 0 or h_prime == 0:
-        raise InputError("d1 and h'(0) must be nonzero")
+    Gram exactly: tau_hat(k) = (1/(lam_k g_hat w_hat) - 1)/d1, with
+    h'(0) = 1 as in ``circulant_jacobian``."""
+    if d1 == 0:
+        raise InputError("d1 must be nonzero")
     lam = K_hat.dft_eigenvalues
     if np.max(np.abs(lam.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
         raise NumericError("Gram symbol is not real",
@@ -294,7 +295,7 @@ def full_support_solve(K_hat: CirculantOperator, g_hat: CirculantOperator,
     # drop roundoff imaginaries before inverting; 1/lam amplifies them
     # catastrophically at small eigenvalues
     lam = lam.real
-    denom = lam * g_hat.dft_eigenvalues * h_prime * w_hat.dft_eigenvalues
+    denom = lam * g_hat.dft_eigenvalues * w_hat.dft_eigenvalues
     if np.min(np.abs(denom)) < 1e-300 or np.min(np.abs(lam)) < 1e-300:
         raise NumericError("singular frequency in full-support solve",
                            residual=float(np.min(np.abs(denom))))

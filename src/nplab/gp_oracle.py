@@ -63,24 +63,23 @@ def posterior_mean(spec: KernelSpec, X_C, y_C, x_t,
 
 
 def _check_distinct(points: np.ndarray, what: str):
-    """Raise on the first pair i < j, in row order, whose points are
-    ``np.allclose(points[i], points[j], atol=1e-12)``."""
+    """Raise on a non-finite point, then on the first pair i < j, in row
+    order, whose points are ``np.allclose(points[i], points[j],
+    atol=1e-12)``."""
+    if not np.isfinite(points).all():
+        raise InputError("locations must be finite")
     x, y = points[:, None, :], points[None, :, :]
-    if np.isfinite(points).all():
-        # np.isclose's own expression on finite points, without its call
-        close = np.abs(x - y) <= 1e-12 + 1e-5 * np.abs(y)
-    else:
-        close = np.isclose(x, y, atol=1e-12)
-    close = close.all(axis=2)
+    # np.isclose's own expression on finite points, without its call
+    close = (np.abs(x - y) <= 1e-12 + 1e-5 * np.abs(y)).all(axis=2)
     rows, cols = np.nonzero(np.triu(close, k=1))
     if rows.size:
         raise DegenerateConfigurationError(
             f"duplicated {what} at indices {rows[0]}, {cols[0]}")
 
 
-def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0,
+def posterior_cov(spec: KernelSpec, X_C, X_T,
                   spectrum: Optional[GramSpectrum] = None) -> np.ndarray:
-    """Posterior covariance K_TT - K_TC K^{-1} K_CT + sigma2 I.
+    """Posterior covariance K_TT - K_TC K^{-1} K_CT, noise-free.
 
     ``spectrum``, when given, must be ``gram_spectrum(spec, X_C)``, as in
     ``posterior_weights``.
@@ -91,8 +90,7 @@ def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0,
         return np.zeros((0, 0))
     Xc = np.atleast_2d(np.asarray(X_C, dtype=float))
     if Xc.size == 0:
-        prior = kernel_matrix(spec, Xt)
-        return prior + sigma2 * np.eye(m)
+        return kernel_matrix(spec, Xt)
     allpts = np.vstack([Xc, Xt])
     _check_distinct(allpts, "point")
     K_TT = kernel_matrix(spec, Xt)
@@ -101,7 +99,7 @@ def posterior_cov(spec: KernelSpec, X_C, X_T, sigma2: float = 0.0,
     if S.n != Xc.shape[0]:
         raise InputError(f"spectrum of a {S.n}-point Gram given for "
                          f"{Xc.shape[0]} context points")
-    cov = K_TT - K_TC @ S.solve(K_TC.T) + sigma2 * np.eye(m)
+    cov = K_TT - K_TC @ S.solve(K_TC.T)
     return 0.5 * (cov + cov.T)
 
 

@@ -583,8 +583,7 @@ def _run_jacobian(params, seed):
         forward = convcnp.grid_forward_map(filters, w_row, g_row)
         J_fd = tnp.fd_jacobian(forward, np.zeros(n))
         symbol_fd = convcnp.frequency_diagonal(J_fd)
-        fact = convcnp.circulant_jacobian(filters, [0.5] * L, w_hat, g_hat,
-                                          h_prime=1.0)
+        fact = convcnp.circulant_jacobian(filters, [0.5] * L, w_hat, g_hat)
         worst = max(worst, float(np.max(np.abs(
             symbol_fd - fact.dft_eigenvalues))))
     return [Check("max_frequency_deviation", worst, 1e-5, "<=")]
@@ -607,10 +606,9 @@ def _run_full_support(params, seed):
         e0[0] = 1.0
         g_hat = convcnp.circulant(e0)
         w_hat = convcnp.circulant(e0)
-        filt = convcnp.full_support_solve(K_hat, g_hat, w_hat, h_prime=1.0,
+        filt = convcnp.full_support_solve(K_hat, g_hat, w_hat,
                                           d1=params["d1"])
-        J = convcnp.circulant_jacobian([filt], [params["d1"]], w_hat, g_hat,
-                                       h_prime=1.0)
+        J = convcnp.circulant_jacobian([filt], [params["d1"]], w_hat, g_hat)
         dev = float(np.max(np.abs(
             J.dft_eigenvalues * K_hat.dft_eigenvalues.real - 1.0)))
         worst = max(worst, dev)
@@ -637,7 +635,10 @@ def _run_pure_no_gp(params, seed):
     "convcnp.depth_support",
     "Depth needed at bounded filter support to invert the grid spectrum, "
     "with the decay-slope check on an affine-symbol grid operator.",
-    {"n": Param(64, 2, 256), "support": Param(4, 2, 256),
+    # n >= 26: the n-point grid has n // 2 + 1 distinct cosines, which a
+    # degree-12 fit interpolates to rounding unless n // 2 > 12, and the
+    # slope is fit over degrees 4, 6, ..., 12
+    {"n": Param(64, 26, 256), "support": Param(4, 2, 256),
      "eps_targets": Param([1e-1, 1e-2, 1e-3], 1e-12, 1.0),
      "slope_a": Param(2.5, 0.01, 100.0), "slope_b": Param(0.75, 0.01, 50.0)},
     "layer count x per-layer degree covers the required degree; slope "
@@ -817,7 +818,6 @@ def _run_bottleneck_lift(params, seed):
     m2 = latent.latent_predictive(builder(enc.mean_encoding(other)),
                                   np.array([[0.5], [1.5]]))
     separated = float(np.max(np.abs(m1["mean"] - m2["mean"])))
-    # encoder_bottleneck_lift calls the lift identical when both gaps <= 1e-6
     return [Check("max_predictive_gap",
                   max(rep["max_mean_gap"], rep["max_cov_gap"]), 1e-6, "<="),
             Check("non_collision_gap", separated, 1e-3, ">")]

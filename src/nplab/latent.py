@@ -43,14 +43,12 @@ class RankKLatent:
             raise InputError("latent mean/covariance shape mismatch")
         if self.sigma2 < 0:
             raise InputError("observation noise must be nonnegative")
+        if not (np.isfinite(m).all() and np.isfinite(S).all()):
+            raise InputError(
+                "latent mean or covariance has non-finite entries")
         if self.k > 0:
-            if np.isfinite(S).all():
-                # np.allclose's own expression on a finite S, without its call
-                symmetric = (np.abs(S - S.T) <= 1e-10
-                             + 1e-5 * np.abs(S.T)).all()
-            else:
-                symmetric = np.allclose(S, S.T, atol=1e-10)
-            if not symmetric:
+            # np.allclose(S, S.T, atol=1e-10) on a finite S, without its call
+            if not (np.abs(S - S.T) <= 1e-10 + 1e-5 * np.abs(S.T)).all():
                 raise InputError("latent covariance must be symmetric")
             vals = jacobi_eigvalsh(0.5 * (S + S.T))
             if vals[0] < -1e-10:
@@ -77,11 +75,11 @@ def latent_predictive(model: RankKLatent, X_T) -> dict:
     return {"mean": mean, "cov": 0.5 * (cov + cov.T)}
 
 
-def numerical_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """Number of eigenvalues above ``rel_tol`` times their absolute sum."""
+def numerical_rank(eigenvalues: np.ndarray) -> int:
+    """Number of eigenvalues above 1e-10 times their absolute sum."""
     vals = np.asarray(eigenvalues, dtype=float)
     tr = max(float(np.sum(np.abs(vals))), 1e-300)
-    return int(np.count_nonzero(vals > rel_tol * tr))
+    return int(np.count_nonzero(vals > 1e-10 * tr))
 
 
 def gp_cov_rank_check(entries) -> list:
@@ -99,7 +97,7 @@ def gp_cov_rank_check(entries) -> list:
                 if np.size(X_C) and len(np.atleast_2d(X_T))]
     spectra = dict(zip(factored, gram_spectra(
         [entries[i][:2] for i in factored])))
-    covs = [posterior_cov(spec, X_C, X_T, sigma2=0.0, spectrum=spectra.get(i))
+    covs = [posterior_cov(spec, X_C, X_T, spectrum=spectra.get(i))
             for i, (spec, X_C, X_T) in enumerate(entries)]
     return [{"min_eig": float(vals[0]), "rank": numerical_rank(vals),
              "m": cov.shape[0]}
@@ -223,5 +221,4 @@ def encoder_bottleneck_lift(encoder, C, C2, builder: Callable,
         "encoding_gap": gap,
         "max_mean_gap": max_mean_gap,
         "max_cov_gap": max_cov_gap,
-        "identical": max_mean_gap <= 1e-6 and max_cov_gap <= 1e-6,
     }

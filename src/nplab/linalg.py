@@ -24,10 +24,11 @@ its pair.
 Many small matrices are factored by ``jacobi_eigh_many`` and
 ``jacobi_eigvalsh_many``, which sweep each group of same-size matrices
 below ``ROUND_ROBIN_MIN_N`` as one (b, n, n) stack in lockstep: one numpy
-step turns the pair (p, q) of every member.  Each member still gets the
-IEEE operations of its own cyclic sweep in the same order, so its result
-is its own call's bit for bit, at a fraction of the per-call overhead
-that dominates at these sizes.
+step turns the pair (p, q) of every member, and a member stays in the
+stack until it converges or its sweep budget runs out.  Each member still
+gets the IEEE operations of its own cyclic sweep in the same order, so its
+result, or its budget error, is its own call's bit for bit, at a fraction
+of the per-call overhead that dominates at these sizes.
 
 The lab deliberately carries its own eigensolver so that spectra entering
 the experiments do not depend on the LAPACK build; ``numpy.linalg.eigh``
@@ -153,11 +154,12 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
       threshold, far wider than any difference a summation order makes
       (about n^2 u), and the member's own 2-D ``np.linalg.norm`` decides
       it inside; a member that passes leaves the stack, so its sweep
-      count is its own, and once fewer than ``_STACK_MIN`` are left they
-      finish one at a time from where they are;
-    - a member that ``_jacobi`` would reject, scale or return unswept,
-      and one whose budget runs out, takes its own call, so errors,
-      messages and residuals are its own too.
+      count is its own, and the others sweep on in the stack, however few
+      are left;
+    - a member whose budget runs out gets the error of its own call, with
+      the same message and the off-diagonal residual of its own swept B;
+    - a member that ``_jacobi`` would reject, scale or return unswept
+      takes its own call, so its errors and results are its own too.
 
     A finite matrix whose Frobenius norm overflows, or underflows to zero,
     is swept at an exact power-of-two scale and its eigenvalues scaled
@@ -285,7 +287,12 @@ def _converge(B, norm, max_sweeps):
             B = np.array(rows)
         else:
             _round_robin_sweep(B, layout)
-    raise NumericError(
+    raise _budget_error(B, max_sweeps)
+
+
+def _budget_error(B, max_sweeps):
+    """The NumericError of a B still unconverged after max_sweeps sweeps."""
+    return NumericError(
         f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
         residual=float(_off_norm(B)))
 
@@ -336,9 +343,10 @@ def _jacobi_many(matrices, max_sweeps, vectors):
 
     Members of one size n, 2 <= n < ROUND_ROBIN_MIN_N, go to
     ``_sweep_stack`` together when there are at least ``_STACK_MIN`` of
-    them.  Every member the stack does not finish takes its own ``_jacobi``
-    call, in input order, so the first member whose call raises raises
-    here, and nothing is raised before it.
+    them.  Every member the stack does not take has its own ``_jacobi``
+    call, and the results and errors are taken in input order, so the
+    first member whose own call raises raises here, and nothing is raised
+    before it.
     """
     matrices = list(matrices)
     groups = {}
@@ -357,8 +365,12 @@ def _jacobi_many(matrices, max_sweeps, vectors):
             for i, res in zip(ids, _sweep_stack(np.array(Ms), max_sweeps,
                                                 vectors)):
                 out[i] = res
-    return [_jacobi(matrix, max_sweeps, vectors) if res is None else res
-            for matrix, res in zip(matrices, out)]
+    for i, res in enumerate(out):
+        if res is None:
+            out[i] = _jacobi(matrices[i], max_sweeps, vectors)
+        elif isinstance(res, NumericError):
+            raise res
+    return out
 
 
 # Fewest same-size members swept as one stack; a smaller group is swept a
@@ -377,10 +389,10 @@ def _sweep_stack(S, max_sweeps, vectors):
     swept in lockstep; see jacobi_eigh for why each result is bit-identical
     to the member's own call.
 
-    Returns one (eigenvalues in diagonal order, B) per member, or None for
-    a member the stack leaves to its own ``_jacobi`` call: one that
-    ``_jacobi`` would reject, scale or return unswept, and one whose
-    sweep budget runs out.
+    Returns one (eigenvalues in diagonal order, B) per member, the
+    NumericError of a member whose sweep budget runs out, or None for a
+    member the stack leaves to its own ``_jacobi`` call: one that
+    ``_jacobi`` would reject, scale or return unswept.
     """
     b, n = len(S), S.shape[1]
     out = [None] * b
@@ -402,7 +414,7 @@ def _sweep_stack(S, max_sweeps, vectors):
     rel = np.arange(len(ids))  # each row of X as a row of A0
     norm = np.sqrt(np.einsum("bij,bij->b", A0, A0))
     off_diagonal = 1.0 - np.eye(n)
-    for sweep in range(max_sweeps):
+    for _ in range(max_sweeps):
         D = X[:, :, :n] * off_diagonal
         off = np.sqrt(np.einsum("bij,bij->b", D, D))
         tol = JACOBI_TOL * norm[rel]
@@ -415,17 +427,11 @@ def _sweep_stack(S, max_sweeps, vectors):
         for j in np.flatnonzero(done):
             out[ids[rel[j]]] = (X[j].diagonal().copy(), X[j])
         X, rel = X[~done], rel[~done]
-        if len(X) < _STACK_MIN:
-            # the last few finish one at a time, from where they are
-            for j in range(len(X)):
-                try:
-                    B = _converge(X[j].copy(), _own_norm(A0[rel[j]]),
-                                  max_sweeps - sweep)
-                except NumericError:
-                    continue  # its own call raises the error
-                out[ids[rel[j]]] = (B.diagonal().copy(), B)
+        if not len(X):
             break
         _stacked_sweep(X)
+    for j in range(len(X)):
+        out[ids[rel[j]]] = _budget_error(X[j], max_sweeps)
     return out
 
 

@@ -108,7 +108,7 @@ def product_schedule(alphas) -> PolySchedule:
                         coefficients=tuple(float(a) for a in alphas))
 
 
-def eval_schedule_poly_vals(form: str, coefficients,
+def schedule_inverse_values(schedule: PolySchedule,
                             lam: np.ndarray) -> np.ndarray:
     """Scalar value of the schedule's polynomial at each lambda.
 
@@ -116,21 +116,17 @@ def eval_schedule_poly_vals(form: str, coefficients,
     p(lambda) = prod(1 + alpha_l lambda) itself.
     """
     lam = np.asarray(lam, dtype=float)
-    if form == PRODUCT:
+    if schedule.form == PRODUCT:
         out = np.ones_like(lam)
-        for a in coefficients:
+        for a in schedule.coefficients:
             out *= 1.0 + a * lam
         return out
-    if form == CHEBYSHEV:
+    if schedule.form == CHEBYSHEV:
         r = np.ones_like(lam)
-        for c in coefficients:
+        for c in schedule.coefficients:
             r *= 1.0 - c * lam
         return (1.0 - r) / lam
-    raise InputError(f"unknown schedule form {form!r}")
-
-
-def schedule_inverse_values(schedule: PolySchedule, lam: np.ndarray) -> np.ndarray:
-    return eval_schedule_poly_vals(schedule.form, schedule.coefficients, lam)
+    raise InputError(f"unknown schedule form {schedule.form!r}")
 
 
 def apply_schedule(matvec, schedule: PolySchedule,
@@ -324,7 +320,6 @@ class MinimaxResult:
     interval: Tuple[float, float]
     error: float
     witness_coefficients: Tuple[float, ...]  # Chebyshev basis on the interval
-    grid_size: int
 
     def evaluate(self, x) -> np.ndarray:
         a, b = self.interval
@@ -456,19 +451,19 @@ def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
         bracket=(float(level), float(np.max(np.abs(fs - design @ coeffs)))))
 
 
-def minimax_oracle(a: float, b: float, degree: int,
-                   grid_size: int = DEFAULT_GRID) -> MinimaxResult:
-    """Best sup-norm polynomial approximation to 1/mu on a uniform grid."""
+def minimax_oracle(a: float, b: float, degree: int) -> MinimaxResult:
+    """Best sup-norm polynomial approximation to 1/mu on a uniform grid of
+    ``DEFAULT_GRID`` points, which holds at least 10 (degree + 2)."""
     if not (0 < a < b):
         raise InputError("need 0 < a < b")
     if degree < 0:
         raise InputError("degree must be nonnegative")
-    if grid_size < 10 * (degree + 2):
-        raise InputError("grid_size must be at least 10*(degree+2)")
-    xs = np.linspace(a, b, grid_size)
+    if degree > DEFAULT_GRID // 10 - 2:
+        raise InputError(f"degree must be at most {DEFAULT_GRID // 10 - 2}")
+    xs = np.linspace(a, b, DEFAULT_GRID)
     coeffs, error = remez_discrete(xs, 1.0 / xs, degree)
     return MinimaxResult(degree=degree, interval=(a, b), error=float(error),
-                         witness_coefficients=coeffs, grid_size=grid_size)
+                         witness_coefficients=coeffs)
 
 
 def chebyshev_barrier(a: float, b: float, L: int) -> float:
@@ -488,9 +483,9 @@ def chebyshev_barrier(a: float, b: float, L: int) -> float:
 
 def equioscillation_count(result: MinimaxResult) -> int:
     """Number of sign alternations of the witness residual at its extrema
-    on the result's own grid."""
+    on ``minimax_oracle``'s grid."""
     a, b = result.interval
-    xs = np.linspace(a, b, result.grid_size)
+    xs = np.linspace(a, b, DEFAULT_GRID)
     resid = 1.0 / xs - result.evaluate(xs)
     near = np.abs(resid) >= result.error * (1.0 - 1e-6)
     signs = np.sign(resid[near])

@@ -62,7 +62,7 @@ def test_criterion_02_cnp_lower_bound():
     worst_margin = np.inf
     for n, d in [(4, 2), (8, 2), (16, 4)]:
         out = cnp.pca_bound_experiment(n, d, mode=cnp.SYNTHETIC_ISOTROPIC,
-                                       seed=0, n_random_encoders=30)
+                                       seed=0)
         worst_dev = max(worst_dev, abs(out["deviation_from_bound"]))
         worst_margin = min(worst_margin,
                            out["best_random_encoder_ratio"]
@@ -228,7 +228,7 @@ def test_criterion_08_jacobians():
         Jm = tnp.fd_jacobian(lambda y: Fmap(y), np.zeros(n))
         pred = convcnp.circulant_jacobian(
             filters, [0.5] * n_layers, convcnp.circulant(w_row),
-            convcnp.circulant(g_row), h_prime=1.0)
+            convcnp.circulant(g_row))
         symbol_fd = np.diag(Fm @ Jm @ Fm.conj().T / n)
         conv_gap = max(conv_gap, float(np.max(np.abs(
             symbol_fd - pred.dft_eigenvalues))))
@@ -260,8 +260,8 @@ def test_criterion_10_full_support():
         e0 = np.zeros(n)
         e0[0] = 1.0
         ident = convcnp.circulant(e0)
-        tau = convcnp.full_support_solve(K, ident, ident, h_prime=1.0, d1=0.5)
-        J = convcnp.circulant_jacobian([tau], [0.5], ident, ident, 1.0)
+        tau = convcnp.full_support_solve(K, ident, ident, d1=0.5)
+        J = convcnp.circulant_jacobian([tau], [0.5], ident, ident)
         worst = max(worst, float(np.max(np.abs(
             J.dft_eigenvalues * K.dft_eigenvalues.real - 1.0))))
     ok = worst <= 1e-8

@@ -164,6 +164,5 @@ class TestMomentEncoding:
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 5))
 def test_pca_never_above_floor_plus_rounding(seed, d):
-    out = pca_bound_experiment(8, d, mode=SYNTHETIC_ISOTROPIC, seed=seed,
-                               n_random_encoders=0)
+    out = pca_bound_experiment(8, d, mode=SYNTHETIC_ISOTROPIC, seed=seed)
     assert out["measured_ratio"] <= out["bound"] + 1e-10

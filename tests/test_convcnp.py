@@ -207,8 +207,7 @@ class TestJacobianFactorization:
         F = grid_forward_map(filters, w_row, g_row)
         J = fd_jacobian(lambda y: F(y), np.zeros(n))
         pred = circulant_jacobian(filters, [0.5] * len(filters),
-                                  circulant(w_row), circulant(g_row),
-                                  h_prime=1.0)
+                                  circulant(w_row), circulant(g_row))
         Fm = dft_matrix(n)
         symbol_fd = np.diag(Fm @ J @ Fm.conj().T / n)
         assert np.max(np.abs(symbol_fd - pred.dft_eigenvalues)) <= 1e-5
@@ -278,8 +277,7 @@ class TestJacobianFactorization:
     def test_filter_count_mismatch(self):
         with pytest.raises(InputError):
             circulant_jacobian([np.ones(3)], [0.5, 0.5],
-                               circulant(np.ones(8)), circulant(np.ones(8)),
-                               1.0)
+                               circulant(np.ones(8)), circulant(np.ones(8)))
 
 
 class TestFullSupport:
@@ -293,8 +291,8 @@ class TestFullSupport:
         e0 = np.zeros(n)
         e0[0] = 1.0
         ident = circulant(e0)
-        tau = full_support_solve(K, ident, ident, h_prime=1.0, d1=0.5)
-        J = circulant_jacobian([tau], [0.5], ident, ident, 1.0)
+        tau = full_support_solve(K, ident, ident, d1=0.5)
+        J = circulant_jacobian([tau], [0.5], ident, ident)
         resid = np.abs(J.dft_eigenvalues * K.dft_eigenvalues - 1.0)
         assert np.max(resid) <= 1e-8
 
@@ -302,7 +300,7 @@ class TestFullSupport:
         K = circulant(np.array([2.0, 0.5, 0.1, 0.5]))
         e0 = circulant(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(InputError):
-            full_support_solve(K, e0, e0, h_prime=1.0, d1=0.0)
+            full_support_solve(K, e0, e0, d1=0.0)
 
 
 class TestDepthSupport:
@@ -377,7 +375,10 @@ class TestDepthSupport:
         assert rep["required"][1e-8] == {"degree": None, "layers": None,
                                          "achieved": False}
 
-    @pytest.mark.parametrize("params", [{"n": 2}, {"support": 256}])
+    # a filter as wide as the smallest declared grid, and the widest filter
+    # on the default grid: no layer count fits either grid
+    @pytest.mark.parametrize("params", [{"n": 26, "support": 26},
+                                        {"support": 256}])
     def test_layers_that_do_not_fit_still_give_a_report(self, params):
         report = run_experiment(ExperimentConfig("convcnp.depth_support",
                                                  params, 0))

@@ -147,6 +147,10 @@ class TestDegenerateParams:
         # distinct points has kappa <= 1
         ("tnp.gp_pipeline", {"n": 1}),
         ("tnp.gp_pipeline", {"max_kappa": 1.0}),
+        # below 26 points degree 12 interpolates the grid's n // 2 + 1
+        # distinct cosines, and the decay slope is fit to rounding noise
+        ("convcnp.depth_support", {"n": 2}),
+        ("convcnp.depth_support", {"n": 25}),
     ])
     def test_nothing_to_check_is_usage_error(self, eid, params):
         with pytest.raises(UsageError):

@@ -595,35 +595,41 @@ def test_stack_matches_own_calls_bit_for_bit(make, n, margin, monkeypatch,
 
 
 def test_stack_stragglers_finish_on_their_own(stacked):
-    # four diagonal members leave at the first test, so the two that need
-    # sweeps finish one at a time from where the stack left them
+    # four diagonal members leave at the first test, and the two that need
+    # sweeps go on in the stack: five lockstep sweeps for rbf_gram(5, 2)
     matrices = ([np.diag([1.0, -0.0, 3.0, 2.0, 5.0]) * k for k in (1, 2, 3, 4)]
                 + [random_symmetric(5, 1), rbf_gram(5, 2)])
     assert_same_results(jacobi_eigh_many(matrices),
                         own_calls(jacobi_eigh, matrices), vectors=True)
-    assert stacked == {"stacks": 1, "sweeps": 0}
+    assert stacked == {"stacks": 1, "sweeps": 5}
 
 
 @pytest.mark.parametrize("vectors", [True, False])
-def test_stack_stragglers_keep_their_own_budget(vectors, stacked):
-    # rbf_gram(5, 2) needs six sweeps and random_symmetric(5, 1) five, so
-    # as stragglers they finish at max_sweeps = 6 and fail at 5 and 4 as
-    # their own calls do
+def test_stack_stragglers_keep_their_own_budget(vectors, stacked,
+                                               monkeypatch):
+    # rbf_gram(5, 2) converges at the test before a sixth sweep and
+    # random_symmetric(5, 1) at the one before a fifth, so in the stack they
+    # finish at max_sweeps = 6 and fail at 5 and 4 as their own calls do,
+    # after 4 + 5 + 5 lockstep sweeps, and no member takes its own call
     many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
                  else (jacobi_eigvalsh_many, jacobi_eigvalsh))
     matrices = ([np.diag([1.0, 3.0, 2.0, 5.0, 4.0]) * k for k in (1, 2, 3, 4)]
                 + [random_symmetric(5, 1), rbf_gram(5, 2)])
-    for max_sweeps in (4, 5, 6):
-        want = own_calls(own, matrices, max_sweeps)
+    wants = {max_sweeps: own_calls(own, matrices, max_sweeps)
+             for max_sweeps in (4, 5, 6)}
+    monkeypatch.setattr(linalg, "_jacobi",
+                        lambda *args: pytest.fail("a member took its call"))
+    for max_sweeps, want in wants.items():
         if isinstance(want, NumericError):
             with pytest.raises(NumericError) as got:
                 many(matrices, max_sweeps=max_sweeps)
+            assert str(got.value) == str(want)
             assert got.value.residual == want.residual
         else:
             assert max_sweeps == 6
             assert_same_results(many(matrices, max_sweeps=max_sweeps), want,
                                 vectors)
-    assert stacked == {"stacks": 3, "sweeps": 0}
+    assert stacked == {"stacks": 3, "sweeps": 14}
 
 
 def mixed_list():

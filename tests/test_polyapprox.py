@@ -10,7 +10,8 @@ from nplab.convcnp import (GridSpec, circular_convolve,
                            trig_minimax_error, wrapped_kernel_row)
 from nplab.errors import ContractError, InputError, NumericError
 from nplab.kernels import KernelSpec, spectrum_of
-from nplab.polyapprox import (CHEBYSHEV, NEUMANN, PRODUCT, chebyshev_barrier,
+from nplab.polyapprox import (CHEBYSHEV, DEFAULT_GRID, NEUMANN, PRODUCT,
+                              chebyshev_barrier,
                               chebyshev_error_bound, chebyshev_exact_check,
                               chebyshev_rho, chebyshev_schedule,
                               depth_to_target, equioscillation_count,
@@ -224,7 +225,7 @@ class TestMinimaxOracle:
         with pytest.raises(InputError):
             minimax_oracle(0.5, 1.0, -1)
         with pytest.raises(InputError):
-            minimax_oracle(0.5, 1.0, 5, grid_size=20)
+            minimax_oracle(0.5, 1.0, DEFAULT_GRID // 10 - 1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,6 +7,11 @@ in the acceptance criteria (``tests/test_acceptance.py``).  A name that
 none of these reach is dead code unless it is listed below with the reason
 it stays: an oracle that tests compare nplab against, or a witness of one
 of the paper's claims that no experiment runs yet.
+
+Likewise every defaulted parameter of a public top-level function must be
+passed, by keyword or by position, by a call in one of those places: an
+option that nothing sets is a constant, unless it is listed in
+``UNPASSED_OPTIONS`` with the reason it stays.
 """
 
 import ast
@@ -34,6 +39,18 @@ WITNESSES = (
     ("cnp.ols_moment_encoder",
      "constructive half of the CNP feature claim: finitely many sum-pooled "
      "moments represent OLS exactly"),
+)
+
+_BUDGET = ("the only way a test reaches the sweep-budget error without "
+           "patching a module global")
+
+UNPASSED_OPTIONS = (
+    ("linalg.jacobi_eigh.max_sweeps", _BUDGET),
+    ("linalg.jacobi_eigvalsh.max_sweeps", _BUDGET),
+    ("linalg.jacobi_eigh_many.max_sweeps", _BUDGET),
+    ("linalg.jacobi_eigvalsh_many.max_sweeps", _BUDGET),
+    ("cli.main.argv", "None reads sys.argv, as the console entry point "
+     "needs; tests pass an argument list"),
 )
 
 
@@ -111,3 +128,82 @@ def test_only_kernels_names_eval_kernel():
                 _names_in(tree) | imported:
             naming.append(path.stem)
     assert not naming, f"modules that name eval_kernel: {naming}"
+
+
+def _defaulted_parameters():
+    """(module.function.parameter, position) of every parameter with a
+    default of a public top-level function; position is None for a
+    keyword-only parameter."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(f"{path.stem}.{node.name}.{arg.arg}", i)
+                    for i, arg in enumerate(positional) if i >= first]
+            out += [(f"{path.stem}.{node.name}.{arg.arg}", None)
+                    for arg, default in zip(args.kwonlyargs,
+                                            args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def _passed_arguments():
+    """Callee name -> (keywords passed, most positional arguments passed)
+    over every call in a user file, leaving out the calls inside the
+    callee's own top-level definition."""
+    passed = {}
+    for path in USERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else
+                        None)
+                if name is None or name == own:
+                    continue
+                keywords, most = passed.get(name, (set(), 0))
+                passed[name] = (keywords | {k.arg for k in node.keywords},
+                                max(most, len(node.args)))
+    return passed
+
+
+def _unpassed_options():
+    passed = _passed_arguments()
+    unpassed = []
+    for qualified, position in _defaulted_parameters():
+        function, parameter = qualified.split(".")[1:]
+        keywords, most = passed.get(function, (set(), 0))
+        if parameter not in keywords and \
+                (position is None or most <= position):
+            unpassed.append(qualified)
+    return unpassed
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    kept = dict(UNPASSED_OPTIONS)
+    unpassed = [q for q in _unpassed_options() if q not in kept]
+    assert not unpassed, (
+        f"defaulted parameters that no experiment, script, benchmark or "
+        f"acceptance criterion passes: {unpassed}; make them constants, or "
+        f"list them in UNPASSED_OPTIONS with the reason they stay")
+
+
+def test_unpassed_options_are_current():
+    # a listed option must exist, still have no caller and say why
+    unpassed = set(_unpassed_options())
+    for qualified, reason in UNPASSED_OPTIONS:
+        assert qualified in unpassed, (
+            f"{qualified} is not an unpassed option; drop it from the list")
+        assert reason.strip(), f"{qualified} needs a reason"
+    assert len(dict(UNPASSED_OPTIONS)) == len(UNPASSED_OPTIONS), \
+        "an option is listed twice"

