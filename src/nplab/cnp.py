@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_mean
-from .kernels import KernelSpec
+from .kernels import KernelSpec, cross_vector, gram_spectrum
 from .rng import stream
 
 
@@ -166,7 +166,6 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
     elif mode == MONTE_CARLO_STATIONARY:
         if spec is None:
             raise InputError("MonteCarloStationary needs a kernel spec")
-        from .kernels import cross_vector, gram_spectrum
         rng = stream(seed, "cnp", "pca_bound", "montecarlo")
         X_C = rng.uniform(-2.0, 2.0, size=(n, 1))
         S = gram_spectrum(spec, X_C)

@@ -28,8 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .anp import nadaraya_watson
 from .cnp import ContextSet
 from .errors import InputError, NumericError
+from .gp_oracle import posterior_mean
 from .kernels import KernelSpec, kernel_matrix
 from .polyapprox import (apply_schedule, chebyshev_error_bound,
                          chebyshev_rho, chebyshev_schedule, remez_discrete)
@@ -424,7 +426,6 @@ def equivariance_defect(spec: KernelSpec, C: ContextSet, x_t,
     """|F(C + shift, x_t + shift) - F(C, x_t)| for the kernel smoother;
     zero for stationary kernels, generically positive for amplitude-scaled
     non-stationary ones."""
-    from .anp import nadaraya_watson
     shifted = ContextSet(C.locations + shift, C.values)
     base = nadaraya_watson(spec, C, x_t)
     moved = nadaraya_watson(
@@ -451,8 +452,6 @@ def pure_convcnp_counterexample(spec: KernelSpec,
         offsets = cfg.locations.ravel() / spacing
         if np.max(np.abs(offsets - np.round(offsets))) > 1e-12:
             raise InputError("counterexample locations must sit on the grid")
-    from .anp import nadaraya_watson
-    from .gp_oracle import posterior_mean
     pure_a = nadaraya_watson(spec, config_a, x_t)
     pure_b = nadaraya_watson(spec, config_b, x_t)
     gp_a = posterior_mean(spec, config_a.locations, config_a.values[:, 0], x_t)

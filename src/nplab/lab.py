@@ -387,6 +387,10 @@ def _run_eig_family(params, seed):
             Check("spectrum_deviation", dev_spec, 1e-10, "<=")]
 
 
+# contexts tnp.gp_pipeline draws before it gives up; each draw factors a Gram
+_PIPELINE_DRAWS = 200
+
+
 @register(
     "tnp.gp_pipeline",
     "Chebyshev-iteration attention stack solves the Gram system and reads "
@@ -402,16 +406,21 @@ def _run_eig_family(params, seed):
                 lambda p: p["max_kappa"] > 1),))
 def _run_gp_pipeline(params, seed):
     spec = _rbf(params["lengthscale"])
-    for attempt in range(200):
+    max_kappa = params["max_kappa"]
+    best = np.inf  # smallest kappa of a rejected draw
+    for attempt in range(_PIPELINE_DRAWS):
         rng = stream(seed, "tnp.gp_pipeline", attempt)
         gaps = params["min_separation"] + rng.uniform(0.0, 0.4, params["n"])
         xs = np.cumsum(gaps)
         S = gram_spectrum(spec, xs.reshape(-1, 1))
-        if S.kappa <= params["max_kappa"]:
+        if S.kappa <= max_kappa:
             break
+        best = min(best, S.kappa)
     else:
-        raise NumericError("could not sample a well-conditioned context",
-                           lambda_min=S.lambda_min)
+        raise NumericError(
+            f"no context of {params['n']} points had kappa <= {max_kappa:g} "
+            f"in {_PIPELINE_DRAWS} draws; the best kappa was {best:.6g}",
+            bracket=(best, max_kappa))
     y = rng.normal(size=params["n"])
     C = cnp.ContextSet(xs.reshape(-1, 1), y.reshape(-1, 1))
     x_t = rng.uniform(0.0, 12.0, 1)
@@ -865,10 +874,15 @@ def hierarchy_configs(seed: int = 0) -> list:
 
 
 def run_suite(configs) -> dict:
-    """Validate every config before the first runs, then run each."""
+    """Validate every config before the first runs, then run each; two
+    configs of one experiment, params and seed are a usage error."""
     configs = [validate_config(c) for c in configs]
     if not configs:
         raise UsageError("suite expansion is empty")
+    keys = [(c.experiment_id, _param_hash(c.params), c.seed) for c in configs]
+    for eid, _, seed in (k for k in keys if keys.count(k) > 1):
+        raise UsageError(f"{eid} is listed twice with the same params and "
+                         f"seed {seed}")
     reports = [_run_guarded(c) for c in configs]
     reports.sort(key=lambda r: (r.experiment_id, _param_hash(r.params)))
     overall = all(not r.failed for r in reports)
@@ -883,15 +897,21 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def write_reports(reports, out_dir, fmt: str = "both") -> list:
-    """One JSON file per report plus a flat CSV summary; returns paths."""
+    """One JSON file per report plus a flat CSV summary; returns paths.
+
+    A report's file is named by its experiment and params hash, and by its
+    seed too where another report of the same write shares both."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
-        for report in reports:
-            name = (report.experiment_id.replace(".", "_")
-                    + "_" + _param_hash(report.params) + ".json")
-            path = out / name
+        names = [r.experiment_id.replace(".", "_") + "_"
+                 + _param_hash(r.params) for r in reports]
+        shared = {name for name in names if names.count(name) > 1}
+        for report, name in zip(reports, names):
+            if name in shared:
+                name += f"_seed{report.seed}"
+            path = out / (name + ".json")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")

@@ -21,6 +21,7 @@ from .gp_oracle import posterior_cov
 from .kernels import (KernelSpec, cross_vector, gram_spectra, gram_spectrum,
                       kernel_matrix)
 from .linalg import jacobi_eigh, jacobi_eigvalsh, jacobi_eigvalsh_many
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,6 @@ def encoder_bottleneck_lift(encoder, C, C2, builder: Callable,
                             n_target_sets: int = 20, seed: int = 0) -> dict:
     """Route two equal-encoding contexts through the same encoding-to-latent
     map and compare the predictives on random sets of three targets."""
-    from .rng import stream
     enc1 = encoder.mean_encoding(C)
     enc2 = encoder.mean_encoding(C2)
     gap = float(np.linalg.norm(enc1 - enc2))

@@ -21,14 +21,19 @@ products of same-shape arrays, with no index gathers or scatters, and it
 does the same IEEE operations on every entry as the cyclic rotation of
 its pair.
 
-Many small matrices are factored by ``jacobi_eigh_many`` and
-``jacobi_eigvalsh_many``, which sweep each group of same-size matrices
-below ``ROUND_ROBIN_MIN_N`` as one (b, n, n) stack in lockstep: one numpy
-step turns the pair (p, q) of every member, and a member stays in the
-stack until it converges or its sweep budget runs out.  Each member still
-gets the IEEE operations of its own cyclic sweep in the same order, so its
-result, or its budget error, is its own call's bit for bit, at a fraction
-of the per-call overhead that dominates at these sizes.
+Every call goes through one dispatcher, ``_jacobi_many``: a single
+matrix is a list of one.  It checks each matrix's shape, and ``_prepare``
+validates, symmetrizes, scales and takes the norm of each group of
+same-size matrices below ``ROUND_ROBIN_MIN_N`` (and of each larger matrix
+alone) as one (b, n, n) array; that is the only validation.
+Only n and the size of the group then choose the sweep: a group of at
+least ``_STACK_MIN`` matrices below ``ROUND_ROBIN_MIN_N`` is swept as one
+stack in lockstep, one numpy step turning the pair (p, q) of every member,
+and every other matrix is swept alone, in cyclic order on lists or in
+round-robin order.  A stacked member still gets the IEEE operations of
+its own cyclic sweep in the same order, so its result, or its budget
+error, is its own call's bit for bit, at a fraction of the per-call
+overhead that dominates at these sizes.
 
 The lab deliberately carries its own eigensolver so that spectra entering
 the experiments do not depend on the LAPACK build; ``numpy.linalg.eigh``
@@ -37,20 +42,22 @@ is used only as an independent oracle in the test suite.
 
 from __future__ import annotations
 
-from math import copysign, sqrt
+from functools import lru_cache
+from math import copysign, frexp, isfinite, sqrt
 
 import numpy as np
 
 from .errors import InputError, NumericError
 
 JACOBI_TOL = 1e-12
+# The sweep budget, read when a call runs.
 JACOBI_MAX_SWEEPS = 100
 
 # Smallest n swept in round-robin order; see jacobi_eigh for why 32.
 ROUND_ROBIN_MIN_N = 32
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix: np.ndarray):
     """Eigendecomposition of a symmetric matrix by Jacobi sweeps.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -134,12 +141,17 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     matrices of that size are the two 32 x 32 ones of ``latent.mercer``,
     whose checks floor rounding-level eigenvalues to zero.
 
-    ``jacobi_eigh_many`` sweeps a group of at least ``_STACK_MIN``
-    same-size matrices below ``ROUND_ROBIN_MIN_N`` as one stack, one
-    rotation (p, q) across the stack per numpy step (``_stacked_sweep``).
-    A member's result is bit-identical to its own call because every
-    entry of it gets the operations of the cyclic rotation, in the same
-    order, and nothing of another member enters them:
+    Every matrix is validated, symmetrized, scaled and normed once, by
+    ``_prepare``, which takes the same-size matrices of a call below
+    ``ROUND_ROBIN_MIN_N`` as one (b, n, n) array, and each larger one
+    alone, and does each member's entries the operations of a 2-D check:
+    ``jacobi_eigh(M)`` is ``_jacobi_many([M])``.  A group
+    of at least ``_STACK_MIN`` members below ``ROUND_ROBIN_MIN_N`` that
+    need sweeps is swept as one stack, one rotation (p, q) across the
+    stack per numpy step (``_stacked_sweep``).  A member's result is
+    bit-identical to its own call because every entry of it gets the
+    operations of the cyclic rotation, in the same order, and nothing of
+    another member enters them:
 
     - theta, t, c and s are elementwise ufuncs over the stack, with the
       same roundings as the float operations of ``_cyclic_sweep``
@@ -149,17 +161,17 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
     - the rows, then the columns, are turned as c x - s y and s x + c y;
       a member whose pair skips keeps its rows and columns by selection,
       not by a c = 1, s = 0 rotation, which would turn a -0.0 into 0.0;
-    - the convergence test is the member's own: a stacked off-norm
-      decides it only outside a 1e-9 relative margin around the
-      threshold, far wider than any difference a summation order makes
-      (about n^2 u), and the member's own 2-D ``np.linalg.norm`` decides
-      it inside; a member that passes leaves the stack, so its sweep
-      count is its own, and the others sweep on in the stack, however few
-      are left;
+    - the threshold is the member's own JACOBI_TOL * norm, and the
+      convergence test is the member's own: a stacked off-norm decides it
+      only outside a 1e-9 relative margin around the threshold, far wider
+      than any difference a summation order makes (about n^2 u), and the
+      member's own 2-D off-norm decides it inside; a member that passes
+      leaves the stack, so its sweep count is its own, and the others
+      sweep on in the stack, however few are left;
     - a member whose budget runs out gets the error of its own call, with
       the same message and the off-diagonal residual of its own swept B;
-    - a member that ``_jacobi`` would reject, scale or return unswept
-      takes its own call, so its errors and results are its own too.
+    - a member swept at a power-of-two scale (below) is swept in the
+      stack at that scale and its eigenvalues scaled back, as alone.
 
     A finite matrix whose Frobenius norm overflows, or underflows to zero,
     is swept at an exact power-of-two scale and its eigenvalues scaled
@@ -167,41 +179,35 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
 
     Raises InputError on an empty, ragged, non-square, non-symmetric or
     non-finite matrix, and NumericError (with the final off-diagonal
-    residual attached) if the sweep budget is exhausted.
+    residual attached) if ``JACOBI_MAX_SWEEPS`` sweeps do not converge.
     """
-    return _sorted_pair(*_jacobi(matrix, max_sweeps, vectors=True))
+    return _sorted_pair(*_jacobi_many([matrix], True)[0])
 
 
-def jacobi_eigvalsh(matrix: np.ndarray,
-                    max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by Jacobi sweeps.
 
     The same sweeps as ``jacobi_eigh`` on B = A, with no eigenvector
-    columns, so the result is ``jacobi_eigh(matrix, max_sweeps)[0]``
-    bit for bit at about half the row work.  Raises as ``jacobi_eigh``.
+    columns, so the result is ``jacobi_eigh(matrix)[0]`` bit for bit at
+    about half the row work.  Raises as ``jacobi_eigh``.
     """
-    vals, _ = _jacobi(matrix, max_sweeps, vectors=False)
-    return _sorted(vals)
+    return _sorted(_jacobi_many([matrix], False)[0][0])
 
 
-def jacobi_eigh_many(matrices, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
-    """``[jacobi_eigh(M, max_sweeps) for M in matrices]``, bit for bit.
+def jacobi_eigh_many(matrices) -> list:
+    """``[jacobi_eigh(M) for M in matrices]``, bit for bit.
 
     Same-size members below ``ROUND_ROBIN_MIN_N`` are swept together as
-    stacks (see ``jacobi_eigh``); every other member takes its own call.
-    Raises what the first member in input order whose own call raises
-    would raise.
+    stacks (see ``jacobi_eigh``).  Raises what the first member in input
+    order whose own call raises would raise.
     """
-    return [_sorted_pair(vals, B)
-            for vals, B in _jacobi_many(matrices, max_sweeps, True)]
+    return [_sorted_pair(vals, B) for vals, B in _jacobi_many(matrices, True)]
 
 
-def jacobi_eigvalsh_many(matrices,
-                         max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
-    """``[jacobi_eigvalsh(M, max_sweeps) for M in matrices]``, bit for
-    bit, swept as ``jacobi_eigh_many`` sweeps them."""
-    return [_sorted(vals)
-            for vals, _ in _jacobi_many(matrices, max_sweeps, False)]
+def jacobi_eigvalsh_many(matrices) -> list:
+    """``[jacobi_eigvalsh(M) for M in matrices]``, bit for bit, swept as
+    ``jacobi_eigh_many`` sweeps them."""
+    return [_sorted(vals) for vals, _ in _jacobi_many(matrices, False)]
 
 
 def _sorted(vals):
@@ -214,86 +220,153 @@ def _sorted_pair(vals, B):
     return vals[order], V[:, order]
 
 
-def _jacobi(matrix, max_sweeps, vectors):
-    """Validate, sweep and return (eigenvalues in diagonal order, B).
+def _jacobi_many(matrices, vectors):
+    """(eigenvalues in diagonal order, B) of each matrix, bit for bit as its
+    own call gives them; B is the swept [A | V^T] when ``vectors`` is true
+    and the swept A otherwise.
 
-    B is the swept [A | V^T] when ``vectors`` is true and the swept A
-    otherwise.
+    Each matrix's shape is checked on its own.  The matrices of one size
+    below ROUND_ROBIN_MIN_N form a group, and from there on, where no
+    member is stacked, each matrix is a group of its own; ``_prepare``
+    prepares each group as one stack.  A member with n = 1 or a zero norm
+    is returned unswept; the others of a group go to ``_sweep_stack``
+    together when there are at least ``_STACK_MIN`` of them, and to
+    ``_converge`` one at a time otherwise.  Errors are raised in input
+    order, so the first member whose own call raises raises here.
     """
-    try:
-        M = np.array(matrix, dtype=float)
-    except (TypeError, ValueError) as err:  # ragged or non-numeric
-        raise InputError(f"matrix is not a numeric array: {err}") from None
-    n = len(M) if M.ndim else 0
-    if n == 0 or M.shape != (n, n):
-        raise InputError(f"matrix must be square and non-empty, got shape "
-                         f"{M.shape}")
-    amax = np.abs(M).max()
-    if not np.isfinite(amax):
-        raise InputError("matrix has non-finite entries")
-    # np.allclose(M, M.T, atol) on a finite M, without its overhead
-    atol = 1e-12 * max(1.0, amax)
-    if not (np.abs(M - M.T) <= atol + 1e-5 * np.abs(M.T)).all():
-        raise InputError("matrix is not symmetric")
+    out, groups = [], {}
+    for matrix in matrices:
+        try:
+            M = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError) as err:  # ragged or non-numeric
+            out.append(InputError(f"matrix is not a numeric array: {err}"))
+            continue
+        n = len(M) if M.ndim else 0
+        if n == 0 or M.shape != (n, n):
+            out.append(InputError(f"matrix must be square and non-empty, "
+                                  f"got shape {M.shape}"))
+            continue
+        key = (n, len(out) if n >= ROUND_ROBIN_MIN_N else 0)
+        groups.setdefault(key, []).append(len(out))
+        out.append(M)
+    for (n, _), ids in groups.items():
+        # results starts as the InputErrors, None where a member passed
+        A, norms, shifts, results = _prepare(np.array([out[i] for i in ids]))
+        B = np.concatenate([A, np.eye(n)[None].repeat(len(A), 0)], axis=2) \
+            if vectors else A
+        todo = [j for j, norm in enumerate(norms.tolist())
+                if norm and n > 1 and results[j] is None]
+        if len(todo) >= _STACK_MIN:
+            swept = _sweep_stack(B[todo], norms[todo])
+        else:
+            swept = [_converge(B[j], norms[j]) for j in todo]
+        for j, res in zip(todo, swept):
+            if shifts[j] and not isinstance(res, NumericError):
+                res = np.ldexp(res[0], shifts[j]), res[1]
+            results[j] = res
+        for j, i in enumerate(ids):
+            # a member with n = 1 or a zero norm is returned unswept
+            out[i] = results[j] or (np.ldexp(A[j].diagonal(), shifts[j])
+                                    if n == 1 else np.zeros(n), B[j])
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out
+
+
+def _prepare(S):
+    """Validate, symmetrize, scale and take the norm of every member of
+    the (b, n, n) stack S, which it may overwrite.
+
+    Returns ``(A, norms, shifts, errors)``: the symmetrized members, each
+    at the power-of-two scale 2**-shift it is swept at, their Frobenius
+    norms, and a list of the InputError of each member that a check
+    rejects (None for the others).  Each member's entries get the
+    operations of a check of that member alone, and its norm is
+    ``np.linalg.norm`` of its own A.
+    """
+    b, n = len(S), S.shape[1]
+    absS = np.abs(S)
+    amax = absS.max(axis=(1, 2)).tolist()
+    errors = [None] * b
+    for j in [j for j, x in enumerate(amax) if not isfinite(x)]:
+        errors[j] = InputError("matrix has non-finite entries")
+        S[j] = absS[j] = amax[j] = 0.0  # so that no inf - inf warns below
+    ST = S.transpose(0, 2, 1)
+    # np.allclose(M, M.T, atol) of each finite member, without its overhead
+    atol = np.array([1e-12 * max(1.0, x) for x in amax]).reshape(b, 1, 1)
+    close = np.abs(S - ST) <= atol + 1e-5 * absS.transpose(0, 2, 1)
+    if not close.all():
+        for j in np.flatnonzero(~close.all(axis=(1, 2))):
+            errors[j] = InputError("matrix is not symmetric")
     # The Frobenius norm's sum of squares can overflow only when
     # n * max|a| > 2**512, and underflow to zero only when max|a| < 2**-511.
-    # Where it does either, the matrix is swept at a power-of-two scale,
+    # Where it does either, the member is swept at a power-of-two scale,
     # which is exact, with its largest entry in [0.5, 1), and its
-    # eigenvalues are scaled back; every other matrix is swept as given.
-    shift = 0
-    if amax > 2.0 ** 511 / n or 0.0 < amax < 2.0 ** -511:
-        with np.errstate(over="ignore", under="ignore"):
-            norm = np.linalg.norm(0.5 * (M + M.T))
-        if np.isinf(norm) or norm == 0.0:
-            shift = int(np.frexp(amax)[1])
-            M = np.ldexp(M, -shift)
-    A = 0.5 * (M + M.T)
-    B = np.hstack([A, np.eye(n)]) if vectors else A
-    if n == 1:
-        return np.ldexp(A.diagonal(), shift), B
-
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n), B
-
-    B = _converge(B, norm, max_sweeps)
-    eigvals = B.diagonal().copy()
-    if shift:
-        eigvals = np.ldexp(eigvals, shift)
-    return eigvals, B
+    # eigenvalues are scaled back; every other member is swept as given.
+    # A member rejected as not symmetric is scaled too, so that no A below
+    # overflows.
+    shifts = [0] * b
+    for j, x in enumerate(amax):
+        if x > 2.0 ** 511 / n or 0.0 < x < 2.0 ** -511:
+            with np.errstate(over="ignore", under="ignore"):
+                norm = np.linalg.norm(0.5 * (S[j] + ST[j]))
+            if np.isinf(norm) or norm == 0.0:
+                shifts[j] = frexp(x)[1]
+                S[j] = np.ldexp(S[j], -shifts[j])
+    A = 0.5 * (S + ST)
+    # np.linalg.norm's own sum, the dot product of the raveled member, which
+    # matmul takes for each member of a stack of row-by-column products
+    F = A.reshape(b, 1, n * n)
+    norms = np.sqrt(F @ F.transpose(0, 2, 1)).ravel()
+    return A, norms, shifts, errors
 
 
 def _off_norm(B):
-    """Frobenius norm of the off-diagonal part of the A block of B."""
-    A = B[:, :len(B)]
-    return np.linalg.norm(A - np.diag(A.diagonal()))
+    """Frobenius norm of the off-diagonal part of the A block of B, as
+    ``np.linalg.norm(A - np.diag(A.diagonal()))`` takes it, bit for bit:
+    x * 1 is x, and x * 0 squares to what x - x squares to (0, or nan where
+    x is not finite), so the dot product sums the same squares."""
+    D = (B[:, :len(B)] * _off_diagonal(len(B))).ravel()
+    return sqrt(D.dot(D))
 
 
-def _converge(B, norm, max_sweeps):
+@lru_cache(maxsize=32)
+def _off_diagonal(n):
+    """1 - I, n x n, read-only: the mask that keeps the off-diagonal
+    entries; the masks of the last 32 sizes are kept."""
+    mask = 1.0 - np.eye(n)
+    mask.flags.writeable = False
+    return mask
+
+
+def _converge(B, norm):
     """Sweep B until the off-diagonal norm of its A block is at most
-    JACOBI_TOL * norm, testing before each of at most max_sweeps sweeps;
-    returns the swept B or raises NumericError with the final residual."""
+    JACOBI_TOL * norm, testing before each of at most JACOBI_MAX_SWEEPS
+    sweeps; returns (eigenvalues in diagonal order, the swept B), or the
+    NumericError of a budget that runs out."""
     n = len(B)
     cyclic = n < ROUND_ROBIN_MIN_N
     if cyclic:
         rows = B.tolist()
     else:
         layout = _paired_layout(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if _off_norm(B) <= JACOBI_TOL * norm:
-            return B
+            return B.diagonal().copy(), B
         if cyclic:
             _cyclic_sweep(rows)
             B = np.array(rows)
         else:
             _round_robin_sweep(B, layout)
-    raise _budget_error(B, max_sweeps)
+    return _budget_error(B)
 
 
-def _budget_error(B, max_sweeps):
-    """The NumericError of a B still unconverged after max_sweeps sweeps."""
+def _budget_error(B):
+    """The NumericError of a B still unconverged after JACOBI_MAX_SWEEPS
+    sweeps."""
     return NumericError(
-        f"Jacobi eigensolver did not converge in {max_sweeps} sweeps",
+        f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps",
         residual=float(_off_norm(B)))
 
 
@@ -338,106 +411,48 @@ def _cyclic_sweep(rows: list):
                 row[q] = s * x + c * y
 
 
-def _jacobi_many(matrices, max_sweeps, vectors):
-    """``[_jacobi(M, max_sweeps, vectors) for M in matrices]``, bit for bit.
-
-    Members of one size n, 2 <= n < ROUND_ROBIN_MIN_N, go to
-    ``_sweep_stack`` together when there are at least ``_STACK_MIN`` of
-    them.  Every member the stack does not take has its own ``_jacobi``
-    call, and the results and errors are taken in input order, so the
-    first member whose own call raises raises here, and nothing is raised
-    before it.
-    """
-    matrices = list(matrices)
-    groups = {}
-    for i, matrix in enumerate(matrices):
-        try:
-            M = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError):  # ragged or non-numeric: _jacobi says
-            continue
-        n = len(M) if M.ndim == 2 else 0
-        if 2 <= n < ROUND_ROBIN_MIN_N and M.shape == (n, n):
-            groups.setdefault(n, []).append((i, M))
-    out = [None] * len(matrices)
-    for members in groups.values():
-        if len(members) >= _STACK_MIN:
-            ids, Ms = zip(*members)
-            for i, res in zip(ids, _sweep_stack(np.array(Ms), max_sweeps,
-                                                vectors)):
-                out[i] = res
-    for i, res in enumerate(out):
-        if res is None:
-            out[i] = _jacobi(matrices[i], max_sweeps, vectors)
-        elif isinstance(res, NumericError):
-            raise res
-    return out
-
-
 # Fewest same-size members swept as one stack; a smaller group is swept a
 # member at a time, which costs less below about this count.
 _STACK_MIN = 4
 
-# Relative margin within which a stacked off-norm or norm can differ from
-# the member's own np.linalg.norm (another summation order: at most about
-# n^2 u relative, under 2e-13 for n < 32); a test that close to its
-# threshold is decided by the member's own norms.
+# Relative margin within which a stacked off-norm can differ from the
+# member's own _off_norm (another summation order: at most about n^2 u
+# relative, under 2e-13 for n < 32); a test that close to its threshold is
+# decided by the member's own _off_norm.
 _SCREEN_MARGIN = 1e-9
 
 
-def _sweep_stack(S, max_sweeps, vectors):
-    """``_jacobi`` on each member of a (b, n, n) stack, with the members
-    swept in lockstep; see jacobi_eigh for why each result is bit-identical
-    to the member's own call.
+def _sweep_stack(X, norms):
+    """``_converge`` on each member of the (b, n, w) stack X of prepared
+    members, whose A blocks have the Frobenius norms ``norms``, with the
+    members swept in lockstep and in place; see jacobi_eigh for why each
+    result is bit-identical to the member's own.
 
-    Returns one (eigenvalues in diagonal order, B) per member, the
-    NumericError of a member whose sweep budget runs out, or None for a
-    member the stack leaves to its own ``_jacobi`` call: one that
-    ``_jacobi`` would reject, scale or return unswept.
+    Returns one (eigenvalues in diagonal order, B) per member, or the
+    NumericError of a member whose sweep budget runs out.
     """
-    b, n = len(S), S.shape[1]
+    b, n = X.shape[:2]
     out = [None] * b
-    ST = S.transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):  # inf - inf of a rejected member
-        amax = np.abs(S).max(axis=(1, 2))
-        # _jacobi's symmetry guard, entry for entry
-        symmetric = (np.abs(S - ST) <= (1e-12 * np.maximum(1.0, amax))
-                     [:, None, None] + 1e-5 * np.abs(ST)).all(axis=(1, 2))
-    # finite, nonzero, symmetric and inside _jacobi's unscaled range
-    ids = np.flatnonzero(symmetric & (amax >= 2.0 ** -511)
-                         & (amax <= 2.0 ** 511 / n))
-    A0 = 0.5 * (S[ids] + ST[ids])
-    if vectors:
-        X = np.empty((len(ids), n, 2 * n))
-        X[:, :, :n], X[:, :, n:] = A0, np.eye(n)
-    else:
-        X = A0.copy()
-    rel = np.arange(len(ids))  # each row of X as a row of A0
-    norm = np.sqrt(np.einsum("bij,bij->b", A0, A0))
-    off_diagonal = 1.0 - np.eye(n)
-    for _ in range(max_sweeps):
-        D = X[:, :, :n] * off_diagonal
+    rel = np.arange(b)  # each member of X as a member of the given stack
+    tol = JACOBI_TOL * norms
+    for _ in range(JACOBI_MAX_SWEEPS):
+        D = X[:, :, :n] * _off_diagonal(n)
         off = np.sqrt(np.einsum("bij,bij->b", D, D))
-        tol = JACOBI_TOL * norm[rel]
-        done = off <= tol * (1.0 - _SCREEN_MARGIN)
+        t = tol[rel]
+        done = off <= t * (1.0 - _SCREEN_MARGIN)
         # below 1e-150 the squares may be subnormal, with no relative bound
-        unsure = (~done & (off <= tol * (1.0 + _SCREEN_MARGIN))) \
-            | (tol < 1e-150)
+        unsure = (~done & (off <= t * (1.0 + _SCREEN_MARGIN))) | (t < 1e-150)
         for j in np.flatnonzero(unsure):
-            done[j] = _off_norm(X[j]) <= JACOBI_TOL * _own_norm(A0[rel[j]])
+            done[j] = _off_norm(X[j]) <= t[j]
         for j in np.flatnonzero(done):
-            out[ids[rel[j]]] = (X[j].diagonal().copy(), X[j])
+            out[rel[j]] = X[j].diagonal().copy(), X[j]
         X, rel = X[~done], rel[~done]
         if not len(X):
             break
         _stacked_sweep(X)
     for j in range(len(X)):
-        out[ids[rel[j]]] = _budget_error(X[j], max_sweeps)
+        out[rel[j]] = _budget_error(X[j])
     return out
-
-
-def _own_norm(A):
-    """np.linalg.norm of A as ``_jacobi`` takes it, on a fresh array."""
-    return np.linalg.norm(A.copy())
 
 
 def _stacked_sweep(X):

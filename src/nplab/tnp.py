@@ -20,9 +20,10 @@ from .cnp import ContextSet
 from .errors import InputError
 from .gp_oracle import posterior_mean
 from .kernels import GramSpectrum, KernelSpec, cross_vector, gram_spectrum
-from .polyapprox import (PolySchedule, apply_schedule, chebyshev_barrier,
+from .polyapprox import (PolySchedule, apply_inverse_schedule,
+                         apply_schedule, chebyshev_barrier,
                          chebyshev_error_bound, chebyshev_rho,
-                         chebyshev_schedule, minimax_oracle)
+                         chebyshev_schedule, minimax_oracle, product_schedule)
 from .rng import stream
 
 # Columns perturbed per call of F in `fd_jacobian`, which makes
@@ -141,7 +142,6 @@ def gp_weight_row(spec: KernelSpec, X_C, x_t, L: int) -> np.ndarray:
     """Analytic Jacobian row of the pipeline at y = 0: k(x_t, X)^T q_L(K)."""
     S = gram_spectrum(spec, np.atleast_2d(np.asarray(X_C, dtype=float)))
     schedule = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
-    from .polyapprox import apply_inverse_schedule
     Q = apply_inverse_schedule(S, schedule)
     return cross_vector(spec, X_C, x_t) @ Q
 
@@ -208,7 +208,6 @@ def quadratic_form_sweep(kappa: float, n: int, alphas, t_grid: int):
     ts = np.linspace(0.0, 1.0 - 1.0 / kappa, t_grid)
     mus = np.empty(t_grid)
     vals = np.empty(t_grid)
-    from .polyapprox import product_schedule
     schedule = product_schedule(alphas)
     for i, t in enumerate(ts):
         member = eig_family(kappa, n, t)

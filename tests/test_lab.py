@@ -103,6 +103,17 @@ class TestRejectionSamplers:
                     experiment_id="latent.mean_bottleneck",
                     params={"n": 12}))
 
+    def test_gp_pipeline_draws_are_capped(self):
+        # at lengthscale 10 every 16-point Gram has kappa far above 100
+        with time_budget(30):
+            with pytest.raises(NumericError, match="200 draws") as info:
+                run_experiment(ExperimentConfig(
+                    experiment_id="tnp.gp_pipeline",
+                    params={"lengthscale": 10.0}))
+        best, max_kappa = info.value.bracket
+        assert max_kappa == 100.0 and best > max_kappa
+        assert f"kappa was {best:.6g}" in str(info.value)
+
     def test_cov_rank_separation_is_checked(self):
         with time_budget(30):
             with pytest.raises(UsageError):  # 9 gaps of 1.0 exceed [-4, 4]
@@ -350,6 +361,40 @@ class TestCli:
         assert proc.returncode == 0
         assert (out / "summary.csv").exists()
         assert "overall: pass" in proc.stdout
+
+    def test_reports_of_two_seeds_keep_their_own_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "cnp.collision", "seed": 1},
+            {"experiment_id": "cnp.collision", "seed": 2},
+            {"experiment_id": "cnp.pca_bound", "seed": 1}]}),
+            encoding="utf-8")
+        out = tmp_path / "r"
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 0
+        files = sorted(p.name for p in out.iterdir())
+        assert f"wrote {len(files)} report file(s)" in proc.stdout
+        assert len(files) == 4
+        seeds = {json.loads((out / name).read_text())["seed"]
+                 for name in files if name.startswith("cnp_collision_")}
+        assert seeds == {"1", "2"}
+        # a report whose experiment and params no other report shares keeps
+        # the name without the seed
+        assert sum(name.startswith("cnp_pca_bound_") and "_seed" not in name
+                   for name in files) == 1
+
+    def test_identical_configs_are_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "cnp.collision", "seed": 1},
+            {"experiment_id": "cnp.collision", "seed": "1", "params": {}}]}),
+            encoding="utf-8")
+        out = tmp_path / "r"
+        proc = run_cli("run", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert "listed twice" in proc.stderr
+        assert proc.stdout == ""  # no experiment ran
+        assert not any(out.iterdir())
 
     def test_seed_env_variable_used(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -257,14 +257,15 @@ def test_eigvalsh_is_eigh_values_bit_for_bit(n, make):
 
 
 @pytest.mark.parametrize("n", [33, 64])
-def test_round_robin_budget_residual_matches_reference(n):
+def test_round_robin_budget_residual_matches_reference(n, monkeypatch):
     # the off-norm after one sweep, taken in index order on the unpadded A
     A = random_symmetric(n, seed=3)
     with pytest.raises(NumericError) as want:
         _reference_round_robin_eigh(A, max_sweeps=1)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     for solve in (jacobi_eigh, jacobi_eigvalsh):
         with pytest.raises(NumericError) as got:
-            solve(A, max_sweeps=1)
+            solve(A)
         assert got.value.residual == want.value.residual
 
 
@@ -287,12 +288,13 @@ def test_eigvalsh_early_exits_match_eigh(A):
 
 
 @pytest.mark.parametrize("n", [3, 64])
-def test_eigvalsh_budget_exhausted_like_eigh(n):
+def test_eigvalsh_budget_exhausted_like_eigh(n, monkeypatch):
     A = random_symmetric(n, seed=3)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(NumericError) as vecs:
-        jacobi_eigh(A, max_sweeps=1)
+        jacobi_eigh(A)
     with pytest.raises(NumericError) as vals:
-        jacobi_eigvalsh(A, max_sweeps=1)
+        jacobi_eigvalsh(A)
     assert vals.value.residual is not None and vals.value.residual > 0.0
     assert vals.value.residual == vecs.value.residual
     assert str(vals.value) == str(vecs.value)
@@ -331,10 +333,11 @@ def test_reference_reaches_every_reachable_branch():
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
-def test_cyclic_budget_exhausted_matches_reference(n):
+def test_cyclic_budget_exhausted_matches_reference(n, monkeypatch):
     A = random_symmetric(n, seed=3)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(NumericError) as info:
-        jacobi_eigh(A, max_sweeps=1)
+        jacobi_eigh(A)
     assert info.value.residual is not None and info.value.residual > 0.0
     with pytest.raises(NumericError):
         _reference_cyclic_eigh(A, max_sweeps=1)
@@ -418,9 +421,10 @@ def test_diagonal_matrix_is_its_own_spectrum(n):
     assert np.array_equal(V, np.eye(n)[:, order])
 
 
-def test_sweep_budget_exhausted_at_n64():
+def test_sweep_budget_exhausted_at_n64(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(NumericError) as info:
-        jacobi_eigh(rbf_gram(64, seed=0), max_sweeps=1)
+        jacobi_eigh(rbf_gram(64, seed=0))
     assert info.value.residual is not None and info.value.residual > 0.0
 
 
@@ -538,12 +542,12 @@ GENERATORS = [rbf_gram, random_symmetric, low_rank_psd, equal_diagonal,
               equal_diagonal_matching, signed_zeros, near_skip_threshold]
 
 
-def own_calls(solve, matrices, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+def own_calls(solve, matrices):
     """[solve(M) for M in matrices], or the first exception it raises."""
     out = []
     for M in matrices:
         try:
-            out.append(solve(M, max_sweeps=max_sweeps))
+            out.append(solve(M))
         except (InputError, NumericError) as err:
             return err
     return out
@@ -561,19 +565,21 @@ def assert_same_results(got, want, vectors):
 
 @pytest.fixture
 def stacked(monkeypatch):
-    """Count the stacks formed and the lockstep sweeps made, to know the
-    stack was taken."""
-    count = {"stacks": 0, "sweeps": 0}
+    """Count the stacks formed, the members they receive and the lockstep
+    sweeps made, to know the stack was taken."""
+    count = {"stacks": 0, "members": 0, "sweeps": 0}
 
-    def counting(name, key):
+    def counting(name, key, members=None):
         original = getattr(linalg, name)
 
         def counted(*args):
             count[key] += 1
+            if members:
+                count[members] += len(args[0])
             return original(*args)
         monkeypatch.setattr(linalg, name, counted)
 
-    counting("_sweep_stack", "stacks")
+    counting("_sweep_stack", "stacks", "members")
     counting("_stacked_sweep", "sweeps")
     return count
 
@@ -601,7 +607,7 @@ def test_stack_stragglers_finish_on_their_own(stacked):
                 + [random_symmetric(5, 1), rbf_gram(5, 2)])
     assert_same_results(jacobi_eigh_many(matrices),
                         own_calls(jacobi_eigh, matrices), vectors=True)
-    assert stacked == {"stacks": 1, "sweeps": 5}
+    assert stacked == {"stacks": 1, "members": 6, "sweeps": 5}
 
 
 @pytest.mark.parametrize("vectors", [True, False])
@@ -610,26 +616,28 @@ def test_stack_stragglers_keep_their_own_budget(vectors, stacked,
     # rbf_gram(5, 2) converges at the test before a sixth sweep and
     # random_symmetric(5, 1) at the one before a fifth, so in the stack they
     # finish at max_sweeps = 6 and fail at 5 and 4 as their own calls do,
-    # after 4 + 5 + 5 lockstep sweeps, and no member takes its own call
+    # after 4 + 5 + 5 lockstep sweeps, and no member is swept on its own
     many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
                  else (jacobi_eigvalsh_many, jacobi_eigvalsh))
     matrices = ([np.diag([1.0, 3.0, 2.0, 5.0, 4.0]) * k for k in (1, 2, 3, 4)]
                 + [random_symmetric(5, 1), rbf_gram(5, 2)])
-    wants = {max_sweeps: own_calls(own, matrices, max_sweeps)
-             for max_sweeps in (4, 5, 6)}
-    monkeypatch.setattr(linalg, "_jacobi",
-                        lambda *args: pytest.fail("a member took its call"))
+    wants = {}
+    for max_sweeps in (4, 5, 6):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)
+        wants[max_sweeps] = own_calls(own, matrices)
+    monkeypatch.setattr(linalg, "_converge",
+                        lambda *args: pytest.fail("a member was swept alone"))
     for max_sweeps, want in wants.items():
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)
         if isinstance(want, NumericError):
             with pytest.raises(NumericError) as got:
-                many(matrices, max_sweeps=max_sweeps)
+                many(matrices)
             assert str(got.value) == str(want)
             assert got.value.residual == want.residual
         else:
             assert max_sweeps == 6
-            assert_same_results(many(matrices, max_sweeps=max_sweeps), want,
-                                vectors)
-    assert stacked == {"stacks": 3, "sweeps": 14}
+            assert_same_results(many(matrices), want, vectors)
+    assert stacked == {"stacks": 3, "members": 18, "sweeps": 14}
 
 
 def mixed_list():
@@ -644,11 +652,41 @@ def mixed_list():
 
 
 @pytest.mark.parametrize("vectors", [True, False])
-def test_stack_mixed_list_matches_own_calls(vectors):
+def test_stack_mixed_list_matches_own_calls(vectors, stacked):
     many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
                  else (jacobi_eigvalsh_many, jacobi_eigvalsh))
     matrices = mixed_list()
     assert_same_results(many(matrices), own_calls(own, matrices), vectors)
+    # the eight 5 x 5 members but the zero one, the scaled one included
+    assert stacked["stacks"] == 1 and stacked["members"] == 7
+
+
+def edge_of_range():
+    """Four 5 x 5 members at the edges of the float range, and one to
+    spare: two swept at a power-of-two scale (the norm overflows, or
+    underflows to zero) and two swept as given near those edges."""
+    return [random_symmetric(5, 11) * 1e300, random_symmetric(5, 12) * 1e153,
+            random_symmetric(5, 13) * 2.0 ** -700,
+            random_symmetric(5, 14) * 1e-160, random_symmetric(5, 15)]
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_stack_sweeps_members_at_the_edges_of_the_range(vectors, stacked):
+    many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
+                 else (jacobi_eigvalsh_many, jacobi_eigvalsh))
+    matrices = edge_of_range()
+    with np.errstate(over="ignore", under="ignore"):
+        norms = [np.linalg.norm(M) for M in matrices]
+    amax = [np.abs(M).max() for M in matrices]
+    # what makes each member the case it stands for
+    assert np.isinf(norms[0]) and norms[2] == 0.0
+    assert amax[1] > 2.0 ** 511 / 5 and np.isfinite(norms[1])
+    assert amax[3] < 2.0 ** -511 and norms[3] > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = many(matrices)
+    assert_same_results(got, own_calls(own, matrices), vectors)
+    assert stacked["stacks"] == 1 and stacked["members"] == 5
 
 
 def asymmetric():
@@ -663,12 +701,16 @@ def non_finite():
     return A
 
 
-@pytest.mark.parametrize("bad", [asymmetric, non_finite,
-                                 lambda: [[1.0, 2.0], [3.0]]],
-                         ids=["asymmetric", "non-finite", "ragged"])
+@pytest.mark.parametrize("bad", [
+    asymmetric, non_finite, lambda: [[1.0, 2.0], [3.0]],
+    lambda: np.zeros((0, 0)), lambda: np.array(2.0),
+    lambda: np.ones((5, 4)), lambda: np.stack([np.eye(5)] * 5)],
+    ids=["asymmetric", "non-finite", "ragged", "0x0", "0-d", "non-square",
+         "3-d"])
 @pytest.mark.parametrize("numeric_first", [True, False])
 @pytest.mark.parametrize("vectors", [True, False])
-def test_stack_raises_the_first_failing_member(bad, numeric_first, vectors):
+def test_stack_raises_the_first_failing_member(bad, numeric_first, vectors,
+                                               monkeypatch):
     # with two sweeps the random 5 x 5 members fail and the diagonal ones
     # converge; the error raised is the first in input order, with its
     # own message and residual
@@ -678,21 +720,23 @@ def test_stack_raises_the_first_failing_member(bad, numeric_first, vectors):
     failing = [random_symmetric(5, seed) for seed in range(4)]
     matrices = diagonal + ([failing[0], bad()] if numeric_first
                            else [bad(), failing[0]]) + failing[1:]
-    want = own_calls(own, matrices, max_sweeps=2)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 2)
+    want = own_calls(own, matrices)
     assert isinstance(want, NumericError if numeric_first else InputError)
     with pytest.raises(type(want)) as got:
-        many(matrices, max_sweeps=2)
+        many(matrices)
     assert str(got.value) == str(want)
     assert getattr(got.value, "residual", None) == \
         getattr(want, "residual", None)
 
 
-def test_stack_budget_residual_matches_own_call(stacked):
+def test_stack_budget_residual_matches_own_call(stacked, monkeypatch):
     matrices = [random_symmetric(6, seed) for seed in range(6)]
     for max_sweeps in (0, 1, 3):
-        want = own_calls(jacobi_eigh, matrices, max_sweeps)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)
+        want = own_calls(jacobi_eigh, matrices)
         with pytest.raises(NumericError) as got:
-            jacobi_eigh_many(matrices, max_sweeps=max_sweeps)
+            jacobi_eigh_many(matrices)
         assert str(got.value) == str(want)
         assert got.value.residual == want.residual
     assert stacked["stacks"] == 3 and stacked["sweeps"] == 4

@@ -41,14 +41,7 @@ WITNESSES = (
      "moments represent OLS exactly"),
 )
 
-_BUDGET = ("the only way a test reaches the sweep-budget error without "
-           "patching a module global")
-
 UNPASSED_OPTIONS = (
-    ("linalg.jacobi_eigh.max_sweeps", _BUDGET),
-    ("linalg.jacobi_eigvalsh.max_sweeps", _BUDGET),
-    ("linalg.jacobi_eigh_many.max_sweeps", _BUDGET),
-    ("linalg.jacobi_eigvalsh_many.max_sweeps", _BUDGET),
     ("cli.main.argv", "None reads sys.argv, as the console entry point "
      "needs; tests pass an argument list"),
 )
@@ -112,6 +105,28 @@ def test_kept_names_are_current():
         assert reason.strip(), f"{qualified} needs a reason"
     assert len(_kept()) == len(ORACLES + WITNESSES), "a name is listed twice"
 
+
+
+def test_imports_sit_at_the_top_of_their_modules():
+    # one place for imports: only mpmath is imported inside a function, so
+    # that a command that needs no certificate (nplab list) never loads it
+    local = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                else:
+                    continue
+                local |= {f"{path.stem}.py:{node.lineno} {name}"
+                          for name in names if name != "mpmath"}
+    assert not local, f"imports inside a function body: {sorted(local)}"
 
 
 def test_only_kernels_names_eval_kernel():
