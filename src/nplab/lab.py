@@ -81,6 +81,8 @@ class ExperimentReport:
     checks: list
     wall_time_ms: float
     error: Optional[str] = None
+    # what the error carried of NumericError's residual, lambda_min, bracket
+    diagnostics: Optional[dict] = None
 
     @property
     def measurements(self) -> dict:
@@ -110,6 +112,8 @@ class ExperimentReport:
         }
         if self.error is not None:
             out["error"] = self.error
+        if self.diagnostics:
+            out["diagnostics"] = self.diagnostics
         return out
 
 
@@ -865,7 +869,24 @@ def _run_guarded(config: ExperimentConfig) -> ExperimentReport:
             seed=config.seed,
             checks=[Check("execution_failed", 1.0, 0.0, "==")],
             wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            error=f"{type(exc).__name__}: {exc}")
+            error=f"{type(exc).__name__}: {exc}",
+            diagnostics=_diagnostics(exc))
+
+
+def _diagnostics(exc: Exception) -> dict:
+    """The residual, lambda_min and bracket an error carries, as JSON
+    numbers, with a non-finite value as its ``_fmt`` string so that the
+    report stays standard JSON."""
+    def number(value):
+        value = float(value)
+        return value if np.isfinite(value) else _fmt(value)
+    out = {}
+    for key in ("residual", "lambda_min", "bracket"):
+        if hasattr(exc, key):
+            value = getattr(exc, key)
+            out[key] = ([number(v) for v in value] if key == "bracket"
+                        else number(value))
+    return out
 
 
 def hierarchy_configs(seed: int = 0) -> list:

@@ -29,11 +29,15 @@ alone) as one (b, n, n) array; that is the only validation.
 Only n and the size of the group then choose the sweep: a group of at
 least ``_STACK_MIN`` matrices below ``ROUND_ROBIN_MIN_N`` is swept as one
 stack in lockstep, one numpy step turning the pair (p, q) of every member,
-and every other matrix is swept alone, in cyclic order on lists or in
-round-robin order.  A stacked member still gets the IEEE operations of
-its own cyclic sweep in the same order, so its result, or its budget
-error, is its own call's bit for bit, at a fraction of the per-call
-overhead that dominates at these sizes.
+and every other matrix is swept alone, as a stack of one, in cyclic order
+on lists or in round-robin order.  One loop, ``_converge``, tests and
+sweeps stacks and single members alike, and one expression decides when
+a member has converged: its off-diagonal Frobenius norm, taken by
+``_frobenius`` as ``np.linalg.norm`` takes it, bit for bit, against its
+own threshold.  A stacked member still gets the IEEE operations of its
+own cyclic sweep in the same order, so its result, or its budget error,
+is its own call's bit for bit, at a fraction of the per-call overhead
+that dominates at these sizes.
 
 The lab deliberately carries its own eigensolver so that spectra entering
 the experiments do not depend on the LAPACK build; ``numpy.linalg.eigh``
@@ -162,12 +166,12 @@ def jacobi_eigh(matrix: np.ndarray):
       a member whose pair skips keeps its rows and columns by selection,
       not by a c = 1, s = 0 rotation, which would turn a -0.0 into 0.0;
     - the threshold is the member's own JACOBI_TOL * norm, and the
-      convergence test is the member's own: a stacked off-norm decides it
-      only outside a 1e-9 relative margin around the threshold, far wider
-      than any difference a summation order makes (about n^2 u), and the
-      member's own 2-D off-norm decides it inside; a member that passes
-      leaves the stack, so its sweep count is its own, and the others
-      sweep on in the stack, however few are left;
+      convergence test is the one a member alone gets, since one loop
+      (``_converge``) tests stacks and single members alike: the
+      off-norm is the dot product of the member's own raveled
+      off-diagonal part (``_frobenius``), whatever stack it sits in; a
+      member that passes leaves the stack, so its sweep count is its
+      own, and the others sweep on in the stack, however few are left;
     - a member whose budget runs out gets the error of its own call, with
       the same message and the off-diagonal residual of its own swept B;
     - a member swept at a power-of-two scale (below) is swept in the
@@ -229,10 +233,10 @@ def _jacobi_many(matrices, vectors):
     below ROUND_ROBIN_MIN_N form a group, and from there on, where no
     member is stacked, each matrix is a group of its own; ``_prepare``
     prepares each group as one stack.  A member with n = 1 or a zero norm
-    is returned unswept; the others of a group go to ``_sweep_stack``
-    together when there are at least ``_STACK_MIN`` of them, and to
-    ``_converge`` one at a time otherwise.  Errors are raised in input
-    order, so the first member whose own call raises raises here.
+    is returned unswept; the others of a group go to ``_converge`` as one
+    stack swept in lockstep when there are at least ``_STACK_MIN`` of them,
+    and one at a time, each a stack of one, otherwise.  Errors are raised
+    in input order, so the first member whose own call raises raises here.
     """
     out, groups = [], {}
     for matrix in matrices:
@@ -254,12 +258,14 @@ def _jacobi_many(matrices, vectors):
         A, norms, shifts, results = _prepare(np.array([out[i] for i in ids]))
         B = np.concatenate([A, np.eye(n)[None].repeat(len(A), 0)], axis=2) \
             if vectors else A
-        todo = [j for j, norm in enumerate(norms.tolist())
+        todo = [j for j, norm in enumerate(norms)
                 if norm and n > 1 and results[j] is None]
         if len(todo) >= _STACK_MIN:
-            swept = _sweep_stack(B[todo], norms[todo])
+            swept = _converge(B[todo], [norms[j] for j in todo],
+                              _stacked_sweep)
         else:
-            swept = [_converge(B[j], norms[j]) for j in todo]
+            swept = [_converge(B[j:j + 1], norms[j:j + 1],
+                               _sweep_alone(B[j]))[0] for j in todo]
         for j, res in zip(todo, swept):
             if shifts[j] and not isinstance(res, NumericError):
                 res = np.ldexp(res[0], shifts[j]), res[1]
@@ -315,59 +321,82 @@ def _prepare(S):
                 shifts[j] = frexp(x)[1]
                 S[j] = np.ldexp(S[j], -shifts[j])
     A = 0.5 * (S + ST)
-    # np.linalg.norm's own sum, the dot product of the raveled member, which
-    # matmul takes for each member of a stack of row-by-column products
-    F = A.reshape(b, 1, n * n)
-    norms = np.sqrt(F @ F.transpose(0, 2, 1)).ravel()
-    return A, norms, shifts, errors
+    return A, _frobenius(A), shifts, errors
 
 
-def _off_norm(B):
-    """Frobenius norm of the off-diagonal part of the A block of B, as
-    ``np.linalg.norm(A - np.diag(A.diagonal()))`` takes it, bit for bit:
-    x * 1 is x, and x * 0 squares to what x - x squares to (0, or nan where
-    x is not finite), so the dot product sums the same squares."""
-    D = (B[:, :len(B)] * _off_diagonal(len(B))).ravel()
-    return sqrt(D.dot(D))
+def _frobenius(X):
+    """The Frobenius norm of each member of the stack X, as a list of
+    floats, bit for bit as ``np.linalg.norm`` takes it: its sum is the dot
+    product of the raveled member, which matmul takes for each member of a
+    stack of row-by-column products, and both square roots are correctly
+    rounded.  Every norm and off-norm of the sweeps is taken here."""
+    F = X.reshape(len(X), 1, -1)
+    return [sqrt(s) for s in (F @ F.transpose(0, 2, 1)).ravel().tolist()]
 
 
 @lru_cache(maxsize=32)
 def _off_diagonal(n):
-    """1 - I, n x n, read-only: the mask that keeps the off-diagonal
-    entries; the masks of the last 32 sizes are kept."""
-    mask = 1.0 - np.eye(n)
+    """1 - I as a read-only (1, n, n) stack of one: the mask that keeps the
+    off-diagonal entries of each member; the masks of the last 32 sizes are
+    kept."""
+    mask = 1.0 - np.eye(n)[None]
     mask.flags.writeable = False
     return mask
 
 
-def _converge(B, norm):
-    """Sweep B until the off-diagonal norm of its A block is at most
-    JACOBI_TOL * norm, testing before each of at most JACOBI_MAX_SWEEPS
-    sweeps; returns (eigenvalues in diagonal order, the swept B), or the
-    NumericError of a budget that runs out."""
-    n = len(B)
-    cyclic = n < ROUND_ROBIN_MIN_N
-    if cyclic:
-        rows = B.tolist()
-    else:
-        layout = _paired_layout(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_norm(B) <= JACOBI_TOL * norm:
-            return B.diagonal().copy(), B
-        if cyclic:
-            _cyclic_sweep(rows)
-            B = np.array(rows)
-        else:
-            _round_robin_sweep(B, layout)
-    return _budget_error(B)
+def _converge(X, norms, sweep):
+    """Sweep the (b, n, w) stack X of prepared members, whose A blocks have
+    the Frobenius norms ``norms``, with ``sweep`` until the off-diagonal
+    norm of each member's A block is at most JACOBI_TOL times its norm,
+    testing before each of at most JACOBI_MAX_SWEEPS sweeps.
+
+    ``sweep(X)`` sweeps every member of X in place.  A member that passes
+    leaves the stack, so its sweep count is its own, and the others sweep
+    on, however few are left.  Returns one (eigenvalues in diagonal order,
+    B) per member, or the NumericError of a member whose budget runs out,
+    with the off-norm of its swept B as ``residual``.
+    """
+    n, mask = X.shape[1], _off_diagonal(X.shape[1])
+    out, at = [None] * len(X), list(range(len(X)))
+    tol, A = [JACOBI_TOL * norm for norm in norms], X[:, :, :n]
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+        # x * 1 is x, and x * 0 squares to what x - x squares to (0, or nan
+        # where x is not finite): the norm of A - diag(A), bit for bit
+        off = _frobenius(A * mask)
+        if sweeps == JACOBI_MAX_SWEEPS:
+            break
+        done = [x <= t for x, t in zip(off, tol)]
+        if True in done:
+            keep = []
+            for j, member_done in enumerate(done):
+                if member_done:
+                    out[at[j]] = X[j].diagonal().copy(), X[j]
+                else:
+                    keep.append(j)
+            if not keep:
+                return out
+            X, tol, at = X[keep], [tol[j] for j in keep], [at[j] for j in keep]
+            A = X[:, :, :n]
+        sweep(X)
+    for i, residual in zip(at, off):
+        out[i] = NumericError(f"Jacobi eigensolver did not converge in "
+                              f"{JACOBI_MAX_SWEEPS} sweeps", residual=residual)
+    return out
 
 
-def _budget_error(B):
-    """The NumericError of a B still unconverged after JACOBI_MAX_SWEEPS
-    sweeps."""
-    return NumericError(
-        f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps",
-        residual=float(_off_norm(B)))
+def _sweep_alone(B):
+    """The ``sweep`` of ``_converge`` for the stack of one member B:
+    round-robin from ``ROUND_ROBIN_MIN_N`` on, and cyclic below it on B's
+    rows held as lists across sweeps, written back after each sweep."""
+    if len(B) >= ROUND_ROBIN_MIN_N:
+        layout = _paired_layout(len(B))
+        return lambda X: _round_robin_sweep(X[0], layout)
+    rows = B.tolist()
+
+    def sweep(X):
+        _cyclic_sweep(rows)
+        X[0] = rows
+    return sweep
 
 
 def _cyclic_sweep(rows: list):
@@ -414,45 +443,6 @@ def _cyclic_sweep(rows: list):
 # Fewest same-size members swept as one stack; a smaller group is swept a
 # member at a time, which costs less below about this count.
 _STACK_MIN = 4
-
-# Relative margin within which a stacked off-norm can differ from the
-# member's own _off_norm (another summation order: at most about n^2 u
-# relative, under 2e-13 for n < 32); a test that close to its threshold is
-# decided by the member's own _off_norm.
-_SCREEN_MARGIN = 1e-9
-
-
-def _sweep_stack(X, norms):
-    """``_converge`` on each member of the (b, n, w) stack X of prepared
-    members, whose A blocks have the Frobenius norms ``norms``, with the
-    members swept in lockstep and in place; see jacobi_eigh for why each
-    result is bit-identical to the member's own.
-
-    Returns one (eigenvalues in diagonal order, B) per member, or the
-    NumericError of a member whose sweep budget runs out.
-    """
-    b, n = X.shape[:2]
-    out = [None] * b
-    rel = np.arange(b)  # each member of X as a member of the given stack
-    tol = JACOBI_TOL * norms
-    for _ in range(JACOBI_MAX_SWEEPS):
-        D = X[:, :, :n] * _off_diagonal(n)
-        off = np.sqrt(np.einsum("bij,bij->b", D, D))
-        t = tol[rel]
-        done = off <= t * (1.0 - _SCREEN_MARGIN)
-        # below 1e-150 the squares may be subnormal, with no relative bound
-        unsure = (~done & (off <= t * (1.0 + _SCREEN_MARGIN))) | (t < 1e-150)
-        for j in np.flatnonzero(unsure):
-            done[j] = _off_norm(X[j]) <= t[j]
-        for j in np.flatnonzero(done):
-            out[rel[j]] = X[j].diagonal().copy(), X[j]
-        X, rel = X[~done], rel[~done]
-        if not len(X):
-            break
-        _stacked_sweep(X)
-    for j in range(len(X)):
-        out[rel[j]] = _budget_error(X[j])
-    return out
 
 
 def _stacked_sweep(X):

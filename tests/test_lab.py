@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from nplab import lab
 from nplab.errors import ContractError, NumericError, UsageError
 from nplab.lab import (FAIL, HIERARCHY_SUITE, INFO, PASS, REGISTRY, Check,
                        ExperimentConfig, hierarchy_configs,
@@ -209,6 +210,38 @@ class TestRunSuite:
     def test_suite_alias(self):
         with pytest.raises(UsageError):
             run_suite([])
+
+    def test_one_process_one_answer(self):
+        # each experiment is a function of (params, seed) alone: a second
+        # run in the same process, in reverse order, gives the same reports
+        def dumps(configs):
+            return [json.dumps({k: v for k, v in r.to_dict().items()
+                                if k != "wall_time_ms"}, sort_keys=True)
+                    for r in run_suite(configs)["reports"]]
+        configs = hierarchy_configs(3)
+        assert dumps(configs) == dumps(configs[::-1])
+
+    def test_numeric_error_keeps_its_diagnostics(self, tmp_path):
+        cfg = ExperimentConfig("convcnp.grid_gp", {"spacing": 0.1})
+        [rep] = run_suite([cfg])["reports"]
+        assert rep.error == \
+            "NumericError: circulant Gram numerically singular"
+        assert rep.diagnostics == {
+            "lambda_min": pytest.approx(-1.197e-8, rel=1e-3)}
+        [path] = write_reports([rep], tmp_path, fmt="json")
+        written = json.loads(path.read_text(encoding="utf-8"))
+        assert written["diagnostics"] == rep.diagnostics
+
+    def test_non_finite_diagnostics_stay_standard_json(self):
+        err = NumericError("x", residual=float("inf"),
+                           bracket=(float("nan"), 2.0), other=1.0)
+        assert lab._diagnostics(err) == {"residual": "inf",
+                                         "bracket": ["nan", 2.0]}
+        # an error that carries none of them adds no key to the report
+        assert lab._diagnostics(ContractError("x")) == {}
+        rep = lab.ExperimentReport("cnp.collision", {}, 0, [], 1.0,
+                                   error="ContractError: x", diagnostics={})
+        assert "diagnostics" not in rep.to_dict()
 
     def test_hierarchy_configs_cover_suite(self):
         cfgs = hierarchy_configs(seed=7)

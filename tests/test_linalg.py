@@ -565,39 +565,74 @@ def assert_same_results(got, want, vectors):
 
 @pytest.fixture
 def stacked(monkeypatch):
-    """Count the stacks formed, the members they receive and the lockstep
-    sweeps made, to know the stack was taken."""
+    """Count the stacks formed (the ``_converge`` calls that sweep with
+    ``_stacked_sweep``), the members they receive and the lockstep sweeps
+    made, to know the stack was taken."""
     count = {"stacks": 0, "members": 0, "sweeps": 0}
+    converge, stacked_sweep = linalg._converge, linalg._stacked_sweep
 
-    def counting(name, key, members=None):
-        original = getattr(linalg, name)
+    def counted_converge(X, norms, sweep):
+        if sweep is linalg._stacked_sweep:
+            count["stacks"] += 1
+            count["members"] += len(X)
+        return converge(X, norms, sweep)
 
-        def counted(*args):
-            count[key] += 1
-            if members:
-                count[members] += len(args[0])
-            return original(*args)
-        monkeypatch.setattr(linalg, name, counted)
+    def counted_sweep(X):
+        count["sweeps"] += 1
+        return stacked_sweep(X)
 
-    counting("_sweep_stack", "stacks", "members")
-    counting("_stacked_sweep", "sweeps")
+    monkeypatch.setattr(linalg, "_converge", counted_converge)
+    monkeypatch.setattr(linalg, "_stacked_sweep", counted_sweep)
     return count
 
 
-@pytest.mark.parametrize("n, margin", [
-    (n, linalg._SCREEN_MARGIN) for n in (2, 3, 4, 5, 8, 16, 31)]
-    # margin inf sends every convergence test to the member's own norms
+@pytest.mark.parametrize("n, tol", [
+    (n, 1e-9) for n in (2, 3, 4, 5, 8, 16, 31)]
+    # at tol inf every member leaves the stack at the first test, unswept
     + [(3, np.inf), (8, np.inf)])
 @pytest.mark.parametrize("make", GENERATORS)
-def test_stack_matches_own_calls_bit_for_bit(make, n, margin, monkeypatch,
+def test_stack_matches_own_calls_bit_for_bit(make, n, tol, monkeypatch,
                                              stacked):
-    monkeypatch.setattr(linalg, "_SCREEN_MARGIN", margin)
+    # at the default tolerance and at a looser one, which moves the sweep
+    # at which each member leaves the stack
     matrices = [make(n, seed) for seed in range(n, n + 6)]
-    assert_same_results(jacobi_eigh_many(matrices),
-                        own_calls(jacobi_eigh, matrices), vectors=True)
-    assert_same_results(jacobi_eigvalsh_many(matrices),
-                        own_calls(jacobi_eigvalsh, matrices), vectors=False)
-    assert stacked["stacks"] == 2
+    for jacobi_tol in (linalg.JACOBI_TOL, tol):
+        monkeypatch.setattr(linalg, "JACOBI_TOL", jacobi_tol)
+        assert_same_results(jacobi_eigh_many(matrices),
+                            own_calls(jacobi_eigh, matrices), vectors=True)
+        assert_same_results(jacobi_eigvalsh_many(matrices),
+                            own_calls(jacobi_eigvalsh, matrices),
+                            vectors=False)
+    assert stacked["stacks"] == 4
+
+
+def off_norm_members(n, seed):
+    """Members for the off-norm check: random, half their entries zero,
+    and with -0.0 entries, each at the scales 1e-160, 1 and 1e150."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for scale in (1e-160, 1.0, 1e150):
+        for kind in ("random", "half zero", "signed zeros"):
+            for _ in range(16):
+                M = rng.standard_normal((n, n)) * scale
+                if kind != "random":
+                    zero = rng.random((n, n)) < 0.5
+                    M[zero] = -0.0 if kind == "signed zeros" else 0.0
+                members.append(M)
+    return np.array(members)
+
+
+@pytest.mark.parametrize("n", list(range(2, 34)) + [64])
+def test_stacked_off_norm_is_each_members_own(n):
+    # the one Frobenius expression that decides convergence, on 144 members
+    # per size (4752 in all): each member's off-norm and norm are
+    # np.linalg.norm's, bit for bit, whatever stack the member sits in
+    members = off_norm_members(n, seed=n)
+    off = linalg._frobenius(members * linalg._off_diagonal(n))
+    norms = linalg._frobenius(members)
+    for M, got_off, got_norm in zip(members, off, norms):
+        assert same_bits(got_off, np.linalg.norm(M - np.diag(np.diag(M))))
+        assert same_bits(got_norm, np.linalg.norm(M))
 
 
 def test_stack_stragglers_finish_on_their_own(stacked):
@@ -617,6 +652,7 @@ def test_stack_stragglers_keep_their_own_budget(vectors, stacked,
     # random_symmetric(5, 1) at the one before a fifth, so in the stack they
     # finish at max_sweeps = 6 and fail at 5 and 4 as their own calls do,
     # after 4 + 5 + 5 lockstep sweeps, and no member is swept on its own
+    # (a lone member's cyclic sweep fails the test)
     many, own = ((jacobi_eigh_many, jacobi_eigh) if vectors
                  else (jacobi_eigvalsh_many, jacobi_eigvalsh))
     matrices = ([np.diag([1.0, 3.0, 2.0, 5.0, 4.0]) * k for k in (1, 2, 3, 4)]
@@ -625,7 +661,7 @@ def test_stack_stragglers_keep_their_own_budget(vectors, stacked,
     for max_sweeps in (4, 5, 6):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)
         wants[max_sweeps] = own_calls(own, matrices)
-    monkeypatch.setattr(linalg, "_converge",
+    monkeypatch.setattr(linalg, "_cyclic_sweep",
                         lambda *args: pytest.fail("a member was swept alone"))
     for max_sweeps, want in wants.items():
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", max_sweeps)

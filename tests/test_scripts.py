@@ -3,12 +3,14 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import nplab
+from nplab import lab
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -98,3 +100,29 @@ def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
     assert written["tier1_outcome"] == {"base": "9 passed",
                                         "head": "9 passed"}
     assert set(tier1) == {"base", "head"}
+
+
+def test_seed_sweep_counts_match_run_suite():
+    proc = run_script("seed_sweep.py", "--from", "0", "--to", "1")
+    assert proc.returncode == 0, proc.stderr
+    want = {eid: [] for eid in lab.HIERARCHY_SUITE}
+    for seed in (0, 1):
+        for report in lab.run_suite(lab.hierarchy_configs(seed))["reports"]:
+            if report.failed:
+                want[report.experiment_id].append(seed)
+    *lines, total = proc.stdout.splitlines()
+    got = {}
+    for line in lines:
+        eid, count, seeds = re.fullmatch(
+            r"(\S+): (\d+) failed(?: at seeds ([\d ]+))?", line).groups()
+        got[eid] = [int(s) for s in (seeds or "").split()]
+        assert int(count) == len(got[eid])
+    assert got == want
+    assert total == (f"seeds 0..1: 2 suite runs, "
+                     f"{sum(map(len, want.values()))} failed reports")
+
+
+def test_seed_sweep_rejects_a_reversed_range():
+    proc = run_script("seed_sweep.py", "--from", "2", "--to", "1")
+    assert proc.returncode == 2
+    assert "--from <= --to" in proc.stderr
