@@ -112,7 +112,7 @@ class ExperimentReport:
         }
         if self.error is not None:
             out["error"] = self.error
-        if self.diagnostics:
+        if self.diagnostics is not None:
             out["diagnostics"] = self.diagnostics
         return out
 
@@ -873,20 +873,28 @@ def _run_guarded(config: ExperimentConfig) -> ExperimentReport:
             diagnostics=_diagnostics(exc))
 
 
-def _diagnostics(exc: Exception) -> dict:
-    """The residual, lambda_min and bracket an error carries, as JSON
-    numbers, with a non-finite value as its ``_fmt`` string so that the
-    report stays standard JSON."""
+def _diagnostics(exc: Exception) -> Optional[dict]:
+    """The residual, lambda_min and bracket an error carries, or None if
+    it carries none of them. It never raises, since it runs while a failed
+    experiment is turned into a report: an end the error left open is JSON
+    null, a non-finite value its ``_fmt`` string and a value that is no
+    number its ``repr``, so that the report stays standard JSON."""
     def number(value):
-        value = float(value)
+        if value is None:
+            return None
+        try:
+            value = float(value)
+        except Exception:  # whatever the error carries, the report is kept
+            return repr(value)
         return value if np.isfinite(value) else _fmt(value)
     out = {}
     for key in ("residual", "lambda_min", "bracket"):
-        if hasattr(exc, key):
-            value = getattr(exc, key)
-            out[key] = ([number(v) for v in value] if key == "bracket"
+        value = getattr(exc, key, None)
+        if value is not None:
+            out[key] = ([number(v) for v in value]
+                        if isinstance(value, (tuple, list))
                         else number(value))
-    return out
+    return out or None
 
 
 def hierarchy_configs(seed: int = 0) -> list:

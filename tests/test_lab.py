@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import operator
 import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nplab import lab
@@ -237,11 +239,36 @@ class TestRunSuite:
                            bracket=(float("nan"), 2.0), other=1.0)
         assert lab._diagnostics(err) == {"residual": "inf",
                                          "bracket": ["nan", 2.0]}
+        # an open bracket end is null; a residual of None is not carried
+        err = NumericError("x", bracket=(0.0, None), residual=None)
+        assert lab._diagnostics(err) == {"bracket": [0.0, None]}
+        err = NumericError("x", lambda_min=np.ones(2), bracket=1.5)
+        assert lab._diagnostics(err) == {"lambda_min": "array([1., 1.])",
+                                         "bracket": 1.5}
         # an error that carries none of them adds no key to the report
-        assert lab._diagnostics(ContractError("x")) == {}
+        assert lab._diagnostics(ContractError("x")) is None
         rep = lab.ExperimentReport("cnp.collision", {}, 0, [], 1.0,
-                                   error="ContractError: x", diagnostics={})
+                                   error="ContractError: x")
         assert "diagnostics" not in rep.to_dict()
+
+    def test_open_bracket_error_is_one_failed_report(self, monkeypatch,
+                                                     tmp_path):
+        # Remez leaves a bracket end open (None) when its exchange fails
+        def runner(params, seed):
+            raise NumericError("x", bracket=(1.0, None))
+        eid = "polyapprox.minimax_decay"
+        monkeypatch.setitem(REGISTRY, eid, dataclasses.replace(
+            REGISTRY[eid], runner=runner))
+        result = run_suite([ExperimentConfig(eid),
+                            ExperimentConfig("cnp.collision")])
+        failed = [r for r in result["reports"] if r.failed]
+        assert [r.experiment_id for r in failed] == [eid]
+        assert failed[0].diagnostics == {"bracket": [1.0, None]}
+        written = [json.loads(p.read_text(encoding="utf-8"))
+                   for p in write_reports(result["reports"], tmp_path,
+                                          fmt="json")]
+        assert [w.get("diagnostics") for w in written
+                if w["experiment_id"] == eid] == [{"bracket": [1.0, None]}]
 
     def test_hierarchy_configs_cover_suite(self):
         cfgs = hierarchy_configs(seed=7)
