@@ -69,16 +69,23 @@ def _execute(configs, args) -> int:
         except OSError as err:
             raise UsageError(f"--out {args.out}: {err.strerror}") from err
     result = run_suite(configs)
+    lines = []
     for report in result["reports"]:
         status = "FAIL" if report.failed else "pass"
         line = f"{status}  {report.experiment_id}"
         if report.error:
             line += f"  ({report.error})"
-        print(line)
-    if args.out:
+        lines.append(line)
+    if args.out:  # before the first line, so a closed stdout loses no file
         paths = write_reports(result["reports"], args.out, fmt=args.format)
-        print(f"wrote {len(paths)} report file(s) to {args.out}")
-    print("overall:", "pass" if result["overall_pass"] else "fail")
+        lines.append(f"wrote {len(paths)} report file(s) to {args.out}")
+    lines.append("overall: " + ("pass" if result["overall_pass"] else "fail"))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader is gone, not the result: keep the exit code, and point
+        # stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_PASS if result["overall_pass"] else EXIT_FAIL
 
 

@@ -50,10 +50,6 @@ class ContextSet:
     def n(self) -> int:
         return self.locations.shape[0]
 
-    def permuted(self, perm) -> "ContextSet":
-        perm = np.asarray(perm)
-        return ContextSet(self.locations[perm], self.values[perm])
-
 
 def context_from_pairs(pairs) -> ContextSet:
     """Build a context set from [(x, y), ...] with scalar or vector entries."""
@@ -187,9 +183,6 @@ def pca_bound_experiment(n: int, d: int, mode: str = SYNTHETIC_ISOTROPIC,
         for _ in range(30))
 
     return {
-        "mode": mode,
-        "n": n,
-        "d": d,
         "measured_ratio": ratio,
         "bound": bound,
         "deviation_from_bound": ratio - bound,

@@ -409,12 +409,9 @@ def depth_support_experiment(spec: KernelSpec, grid: GridSpec, p: int,
     rho = chebyshev_rho(kappa)
     return {
         "kappa": kappa,
-        "support": p,
-        "per_layer_degree": half,
         "required": required,
         "decay_slope": slope,
         "log_rho": float(np.log(rho)) if rho > 0 else float("-inf"),
-        "minimax_errors": dict(sorted(errors.items())),
     }
 
 
@@ -458,7 +455,5 @@ def pure_convcnp_counterexample(spec: KernelSpec,
     gp_b = posterior_mean(spec, config_b.locations, config_b.values[:, 0], x_t)
     return {
         "pure_output_gap": abs(pure_a - pure_b),
-        "gp_mean_A": gp_a,
-        "gp_mean_B": gp_b,
         "gp_mean_gap": abs(gp_a - gp_b),
     }

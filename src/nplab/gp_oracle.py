@@ -3,11 +3,12 @@
 These are the ground-truth targets every architecture in the lab is measured
 against.  Solves go through the shared GramSpectrum eigendecomposition so the
 condition number used in bounds is always the one actually factored.
+`posterior_weights` returns the weight vector w itself; the posterior mean
+for observed values y is w @ y, which `posterior_mean` takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,20 +20,8 @@ from .kernels import (GramSpectrum, KernelSpec, cross_vector, gram_spectrum,
 MIN_LAMBDA = 1e-8
 
 
-@dataclass(frozen=True)
-class PosteriorWeights:
-    """Weight vector w with posterior mean w^T y for any observed values."""
-
-    weights: np.ndarray
-    target: np.ndarray
-
-    def mean(self, y: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(y, dtype=float))
-
-
 def posterior_weights(spec: KernelSpec, X_C, x_t,
-                      spectrum: Optional[GramSpectrum] = None
-                      ) -> PosteriorWeights:
+                      spectrum: Optional[GramSpectrum] = None) -> np.ndarray:
     """Posterior-mean weights k(x_t, X_C) K^{-1} at a single target.
 
     ``spectrum``, when given, must be ``gram_spectrum(spec, X_C)``; a caller
@@ -53,13 +42,13 @@ def posterior_weights(spec: KernelSpec, X_C, x_t,
     if resid > 1e-8 * max(np.linalg.norm(k), 1e-300):
         raise NumericError("posterior solve residual too large",
                            residual=float(resid))
-    return PosteriorWeights(weights=w,
-                            target=np.atleast_1d(np.asarray(x_t, dtype=float)))
+    return w
 
 
 def posterior_mean(spec: KernelSpec, X_C, y_C, x_t,
                    spectrum: Optional[GramSpectrum] = None) -> float:
-    return posterior_weights(spec, X_C, x_t, spectrum).mean(y_C)
+    return float(posterior_weights(spec, X_C, x_t, spectrum)
+                 @ np.asarray(y_C, dtype=float))
 
 
 def _check_distinct(points: np.ndarray, what: str):

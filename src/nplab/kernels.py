@@ -49,7 +49,7 @@ class KernelSpec:
 
     family: str = "rbf"
     lengthscale: float = 1.0
-    jitter: Optional[float] = None  # None -> DEFAULT_JITTER_SCALE
+    jitter: float = DEFAULT_JITTER_SCALE
     nu: float = 0.5
     degree: int = 2
     base: Optional["KernelSpec"] = None
@@ -59,7 +59,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.lengthscale <= 0:
             raise InputError("lengthscale must be positive")
-        if self.jitter is not None and self.jitter < 0:
+        if self.jitter < 0:
             raise InputError("jitter must be nonnegative")
         if self.family == "matern" and self.nu not in _MATERN_NUS:
             raise InputError(f"matern nu must be one of {_MATERN_NUS}")
@@ -69,12 +69,6 @@ class KernelSpec:
             raise InputError("scaled kernel needs base spec and amplitude map")
         if self.family not in ("rbf", "matern", "polynomial", "scaled"):
             raise InputError(f"unknown kernel family {self.family!r}")
-
-    @property
-    def effective_jitter(self) -> float:
-        if self.jitter is None:
-            return DEFAULT_JITTER_SCALE
-        return self.jitter
 
     @property
     def stationary(self) -> bool:
@@ -195,7 +189,7 @@ def _gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     if not np.all(np.isfinite(Xa)):
         raise InputError("locations must be finite")
     K = kernel_matrix(spec, Xa)
-    return K + spec.effective_jitter * np.eye(Xa.shape[0])
+    return K + spec.jitter * np.eye(Xa.shape[0])
 
 
 def gram_spectrum(spec: KernelSpec, X) -> GramSpectrum:

@@ -354,13 +354,13 @@ def _run_poly_structure(params, seed):
     for i in range(params["n_grams"]):
         rng = stream(seed, "tnp.polynomial_structure", i)
         X = rng.uniform(-3, 3, (params["n"], 1))
-        att = tnp.normalize_attention(_gram_matrix(_rbf(), X))
+        A = tnp.normalize_attention(_gram_matrix(_rbf(), X))
         L = 1 + i % params["max_depth"]
         alphas = rng.uniform(-1.5, 1.5, L)
         H0 = rng.normal(size=(params["n"], 2))
         sched = polyapprox.product_schedule(alphas)
-        layerwise = tnp.tnp_forward(att.K_tilde, sched, H0)
-        expanded = _expanded_product(att.K_tilde, alphas, H0)
+        layerwise = tnp.tnp_forward(A, sched, H0)
+        expanded = _expanded_product(A, alphas, H0)
         worst = max(worst, float(np.max(np.abs(layerwise - expanded))))
     return [Check("max_deviation", worst, 1e-10, "<=")]
 
@@ -721,9 +721,7 @@ def _run_cov_rank(params, seed):
         spec = _rbf() if i % 2 == 0 else KernelSpec(family="matern", nu=0.5)
         pts = _separated_points(rng, 10, params["min_separation"])
         entries.append((spec, pts[:4].reshape(-1, 1), pts[4:].reshape(-1, 1)))
-    worst_min_eig = np.inf
-    for rep in latent.gp_cov_rank_check(entries):
-        worst_min_eig = min(worst_min_eig, rep["min_eig"])
+    worst_min_eig = min(np.inf, *latent.gp_cov_rank_check(entries))
     return [Check("max_rank_excess", worst_rel, 1e-8, "<="),
             Check("min_gp_eigenvalue", worst_min_eig, 1e-10, ">")]
 
@@ -950,12 +948,12 @@ def write_reports(reports, out_dir, fmt: str = "both") -> list:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["experiment_id", "measurement_name", "value",
-                             "relation", "bound", "verdict"])
+                             "relation", "bound", "verdict", "seed"])
             for report in reports:
                 for c in sorted(report.checks, key=lambda c: c.name):
                     writer.writerow([report.experiment_id, c.name,
                                      _fmt(c.value), c.relation, _fmt(c.bound),
-                                     c.verdict])
+                                     c.verdict, report.seed])
         written.append(path)
     return written
 

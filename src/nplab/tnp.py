@@ -33,29 +33,19 @@ from .rng import stream
 FD_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class AttentionMatrix:
-    """Row-normalized attention D^{-1} K."""
+def normalize_attention(K: np.ndarray) -> np.ndarray:
+    """Row-normalized attention D^{-1} K with D = diag(K 1) for a Gram
+    matrix K; rows sum to one.
 
-    K_tilde: np.ndarray
-    D: np.ndarray          # row sums of the source Gram
-    gamma: float           # d_max / d_min
-
-
-def normalize_attention(K: np.ndarray) -> AttentionMatrix:
-    """K_tilde = D^{-1} K with D = diag(K 1) for a Gram matrix K; rows sum
-    to one.
-
-    No spectrum is computed.  The condition number of K_tilde, through
+    No spectrum is computed.  The condition number of D^{-1} K, through
     its symmetric similar matrix D^{-1/2} K D^{-1/2}, lies within a
-    factor gamma = d_max / d_min of that of K.
+    factor d_max / d_min of that of K.
     """
     K = np.asarray(K, dtype=float)
     d = K @ np.ones(len(K))
     if np.any(d <= 0):
         raise InputError("attention normalization needs positive row sums")
-    gamma = float(d.max() / d.min())
-    return AttentionMatrix(K_tilde=K / d[:, None], D=d, gamma=gamma)
+    return K / d[:, None]
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ class TestPredictor:
         C = context_from_pairs([(0.0, 1.0), (1.0, -2.0), (3.0, 0.3)])
         enc = Encoder()
         dec = lambda r, x_t: float(np.sum(r) * (1.0 + x_t[0]))
-        vals = {cnp_predict(enc, dec, C.permuted(p), 0.7)
+        vals = {cnp_predict(enc, dec,
+                            ContextSet(C.locations[p], C.values[p]), 0.7)
                 for p in ([0, 1, 2], [2, 1, 0], [1, 2, 0])}
         # mean pooling is reordering-sensitive only through float summation
         assert max(vals) - min(vals) < 1e-12

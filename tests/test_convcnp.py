@@ -325,7 +325,8 @@ class TestDepthSupport:
                                        first_row=row)
         for eps, entry in out["required"].items():
             assert entry["achieved"]
-            assert entry["layers"] * out["per_layer_degree"] >= entry["degree"]
+            # support 5 gives each layer degree 5 // 2
+            assert entry["layers"] * (5 // 2) >= entry["degree"]
 
     def test_each_degree_is_fitted_once(self, monkeypatch):
         # eps = 1e-8 takes the eps loop past degree 12, so the slope fit's
@@ -340,11 +341,11 @@ class TestDepthSupport:
         monkeypatch.setattr(convcnp, "trig_minimax_error", counted)
         grid = GridSpec(n=64, spacing=0.5)
         row = nearest_neighbor_row(2.5, 0.75, 64)
-        out = depth_support_experiment(RBF, grid, p=5,
-                                       eps_targets=[1e-1, 1e-8],
-                                       first_row=row)
+        depth_support_experiment(RBF, grid, p=5, eps_targets=[1e-1, 1e-8],
+                                 first_row=row)
         assert max(fitted) > 12
-        assert sorted(fitted) == sorted(out["minimax_errors"])
+        assert len(fitted) == len(set(fitted))
+        assert {4, 6, 8, 10, 12} <= set(fitted)
 
     def test_slope_matches_log_rho(self):
         # symbol 2.5 + 1.5 cos(w) ranges over [1, 4]: kappa = 4
@@ -401,8 +402,8 @@ class TestIncomparability:
     def test_pure_counterexample_closed_form(self):
         out = pure_convcnp_counterexample(RBF)
         assert out["pure_output_gap"] < 1e-12
-        assert out["gp_mean_A"] == pytest.approx(GP_MEAN_A, abs=1e-6)
-        assert out["gp_mean_B"] == pytest.approx(GP_MEAN_B, abs=1e-6)
+        assert out["gp_mean_gap"] == pytest.approx(GP_MEAN_B - GP_MEAN_A,
+                                                   abs=2e-6)
         assert out["gp_mean_gap"] > 0.25
 
     def test_off_grid_rejected(self):

@@ -16,9 +16,9 @@ class TestPosteriorWeights:
     def test_given_spectrum_is_used_as_is(self, jacobi_calls):
         X = np.array([[0.0], [0.7], [1.9]])
         S = gram_spectrum(RBF, X)
-        ref = posterior_weights(RBF, X, [0.4]).weights
+        ref = posterior_weights(RBF, X, [0.4])
         jacobi_calls[:] = [0, 0]
-        w = posterior_weights(RBF, X, [0.4], spectrum=S).weights
+        w = posterior_weights(RBF, X, [0.4], spectrum=S)
         assert jacobi_calls == [0, 0]
         assert np.array_equal(w, ref)
 
@@ -30,8 +30,8 @@ class TestPosteriorWeights:
     def test_single_point_weight(self):
         # one context point: w = k(x_t, x_1) / k(x_1, x_1)
         w = posterior_weights(RBF, [[0.0]], [1.0])
-        expected = eval_kernel(RBF, 1.0, 0.0) / (1.0 + RBF.effective_jitter)
-        assert w.weights[0] == pytest.approx(expected, abs=1e-12)
+        expected = eval_kernel(RBF, 1.0, 0.0) / (1.0 + RBF.jitter)
+        assert w[0] == pytest.approx(expected, abs=1e-12)
 
     def test_interpolation_at_context(self):
         # jitter-free posterior mean reproduces observed values exactly
@@ -46,8 +46,8 @@ class TestPosteriorWeights:
         rng = np.random.default_rng(7)
         X = rng.uniform(-2, 2, (6, 2))
         x_t = np.array([0.1, -0.3])
-        w = posterior_weights(RBF, X, x_t).weights
-        K = kernel_matrix(RBF, X) + RBF.effective_jitter * np.eye(6)
+        w = posterior_weights(RBF, X, x_t)
+        K = kernel_matrix(RBF, X) + RBF.jitter * np.eye(6)
         ref = np.linalg.solve(K, cross_vector(RBF, X, x_t))
         assert np.max(np.abs(w - ref)) < 1e-10
 
@@ -62,7 +62,7 @@ class TestTwoPointWeight:
         x1, x2, x_t = np.array([0.0]), np.array([1.3]), np.array([0.4])
         spec = KernelSpec(family="rbf", jitter=0.0)
         w1, w2 = two_point_weight(spec, x1, x2, x_t)
-        ref = posterior_weights(spec, np.vstack([x1, x2]), x_t).weights
+        ref = posterior_weights(spec, np.vstack([x1, x2]), x_t)
         assert w1 == pytest.approx(ref[0], abs=1e-12)
         assert w2 == pytest.approx(ref[1], abs=1e-12)
 

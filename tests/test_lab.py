@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import operator
+import os
 import signal
 import subprocess
 import sys
@@ -32,10 +33,9 @@ def time_budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, stdout=subprocess.PIPE):
     """Run `python -m nplab` on this checkout's sources, whatever the
     caller's PYTHONPATH holds."""
-    import os
     import nplab
     full_env = dict(os.environ)
     if env:
@@ -44,7 +44,8 @@ def run_cli(*argv, env=None):
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, full_env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "nplab", *argv],
-                          capture_output=True, text=True, env=full_env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=full_env)
     return proc
 
 
@@ -290,8 +291,8 @@ class TestEmission:
         with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["experiment_id", "measurement_name", "value",
-                           "relation", "bound", "verdict"]
-        assert all(len(r) == 6 for r in rows[1:])
+                           "relation", "bound", "verdict", "seed"]
+        assert all(len(r) == 7 and r[6] == doc["seed"] for r in rows[1:])
 
     def test_summary_verdicts_follow_from_rows(self, tmp_path):
         # at seed 1 tnp.gp_pipeline misses its bound, so FAIL rows occur too
@@ -499,6 +500,26 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         report = json.loads(next(out.glob("*.json")).read_text())
         assert report["error"].startswith("NumericError: ")
+
+    def test_closed_stdout_keeps_every_report_and_the_exit_code(
+            self, tmp_path):
+        # seed 1 fails tnp.gp_pipeline, so the run earns exit code 1
+        whole = run_cli("suite", "hierarchy", "--seed", "1", "--out",
+                        str(tmp_path / "whole"))
+        assert whole.returncode == 1
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line
+        try:
+            cut = run_cli("suite", "hierarchy", "--seed", "1", "--out",
+                          str(tmp_path / "cut"), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert cut.returncode == whole.returncode
+        assert "Traceback" not in cut.stderr
+        assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert len(list((tmp_path / "cut").iterdir())) == \
+            len(HIERARCHY_SUITE) + 1
 
     def test_out_at_a_file_fails_before_the_run(self, tmp_path):
         taken = tmp_path / "taken"

@@ -9,9 +9,8 @@ from nplab.lab import ExperimentConfig, run_experiment
 from nplab.latent import (RankKLatent, default_latent_builder,
                           encoder_bottleneck_lift, gp_cov_rank_check,
                           latent_predictive, mean_matching_residual,
-                          mercer_tail, numerical_rank,
-                          posterior_weight_matrix, singular_values_sym)
-from nplab.linalg import jacobi_eigh
+                          mercer_tail, posterior_weight_matrix,
+                          singular_values_sym)
 
 RBF = KernelSpec(family="rbf")
 
@@ -89,27 +88,20 @@ class TestCovarianceRank:
         evals = np.sort(np.linalg.eigvalsh(cov))[::-1]
         assert evals[k] <= 1e-8 * max(np.trace(cov), 1e-300)
 
-    def test_rank_counts_above_noise(self):
-        model = sample_model(2, sigma2=0.0)
-        X_T = np.linspace(-2, 2, 9).reshape(-1, 1)
-        cov = latent_predictive(model, X_T)["cov"]
-        assert numerical_rank(jacobi_eigh(cov)[0]) <= 2
-
     def test_gp_posterior_cov_is_full_rank(self):
         rng = np.random.default_rng(3)
         X_C = (np.cumsum(0.6 + rng.uniform(0, 0.3, 5))).reshape(-1, 1)
         X_T = X_C + 0.27
-        [out] = gp_cov_rank_check([(RBF, X_C, X_T)])
-        assert out["rank"] == out["m"]
-        assert out["min_eig"] > 1e-10
+        [min_eig] = gp_cov_rank_check([(RBF, X_C, X_T)])
+        assert min_eig > 1e-10
 
     def test_gp_cov_rank_check_factors_twice(self, jacobi_calls):
         # the context Gram inside posterior_cov, then the covariance's
         # eigenvalues alone
         X_C = np.array([[0.0], [0.8], [1.7], [2.9]])
-        [out] = gp_cov_rank_check([(RBF, X_C, X_C + 0.35)])
+        [min_eig] = gp_cov_rank_check([(RBF, X_C, X_C + 0.35)])
         assert jacobi_calls == [1, 1]
-        assert out["rank"] == out["m"] == 4
+        assert min_eig > 1e-10
 
     def test_gp_cov_rank_check_entries_match_single_entries(self):
         # one call over many entries gives each entry's single-entry result
@@ -134,12 +126,6 @@ class TestCovarianceRank:
                                                  0))
         assert report.error is None and not report.failed
         assert jacobi_calls == [2, 2 * 7 + 2]
-
-    def test_numerical_rank_rule(self):
-        vals = np.array([-1e-13, 0.0, 1e-11, 0.5, 1.0])
-        # threshold 1e-10 * sum|vals| = 1.5e-10: only 0.5 and 1.0 count
-        assert numerical_rank(vals) == 2
-        assert numerical_rank(np.zeros(3)) == 0
 
 
 class TestMeanMatching:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import nplab
 from nplab import lab
+from nplab.errors import UsageError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -48,9 +49,8 @@ def test_bench_pair_help():
         assert flag in proc.stdout
 
 
-def load_bench_pair():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pair", SCRIPTS / "bench_pair.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -62,13 +62,13 @@ def test_bench_pair_tier1_run_times_one_side(tmp_path):
     (tmp_path / "tests" / "test_one.py").write_text(
         "def test_one():\n    assert True\n\n\n"
         "def test_two():\n    assert False\n")
-    seconds, outcome = load_bench_pair().run_tier1(tmp_path)
+    seconds, outcome = load_script("bench_pair").run_tier1(tmp_path)
     assert seconds > 0.0
     assert "1 failed, 1 passed" in outcome
 
 
 def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
-    bench_pair = load_bench_pair()
+    bench_pair = load_script("bench_pair")
     root = SCRIPTS.parent
     tier1 = {}
 
@@ -126,3 +126,37 @@ def test_seed_sweep_rejects_a_reversed_range():
     proc = run_script("seed_sweep.py", "--from", "2", "--to", "1")
     assert proc.returncode == 2
     assert "--from <= --to" in proc.stderr
+
+
+def test_domain_sweep_counts_match_run_suite():
+    eid = "cnp.collision"
+    proc = run_script("domain_sweep.py", "--experiment", eid)
+    assert proc.returncode == 0, proc.stderr
+    sweep = load_script("domain_sweep")
+    edges, interior = sweep.edge_configs(eid), sweep.interior_configs(eid)
+    # x_t alone at lo and at hi, then the fixed number of interior draws
+    assert [c.params for c in edges] == [{"x_t": -10.0}, {"x_t": 10.0}]
+    assert len(interior) == sweep.DRAWS
+    assert len({(c.params["x_t"], c.seed) for c in interior}) == sweep.DRAWS
+    want = []
+    for phase, configs in (("edges", edges), ("interior", interior)):
+        counts = dict.fromkeys(sweep.OUTCOMES, 0)
+        notes = []
+        for config in configs:
+            try:
+                [report] = lab.run_suite([config])["reports"]
+            except UsageError:
+                counts["usage error"] += 1
+                continue
+            kind = ("error" if report.error else
+                    "FAIL" if report.failed else "pass")
+            counts[kind] += 1
+            if kind != "pass":
+                notes.append(f"  {kind} " + json.dumps(
+                    {"experiment_id": eid, "params": config.params,
+                     "seed": config.seed})
+                    + (f"  ({report.error})" if report.error else ""))
+        line = ", ".join(f"{counts[k]} {k}" for k in sweep.OUTCOMES)
+        want += [f"{eid} {phase}: {line}", *notes,
+                 f"{phase} total: {len(configs)} runs, {line}"]
+    assert proc.stdout.splitlines() == want

@@ -6,7 +6,8 @@ from nplab import lab
 from nplab.cnp import ContextSet, context_from_pairs
 from nplab.errors import InputError
 from nplab.gp_oracle import posterior_weights
-from nplab.kernels import KernelSpec, gram_spectrum, spectrum_of
+from nplab.kernels import (KernelSpec, cross_vector, gram_spectrum,
+                           kernel_matrix, spectrum_of)
 from nplab.lab import ExperimentConfig, run_experiment
 from nplab.polyapprox import (chebyshev_schedule, minimax_oracle,
                               product_schedule, schedule_inverse_values)
@@ -29,27 +30,30 @@ class TestNormalizeAttention:
     def test_rows_sum_to_one(self):
         C = well_spread_context(0)
         A = normalize_attention(gram_spectrum(RBF, C.locations).matrix)
-        assert np.max(np.abs(A.K_tilde @ np.ones(C.n) - 1.0)) < 1e-12
+        assert np.max(np.abs(A @ np.ones(C.n) - 1.0)) < 1e-12
 
     def test_kappa_within_gamma_bracket(self):
-        # kappa(D^-1/2 K D^-1/2) lies within a factor gamma of kappa(K)
+        # kappa(D^-1/2 K D^-1/2) lies within a factor gamma = d_max / d_min
+        # of kappa(K)
         for seed in range(5):
             C = well_spread_context(seed)
             K = gram_spectrum(RBF, C.locations).matrix
-            A = normalize_attention(K)
+            d = K @ np.ones(C.n)
+            assert np.array_equal(normalize_attention(K), K / d[:, None])
+            gamma = d.max() / d.min()
             kappa_source = spectrum_of(K).kappa
-            kappa_tilde = spectrum_of(K / np.sqrt(np.outer(A.D, A.D))).kappa
-            lo, hi = kappa_source / A.gamma, A.gamma * kappa_source
+            kappa_tilde = spectrum_of(K / np.sqrt(np.outer(d, d))).kappa
+            lo, hi = kappa_source / gamma, gamma * kappa_source
             assert lo * (1 - 1e-9) <= kappa_tilde <= hi * (1 + 1e-9)
 
     def test_similarity_preserves_spectrum(self):
         C = well_spread_context(3, n=6)
         S = gram_spectrum(RBF, C.locations)
         A = normalize_attention(S.matrix)
+        d = S.matrix @ np.ones(S.n)
         # eigenvalues of D^{-1} K equal those of the symmetric similar form
-        direct = np.sort(np.linalg.eigvals(A.K_tilde).real)
-        sym = np.sort(np.linalg.eigvalsh(
-            S.matrix / np.sqrt(np.outer(A.D, A.D))))
+        direct = np.sort(np.linalg.eigvals(A).real)
+        sym = np.sort(np.linalg.eigvalsh(S.matrix / np.sqrt(np.outer(d, d))))
         assert np.max(np.abs(direct - sym)) < 1e-10
 
 
@@ -75,8 +79,7 @@ class TestEigFamily:
         member = eig_family(8.0, 6, 0.1)
         S = spectrum_of(member.matrix)
         A = normalize_attention(S.matrix)
-        assert np.max(np.abs(A.K_tilde - member.matrix)) < 1e-14
-        assert np.max(np.abs(A.D - 1.0)) < 1e-14
+        assert np.max(np.abs(A - member.matrix)) < 1e-14
 
     def test_t_range_enforced(self):
         with pytest.raises(InputError):
@@ -118,6 +121,14 @@ class TestPipeline:
             out = tnp_gp_pipeline(RBF, C, 1.0, L)
             assert out["error_vs_oracle"] <= out["bound"] * (1 + 1e-9)
 
+    def test_oracle_matches_an_independent_solve(self):
+        C = well_spread_context(4, n=6)
+        out = tnp_gp_pipeline(RBF, C, 0.3, 10)
+        K = kernel_matrix(RBF, C.locations) + RBF.jitter * np.eye(6)
+        k = cross_vector(RBF, C.locations, 0.3)
+        oracle = float(k @ np.linalg.solve(K, C.values[:, 0]))
+        assert out["oracle"] == pytest.approx(oracle, abs=1e-9)
+
     def test_error_decreases_with_depth(self):
         C = well_spread_context(2, gap=1.2)
         errs = [tnp_gp_pipeline(RBF, C, 0.5, L)["error_vs_oracle"]
@@ -144,7 +155,7 @@ class TestPipeline:
     def test_deep_pipeline_approaches_gp_weights(self):
         C = well_spread_context(9, n=6, gap=1.2)
         row = gp_weight_row(RBF, C.locations, 0.2, 40)
-        exact = posterior_weights(RBF, C.locations, 0.2).weights
+        exact = posterior_weights(RBF, C.locations, 0.2)
         assert np.max(np.abs(row - exact)) < 1e-8
 
 
