@@ -2,7 +2,7 @@
 """Run every experiment across its declared parameter domain and count
 what each run ends in.
 
-    python scripts/domain_sweep.py [--experiment ID]
+    python scripts/domain_sweep.py
 
 Edges: each numeric param (one declared with a range, not choices) alone
 at its lo and then at its hi, every other param at its default, at seed 0.
@@ -79,31 +79,41 @@ def outcome(config) -> tuple:
     return ("FAIL" if report.failed else "pass"), None
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--experiment", choices=sorted(lab.REGISTRY),
-                    help="sweep this experiment only")
-    args = ap.parse_args(argv)
-    eids = [args.experiment] if args.experiment else lab.HIERARCHY_SUITE
-    for phase, build in (("edges", edge_configs),
-                         ("interior", interior_configs)):
-        totals = dict.fromkeys(OUTCOMES, 0)
-        for eid in eids:
+def sweep(eids) -> dict:
+    """{eid: {phase: (counts by outcome, [(kind, config, message)])}} for
+    each phase, edges then interior."""
+    result = {}
+    for eid in eids:
+        result[eid] = {}
+        for phase, build in (("edges", edge_configs),
+                             ("interior", interior_configs)):
             counts = dict.fromkeys(OUTCOMES, 0)
             notes = []
             for config in build(eid):
                 kind, message = outcome(config)
                 counts[kind] += 1
                 if kind in ("FAIL", "error"):
-                    doc = json.dumps({"experiment_id": eid,
-                                      "params": config.params,
-                                      "seed": config.seed})
-                    notes.append(f"  {kind} {doc}"
-                                 + (f"  ({message})" if message else ""))
+                    notes.append((kind, config, message))
+            result[eid][phase] = counts, notes
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.parse_args(argv)
+    result = sweep(lab.HIERARCHY_SUITE)
+    for phase in ("edges", "interior"):
+        totals = dict.fromkeys(OUTCOMES, 0)
+        for eid, phases in result.items():
+            counts, notes = phases[phase]
             print(f"{eid} {phase}: "
                   + ", ".join(f"{counts[k]} {k}" for k in OUTCOMES))
-            for note in notes:
-                print(note)
+            for kind, config, message in notes:
+                doc = json.dumps({"experiment_id": eid,
+                                  "params": config.params,
+                                  "seed": config.seed})
+                print(f"  {kind} {doc}"
+                      + (f"  ({message})" if message else ""))
             for k in OUTCOMES:
                 totals[k] += counts[k]
         print(f"{phase} total: {sum(totals.values())} runs, "

@@ -62,7 +62,7 @@ def _resolve_seed(flag_seed):
     return None if env is None else parse_seed(env, "NPLAB_SEED")
 
 
-def _execute(configs, args) -> int:
+def _execute(configs, args) -> tuple:
     if args.out:  # before the run, so a bad path costs no experiment
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -76,20 +76,14 @@ def _execute(configs, args) -> int:
         if report.error:
             line += f"  ({report.error})"
         lines.append(line)
-    if args.out:  # before the first line, so a closed stdout loses no file
+    if args.out:
         paths = write_reports(result["reports"], args.out, fmt=args.format)
         lines.append(f"wrote {len(paths)} report file(s) to {args.out}")
     lines.append("overall: " + ("pass" if result["overall_pass"] else "fail"))
-    try:
-        print("\n".join(lines), flush=True)
-    except BrokenPipeError:
-        # the reader is gone, not the result: keep the exit code, and point
-        # stdout at devnull so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_PASS if result["overall_pass"] else EXIT_FAIL
+    return EXIT_PASS if result["overall_pass"] else EXIT_FAIL, lines
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple:
     configs = parse_config_file(args.config)
     seed = _resolve_seed(args.seed)
     if seed is not None:
@@ -97,7 +91,7 @@ def _cmd_run(args) -> int:
     return _execute(configs, args)
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple:
     if args.name != "hierarchy":
         raise UsageError(f"unknown suite {args.name!r}; available: hierarchy")
     seed = _resolve_seed(args.seed)
@@ -105,26 +99,21 @@ def _cmd_suite(args) -> int:
     return _execute(configs, args)
 
 
-def _cmd_list(_args) -> int:
-    for eid in sorted(REGISTRY):
-        print(f"{eid:32s} {REGISTRY[eid].description.splitlines()[0]}")
-    return EXIT_PASS
+def _cmd_list(_args) -> tuple:
+    return EXIT_PASS, [
+        f"{eid:32s} {REGISTRY[eid].description.splitlines()[0]}"
+        for eid in sorted(REGISTRY)]
 
 
-def _cmd_describe(args) -> int:
+def _cmd_describe(args) -> tuple:
     entry = registry_entry(args.experiment_id)
-    print(entry.experiment_id)
-    print()
-    print(entry.description)
-    print()
-    print("parameters (default: allowed values):")
-    for key, param in sorted(entry.schema.items()):
-        print(f"  {key} = {param.default!r}: {param.range}")
-    for text, _ in entry.relations:
-        print(f"  requires {text}")
-    print()
-    print(f"tolerances: {entry.tolerances}")
-    return EXIT_PASS
+    lines = [entry.experiment_id, "", entry.description, "",
+             "parameters (default: allowed values):"]
+    lines += [f"  {key} = {param.default!r}: {param.range}"
+              for key, param in sorted(entry.schema.items())]
+    lines += [f"  requires {text}" for text, _ in entry.relations]
+    lines += ["", f"tolerances: {entry.tolerances}"]
+    return EXIT_PASS, lines
 
 
 def main(argv=None) -> int:
@@ -133,10 +122,17 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "suite": _cmd_suite, "list": _cmd_list,
                 "describe": _cmd_describe}
     try:
-        return handlers[args.command](args)
+        code, lines = handlers[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader is gone, not the result: keep the exit code, and point
+        # stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from nplab.convcnp import (CirculantOperator, GridSpec, circulant,
                            nearest_neighbor_row, pure_convcnp_counterexample,
                            softplus, trig_minimax_error, wrapped_kernel_row)
 from nplab.errors import InputError, NumericError
+from nplab.gp_oracle import posterior_mean
 from nplab.kernels import KernelSpec, eval_kernel
 from nplab.lab import ExperimentConfig, run_experiment
 from nplab.tnp import fd_jacobian
@@ -402,8 +403,11 @@ class TestIncomparability:
     def test_pure_counterexample_closed_form(self):
         out = pure_convcnp_counterexample(RBF)
         assert out["pure_output_gap"] < 1e-12
-        assert out["gp_mean_gap"] == pytest.approx(GP_MEAN_B - GP_MEAN_A,
-                                                   abs=2e-6)
+        gp_a = posterior_mean(RBF, [[1.0], [2.0]], [1.0, 1.0], np.zeros(1))
+        gp_b = posterior_mean(RBF, [[1.0], [-2.0]], [1.0, 1.0], np.zeros(1))
+        assert gp_a == pytest.approx(GP_MEAN_A, abs=1e-6)
+        assert gp_b == pytest.approx(GP_MEAN_B, abs=1e-6)
+        assert out["gp_mean_gap"] == pytest.approx(gp_b - gp_a, abs=1e-12)
         assert out["gp_mean_gap"] > 0.25
 
     def test_off_grid_rejected(self):

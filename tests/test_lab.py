@@ -521,6 +521,17 @@ class TestCli:
         assert len(list((tmp_path / "cut").iterdir())) == \
             len(HIERARCHY_SUITE) + 1
 
+    def test_closed_stdout_is_silent_for_every_command(self):
+        for argv in (["list"], ["describe", "cnp.collision"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_cli(*argv, stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 0, argv
+            assert proc.stderr == "", argv
+
     def test_out_at_a_file_fails_before_the_run(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")

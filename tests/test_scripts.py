@@ -130,33 +130,26 @@ def test_seed_sweep_rejects_a_reversed_range():
 
 def test_domain_sweep_counts_match_run_suite():
     eid = "cnp.collision"
-    proc = run_script("domain_sweep.py", "--experiment", eid)
-    assert proc.returncode == 0, proc.stderr
-    sweep = load_script("domain_sweep")
-    edges, interior = sweep.edge_configs(eid), sweep.interior_configs(eid)
+    domain_sweep = load_script("domain_sweep")
+    edges = domain_sweep.edge_configs(eid)
+    interior = domain_sweep.interior_configs(eid)
     # x_t alone at lo and at hi, then the fixed number of interior draws
     assert [c.params for c in edges] == [{"x_t": -10.0}, {"x_t": 10.0}]
-    assert len(interior) == sweep.DRAWS
-    assert len({(c.params["x_t"], c.seed) for c in interior}) == sweep.DRAWS
-    want = []
+    assert len(interior) == domain_sweep.DRAWS
+    assert len({(c.params["x_t"], c.seed) for c in interior}) == \
+        domain_sweep.DRAWS
+    got = domain_sweep.sweep([eid])
+    assert list(got) == [eid]
     for phase, configs in (("edges", edges), ("interior", interior)):
-        counts = dict.fromkeys(sweep.OUTCOMES, 0)
-        notes = []
+        counts, notes = got[eid][phase]
+        want = dict.fromkeys(domain_sweep.OUTCOMES, 0)
         for config in configs:
             try:
                 [report] = lab.run_suite([config])["reports"]
             except UsageError:
-                counts["usage error"] += 1
+                want["usage error"] += 1
                 continue
-            kind = ("error" if report.error else
-                    "FAIL" if report.failed else "pass")
-            counts[kind] += 1
-            if kind != "pass":
-                notes.append(f"  {kind} " + json.dumps(
-                    {"experiment_id": eid, "params": config.params,
-                     "seed": config.seed})
-                    + (f"  ({report.error})" if report.error else ""))
-        line = ", ".join(f"{counts[k]} {k}" for k in sweep.OUTCOMES)
-        want += [f"{eid} {phase}: {line}", *notes,
-                 f"{phase} total: {len(configs)} runs, {line}"]
-    assert proc.stdout.splitlines() == want
+            want["error" if report.error else
+                 "FAIL" if report.failed else "pass"] += 1
+        assert counts == want
+        assert len(notes) == want["FAIL"] + want["error"]

@@ -179,7 +179,8 @@ def test_gp_pipeline_factors_once_per_draw(params, seed, jacobi_calls,
 
 
 def test_polynomial_structure_factors_nothing(jacobi_calls):
-    # the layer check reads only K_tilde, so no spectrum is computed
+    # the layer check uses only the normalized matrix D⁻¹K, so no spectrum
+    # is computed
     report = run_experiment(ExperimentConfig(
         "tnp.polynomial_structure", {"n": 40, "n_grams": 3}, 0))
     assert report.error is None and not report.failed
