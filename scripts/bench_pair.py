@@ -50,6 +50,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("hierarchy", "dense_n64", "grid_256")
 PAIRS = 10
 BOOTSTRAP = 2000
+# each side runs on its own sources; nplab no longer reads NPLAB_SEED, but
+# the older commits this script also runs do
+CLEARED_ENV = ("PYTHONPATH", "NPLAB_SEED")
 
 
 def parse_args(argv=None):
@@ -102,8 +105,7 @@ def export(treeish: str, dest: Path):
 def run_bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONPATH", "NPLAB_SEED")}
+    env = {k: v for k, v in os.environ.items() if k not in CLEARED_ENV}
     proc = subprocess.run(argv, cwd=side, env=env, capture_output=True,
                           text=True, timeout=max(600.0, 20.0 * seconds))
     lines = proc.stdout.strip().splitlines()
@@ -123,8 +125,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
 def run_tier1(side: Path):
     """Wall seconds and pytest's last output line of one Tier-1 run on the
     side's own ``src`` and ``tests``; failing tests do not stop it."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONPATH", "NPLAB_SEED")}
+    env = {k: v for k, v in os.environ.items() if k not in CLEARED_ENV}
     env["PYTHONPATH"] = str(side / "src")
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=side, env=env,

@@ -1,17 +1,18 @@
 """Cross-attention predictor with analytically injected scores.
 
-Attention weights are softmax(s(x_t, x_i, y_i)); with s = log k the
-weighted sum is exactly the Nadaraya-Watson kernel smoother.  Because the
-weight on each context point depends only on the (query, point) pair,
-no such predictor can react to inter-context geometry; the factorization
-counterexample builds two configurations with identical per-point score
-inputs whose exact GP posterior weights differ by a sizable gap.
+A score is a plain function (C, x_t) -> the score s(x_t, x_i, y_i) of
+every context point, and the attention weights are their softmax.  With
+s = log k, which `log_kernel_score` builds, the weighted sum is exactly
+the Nadaraya-Watson kernel smoother.  Because the weight on each context
+point depends only on the (query, point) pair, no such predictor can
+react to inter-context geometry; the factorization counterexample builds
+two configurations with identical per-point score inputs whose exact GP
+posterior weights differ by a sizable gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,56 +21,31 @@ from .errors import InputError, NumericError
 from .gp_oracle import two_point_weight
 from .kernels import KernelSpec, cross_vector
 
-LOG_KERNEL = "log_kernel"
-UNIFORM = "uniform"
-CUSTOM = "custom"
+
+def log_kernel_score(spec: KernelSpec) -> Callable:
+    """The score s(x_t, x_i) = log k(x_i, x_t), as a function (C, x_t) ->
+    the score of every context point in context order, taken from one
+    `cross_vector`."""
+    def scores(C: ContextSet, x_t) -> np.ndarray:
+        k = cross_vector(spec, C.locations, x_t)
+        if np.any(k <= 0):
+            raise InputError("log-kernel score needs positive kernel values")
+        return np.log(k)
+    return scores
 
 
-@dataclass(frozen=True)
-class ScoreFunction:
-    """Attention score s(x_t, x, y), injected analytically."""
-
-    kind: str = UNIFORM
-    spec: Optional[KernelSpec] = None
-    custom: Optional[Callable] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in (LOG_KERNEL, UNIFORM, CUSTOM):
-            raise InputError(f"unknown score kind {self.kind!r}")
-        if self.kind == LOG_KERNEL and self.spec is None:
-            raise InputError("log-kernel score needs a kernel spec")
-        if self.kind == CUSTOM and self.custom is None:
-            raise InputError("custom score needs a callable")
-
-    def scores(self, C: ContextSet, x_t) -> np.ndarray:
-        """Score s(x_t, x_i, y_i) of every context point, in context order.
-
-        LOG_KERNEL takes log k(x_i, x_t) from one `cross_vector`; UNIFORM
-        is all zeros; only CUSTOM calls its map once per point.
-        """
-        if self.kind == UNIFORM:
-            return np.zeros(C.n)
-        if self.kind == LOG_KERNEL:
-            k = cross_vector(self.spec, C.locations, x_t)
-            if np.any(k <= 0):
-                raise InputError("log-kernel score needs positive kernel values")
-            return np.log(k)
-        return np.array([float(self.custom(x_t, x, y))
-                         for x, y in zip(C.locations, C.values)])
-
-
-def attention_weights(score: ScoreFunction, C: ContextSet, x_t) -> np.ndarray:
-    """Softmax attention over the context; strictly positive, sums to 1.
-    Max-score subtraction keeps the exponentials in range exactly."""
+def attention_weights(score: Callable, C: ContextSet, x_t) -> np.ndarray:
+    """Softmax of score(C, x_t) over the context; strictly positive, sums
+    to 1.  Max-score subtraction keeps the exponentials in range exactly."""
     if C.n < 1:
         raise InputError("context set must be nonempty")
-    s = score.scores(C, x_t)
+    s = score(C, x_t)
     s = s - s.max()
     w = np.exp(s)
     return w / w.sum()
 
 
-def anp_predict(score: ScoreFunction, value_map: Callable, decoder: Callable,
+def anp_predict(score: Callable, value_map: Callable, decoder: Callable,
                 C: ContextSet, x_t) -> float:
     """decoder(x_t, sum_i alpha_i v(x_i, y_i))."""
     alpha = attention_weights(score, C, x_t)

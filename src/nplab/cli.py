@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: run <config.json>, suite hierarchy, list, describe <id>.
-Flags of run and suite: --out DIR, --seed N, --format json|csv|both.
-Experiments run one after another in this process.
-Seed precedence: --seed flag > NPLAB_SEED environment variable > config.
+Flags of run and suite: --out DIR (writes one JSON report per experiment
+and summary.csv), --seed N.  Experiments run one after another in this
+process.  Seed precedence: --seed flag > config.
 Exit codes: 0 all pass, 1 any failure (a numeric failure is a failed report
 carrying its error), 2 usage error, raised before any experiment runs.
 """
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for JSON/CSV reports")
         p.add_argument("--seed", default=None,
                        help="override every experiment seed")
-        p.add_argument("--format", choices=["json", "csv", "both"],
-                       default="both", help="report formats to write")
 
     p_run = sub.add_parser("run", help="run experiments from a JSON config")
     p_run.add_argument("config", help="path to the config JSON document")
@@ -56,10 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag_seed):
-    if flag_seed is not None:
-        return parse_seed(flag_seed, "--seed")
-    env = os.environ.get("NPLAB_SEED")
-    return None if env is None else parse_seed(env, "NPLAB_SEED")
+    return None if flag_seed is None else parse_seed(flag_seed, "--seed")
 
 
 def _execute(configs, args) -> tuple:
@@ -77,7 +72,7 @@ def _execute(configs, args) -> tuple:
             line += f"  ({report.error})"
         lines.append(line)
     if args.out:
-        paths = write_reports(result["reports"], args.out, fmt=args.format)
+        paths = write_reports(result["reports"], args.out)
         lines.append(f"wrote {len(paths)} report file(s) to {args.out}")
     lines.append("overall: " + ("pass" if result["overall_pass"] else "fail"))
     return EXIT_PASS if result["overall_pass"] else EXIT_FAIL, lines

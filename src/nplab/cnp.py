@@ -2,11 +2,12 @@
 optimal-linear-encoder lower bound.
 
 The predictor here is the idealized mean-pooling architecture: encode each
-(location, value) pair, average, decode at the query.  Because the context
-enters only through the average encoding, any two context sets with equal
-mean encodings are indistinguishable to every decoder;
-`example_collision_pair` stores such a pair and `collision_separation`
-measures how far apart the exact GP posterior means are on it.
+(location, value) pair as itself, average (`mean_encoding`), decode at the
+query.  Because the context enters only through the average encoding, any
+two context sets with equal mean encodings are indistinguishable to every
+decoder; `example_collision_pair` stores such a pair and
+`collision_separation` measures how far apart the exact GP posterior means
+are on it.
 """
 
 from __future__ import annotations
@@ -62,30 +63,20 @@ def context_from_pairs(pairs) -> ContextSet:
 
 
 # ---------------------------------------------------------------------------
-# encoder
+# encoder and predictor
 
-class Encoder:
-    """The identity pair encoder h(x, y) = (x, y)."""
-
-    def encode(self, x, y) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
-                               np.atleast_1d(np.asarray(y, dtype=float))])
-
-    def mean_encoding(self, C: ContextSet) -> np.ndarray:
-        return np.mean(
-            [self.encode(x, y) for x, y in zip(C.locations, C.values)], axis=0)
+def mean_encoding(C: ContextSet) -> np.ndarray:
+    """Mean over the context of the identity pair encoding h(x, y) =
+    (x, y)."""
+    return np.mean(np.hstack([C.locations, C.values]), axis=0)
 
 
-# ---------------------------------------------------------------------------
-# predictor
-
-def cnp_predict(encoder: Encoder, decoder: Callable, C: ContextSet,
-                x_t) -> float:
+def cnp_predict(decoder: Callable, C: ContextSet, x_t) -> float:
     """decoder(mean encoding, query).  Permutation invariant by construction
     since the context enters only through the mean."""
     if C.n < 1:
         raise InputError("context set must be nonempty")
-    r = encoder.mean_encoding(C)
+    r = mean_encoding(C)
     return float(decoder(r, np.atleast_1d(np.asarray(x_t, dtype=float))))
 
 
@@ -104,8 +95,7 @@ def example_collision_pair() -> CollisionResult:
     mean-encode to (1, 1) while being far apart as multisets."""
     C = context_from_pairs([(0.0, 1.0), (2.0, 1.0)])
     C2 = context_from_pairs([(0.5, 0.5), (1.5, 1.5)])
-    enc = Encoder()
-    gap = float(np.linalg.norm(enc.mean_encoding(C) - enc.mean_encoding(C2)))
+    gap = float(np.linalg.norm(mean_encoding(C) - mean_encoding(C2)))
     return CollisionResult(C=C, C2=C2, encoding_gap=gap)
 
 

@@ -1,9 +1,10 @@
 """Kernel evaluation, Gram assembly and spectral decomposition.
 
 Every experiment in the lab starts from a positive definite kernel.  The
-supported families are RBF, half-integer Matern, polynomial, and a
-non-stationary amplitude-scaled wrapper ``sigma(x) sigma(x') k_base(x, x')``
-used by the equivariance-violation experiments.
+supported families are RBF, Matern of smoothness 1/2 (exp(-r)),
+polynomial, and a non-stationary amplitude-scaled wrapper
+``sigma(x) sigma(x') k_base(x, x')`` used by the equivariance-violation
+experiments.
 
 `kernel_matrix` is the one path to kernel values: every other module takes
 them from it or from `cross_vector`, which calls it, and only
@@ -34,23 +35,21 @@ from .linalg import jacobi_eigh, jacobi_eigh_many
 # that study condition numbers directly pin jitter to 0 instead
 DEFAULT_JITTER_SCALE = 1e-10
 
-_MATERN_NUS = (0.5, 1.5, 2.5)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A unit-variance kernel family with its hyperparameters.
 
     family is one of ``"rbf"``, ``"matern"``, ``"polynomial"``,
-    ``"scaled"``.  Matern requires ``nu`` in {1/2, 3/2, 5/2}; polynomial
-    requires ``degree``; scaled requires ``base`` and ``amplitude`` (a map
-    from a point to a positive real).
+    ``"scaled"``.  Matern is the smoothness-1/2 kernel exp(-r), with
+    r = |x - x'| / lengthscale; polynomial requires ``degree``; scaled
+    requires ``base`` and ``amplitude`` (a map from a point to a positive
+    real).
     """
 
     family: str = "rbf"
     lengthscale: float = 1.0
     jitter: float = DEFAULT_JITTER_SCALE
-    nu: float = 0.5
     degree: int = 2
     base: Optional["KernelSpec"] = None
     amplitude: Optional[Callable[[np.ndarray], float]] = field(
@@ -61,8 +60,6 @@ class KernelSpec:
             raise InputError("lengthscale must be positive")
         if self.jitter < 0:
             raise InputError("jitter must be nonnegative")
-        if self.family == "matern" and self.nu not in _MATERN_NUS:
-            raise InputError(f"matern nu must be one of {_MATERN_NUS}")
         if self.family == "polynomial" and self.degree < 0:
             raise InputError("polynomial degree must be nonnegative")
         if self.family == "scaled" and (self.base is None or self.amplitude is None):
@@ -148,14 +145,7 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     r = sqrt(d.dot(d)) / spec.lengthscale
     if spec.family == "rbf":
         return np.exp(-0.5 * r * r)
-    # half-integer Matern closed forms
-    if spec.nu == 0.5:
-        return np.exp(-r)
-    if spec.nu == 1.5:
-        a = np.sqrt(3.0) * r
-        return (1.0 + a) * np.exp(-a)
-    a = np.sqrt(5.0) * r
-    return (1.0 + a + a * a / 3.0) * np.exp(-a)
+    return np.exp(-r)  # Matern of smoothness 1/2
 
 
 def kernel_matrix(spec: KernelSpec, X, Y=None) -> np.ndarray:

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cnp import mean_encoding
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_cov
 from .kernels import (KernelSpec, cross_vector, gram_spectra, gram_spectrum,
@@ -186,12 +187,13 @@ def default_latent_builder(k: int) -> Callable:
     return build
 
 
-def encoder_bottleneck_lift(encoder, C, C2, builder: Callable,
+def encoder_bottleneck_lift(C, C2, builder: Callable,
                             n_target_sets: int = 20, seed: int = 0) -> dict:
-    """Route two equal-encoding contexts through the same encoding-to-latent
-    map and compare the predictives on random sets of three targets."""
-    enc1 = encoder.mean_encoding(C)
-    enc2 = encoder.mean_encoding(C2)
+    """Route two equal-mean-encoding contexts through the same
+    encoding-to-latent map and compare the predictives on random sets of
+    three targets."""
+    enc1 = mean_encoding(C)
+    enc2 = mean_encoding(C2)
     gap = float(np.linalg.norm(enc1 - enc2))
     if gap > 1e-8:
         raise InputError(f"contexts do not collide (encoding gap {gap:g})")

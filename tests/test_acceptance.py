@@ -42,13 +42,12 @@ def random_spd(rng, n, kappa):
 
 def test_criterion_01_cnp_collisions():
     pair = cnp.example_collision_pair()
-    enc = cnp.Encoder()
-    r1, r2 = enc.mean_encoding(pair.C), enc.mean_encoding(pair.C2)
+    r1, r2 = cnp.mean_encoding(pair.C), cnp.mean_encoding(pair.C2)
     encodings_equal = np.array_equal(r1, r2) and np.array_equal(r1, [1.0, 1.0])
 
     decoder = lambda r, x_t: float(np.tanh(r[0] + 2.0 * r[1]) - 0.7 * x_t[0])
-    p1 = cnp.cnp_predict(enc, decoder, pair.C, 1.0)
-    p2 = cnp.cnp_predict(enc, decoder, pair.C2, 1.0)
+    p1 = cnp.cnp_predict(decoder, pair.C, 1.0)
+    p2 = cnp.cnp_predict(decoder, pair.C2, 1.0)
     gp_gap = abs(
         posterior_mean(RBF, pair.C.locations, pair.C.values[:, 0], 1.0)
         - posterior_mean(RBF, pair.C2.locations, pair.C2.values[:, 0], 1.0))
@@ -74,7 +73,7 @@ def test_criterion_02_cnp_lower_bound():
 
 def test_criterion_03_anp_kernel_smoother():
     rng = stream(0, "acceptance", "kernel_smoother")
-    score = anp.ScoreFunction(kind=anp.LOG_KERNEL, spec=RBF)
+    score = anp.log_kernel_score(RBF)
     value_map = lambda x, y: y
     decoder = lambda x_t, r: float(r[0])
     worst = 0.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.anp import (LOG_KERNEL, UNIFORM, ScoreFunction, anp_predict,
-                       attention_weights, factorization_counterexample,
+from nplab.anp import (anp_predict, attention_weights,
+                       factorization_counterexample, log_kernel_score,
                        nadaraya_watson)
 from nplab.cnp import ContextSet, context_from_pairs, example_collision_pair
 from nplab.errors import InputError
@@ -18,15 +18,26 @@ W1_NEAR = np.exp(-0.5) / (1.0 + np.exp(-0.5))   # 60 degrees, distance 1
 CLOSED_FORM_GAP = W1_FAR - W1_NEAR
 
 
+def uniform_score(C, x_t):
+    return np.zeros(C.n)
+
+
+def factorized(s):
+    """The score that gives each context point s(x_t, x_i, y_i), from that
+    point alone."""
+    return lambda C, x_t: np.array([s(x_t, x, y) for x, y in
+                                    zip(C.locations, C.values)])
+
+
 class TestAttentionWeights:
     def test_uniform_weights(self):
         C = context_from_pairs([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        w = attention_weights(ScoreFunction(kind=UNIFORM), C, 0.5)
+        w = attention_weights(uniform_score, C, 0.5)
         assert w == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_simplex_property(self):
         C = context_from_pairs([(0.0, 1.0), (3.0, -1.0)])
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         w = attention_weights(score, C, 0.2)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(w > 0)
@@ -34,7 +45,7 @@ class TestAttentionWeights:
     def test_log_kernel_closed_form(self):
         # softmax(log k) is kernel-proportional weighting
         C = context_from_pairs([(0.0, 1.0), (2.0, 5.0)])
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         w = attention_weights(score, C, 0.5)
         k0 = eval_kernel(RBF, 0.5, 0.0)
         k1 = eval_kernel(RBF, 0.5, 2.0)
@@ -42,7 +53,7 @@ class TestAttentionWeights:
 
     def test_extreme_scores_stay_finite(self):
         C = context_from_pairs([(0.0, 1.0), (20.0, 2.0)])
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         w = attention_weights(score, C, 0.0)  # log k gap of ~200
         assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0,
                                                                    abs=1e-14)
@@ -50,15 +61,9 @@ class TestAttentionWeights:
 
     def test_underflowed_kernel_rejected(self):
         C = context_from_pairs([(0.0, 1.0), (60.0, 2.0)])
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         with pytest.raises(InputError):
             attention_weights(score, C, 0.0)
-
-    def test_bad_score_configs(self):
-        with pytest.raises(InputError):
-            ScoreFunction(kind=LOG_KERNEL)
-        with pytest.raises(InputError):
-            ScoreFunction(kind="other")
 
 
 class TestKernelSmootherEquivalence:
@@ -66,7 +71,7 @@ class TestKernelSmootherEquivalence:
         # log-kernel scores, value map y, identity decoder: the attention
         # readout is exactly the kernel-weighted mean
         rng = np.random.default_rng(42)
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         value_map = lambda x, y: y
         decoder = lambda x_t, r: float(r[0])
         worst = 0.0
@@ -101,17 +106,15 @@ class TestFactorizationCounterexample:
         assert out["score_inputs_identical"]
 
     def test_every_factorized_rule_is_blind(self):
-        # any custom score sees identical (distance, value) inputs, so the
-        # attention weights agree across the two configurations
+        # any factorized score sees identical (distance, value) inputs, so
+        # the attention weights agree across the two configurations
         out = factorization_counterexample(RBF)
         CA = context_from_pairs([(out["config_A"]["x1"], 1.0),
                                  (out["config_A"]["x2"], 1.0)])
         CB = context_from_pairs([(out["config_B"]["x1"], 1.0),
                                  (out["config_B"]["x2"], 1.0)])
-        score = ScoreFunction(
-            kind="custom",
-            custom=lambda x_t, x, y: float(np.cos(np.linalg.norm(x_t - x))
-                                           + y[0]))
+        score = factorized(lambda x_t, x, y: float(
+            np.cos(np.linalg.norm(x_t - x)) + y[0]))
         wa = attention_weights(score, CA, np.zeros(2))
         wb = attention_weights(score, CB, np.zeros(2))
         assert np.max(np.abs(wa - wb)) < 1e-15
@@ -127,7 +130,7 @@ class TestEquivalenceProbe:
         # uniform attention over (x, y) values is the CNP's mean encoding,
         # so each coordinate of the attended value agrees on the pair
         res = example_collision_pair()
-        score = ScoreFunction(kind=UNIFORM)
+        score = uniform_score
         value_map = lambda x, y: np.concatenate([np.atleast_1d(x),
                                                  np.atleast_1d(y)])
         gaps = [abs(anp_predict(score, value_map, read, res.C, x_t)
@@ -138,7 +141,7 @@ class TestEquivalenceProbe:
 
     def test_log_kernel_attention_separates_the_pair(self):
         res = example_collision_pair()
-        score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+        score = log_kernel_score(RBF)
         value_map = lambda x, y: np.atleast_1d(y)
         read = lambda x_t, r: r[0]
         gaps = [abs(anp_predict(score, value_map, read, res.C, x_t)
@@ -165,7 +168,7 @@ def test_attention_permutation_equivariance(seed):
     n = 5
     C = context_from_pairs(list(zip(rng.uniform(-2, 2, n), rng.normal(size=n))))
     perm = rng.permutation(n)
-    score = ScoreFunction(kind=LOG_KERNEL, spec=RBF)
+    score = log_kernel_score(RBF)
     w = attention_weights(score, C, 0.1)
     wp = attention_weights(
         score, ContextSet(C.locations[perm], C.values[perm]), 0.1)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.cnp import (ContextSet, Encoder, SYNTHETIC_ISOTROPIC,
+from nplab.cnp import (ContextSet, SYNTHETIC_ISOTROPIC,
                        MONTE_CARLO_STATIONARY, cnp_predict,
                        collision_separation, context_from_pairs,
-                       example_collision_pair, moment_encoding,
+                       example_collision_pair, mean_encoding, moment_encoding,
                        ols_from_encoding, ols_moment_encoder,
                        pca_bound_experiment, pca_encoder_ratio)
 from nplab.errors import InputError
@@ -48,17 +48,14 @@ class TestContextSet:
 class TestEncoders:
     def test_identity_mean(self):
         C = context_from_pairs([(0.0, 1.0), (2.0, 3.0)])
-        enc = Encoder()
-        assert enc.mean_encoding(C) == pytest.approx([1.0, 2.0], abs=1e-15)
+        assert mean_encoding(C) == pytest.approx([1.0, 2.0], abs=1e-15)
 
 
 class TestPredictor:
     def test_permutation_invariance_exact(self):
         C = context_from_pairs([(0.0, 1.0), (1.0, -2.0), (3.0, 0.3)])
-        enc = Encoder()
         dec = lambda r, x_t: float(np.sum(r) * (1.0 + x_t[0]))
-        vals = {cnp_predict(enc, dec,
-                            ContextSet(C.locations[p], C.values[p]), 0.7)
+        vals = {cnp_predict(dec, ContextSet(C.locations[p], C.values[p]), 0.7)
                 for p in ([0, 1, 2], [2, 1, 0], [1, 2, 0])}
         # mean pooling is reordering-sensitive only through float summation
         assert max(vals) - min(vals) < 1e-12
@@ -67,9 +64,8 @@ class TestPredictor:
 class TestCollisions:
     def test_example_pair_collides_bitwise(self):
         res = example_collision_pair()
-        enc = Encoder()
-        r1 = enc.mean_encoding(res.C)
-        r2 = enc.mean_encoding(res.C2)
+        r1 = mean_encoding(res.C)
+        r2 = mean_encoding(res.C2)
         assert np.array_equal(r1, r2)
         # as multisets the pairs differ: no point of C appears in C2
         A = set(zip(res.C.locations[:, 0], res.C.values[:, 0]))
@@ -83,11 +79,10 @@ class TestCollisions:
 
     def test_collision_implies_equal_predictions(self):
         res = example_collision_pair()
-        enc = Encoder()
         dec = lambda r, x_t: float(np.tanh(r @ np.ones_like(r)) + 0.3 * x_t[0])
         for x_t in (-1.0, 0.0, 2.5):
-            p1 = cnp_predict(enc, dec, res.C, x_t)
-            p2 = cnp_predict(enc, dec, res.C2, x_t)
+            p1 = cnp_predict(dec, res.C, x_t)
+            p2 = cnp_predict(dec, res.C2, x_t)
             assert abs(p1 - p2) <= 1e-7
 
 

@@ -67,7 +67,7 @@ class TestTwoPointWeight:
         assert w2 == pytest.approx(ref[1], abs=1e-12)
 
     def test_symmetry_swap(self):
-        spec = KernelSpec(family="matern", nu=1.5)
+        spec = KernelSpec(family="matern")
         w1, w2 = two_point_weight(spec, 0.0, 2.0, 0.5)
         w1s, w2s = two_point_weight(spec, 2.0, 0.0, 0.5)
         assert (w1, w2) == (w2s, w1s)

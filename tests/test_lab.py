@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from nplab import lab
+from nplab import lab, polyapprox
 from nplab.errors import ContractError, NumericError, UsageError
 from nplab.lab import (FAIL, HIERARCHY_SUITE, INFO, PASS, REGISTRY, Check,
                        ExperimentConfig, hierarchy_configs,
@@ -33,13 +33,11 @@ def time_budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_cli(*argv, env=None, stdout=subprocess.PIPE):
+def run_cli(*argv, stdout=subprocess.PIPE):
     """Run `python -m nplab` on this checkout's sources, whatever the
     caller's PYTHONPATH holds."""
     import nplab
     full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     src = os.path.dirname(os.path.dirname(nplab.__file__))
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, full_env.get("PYTHONPATH")) if p)
@@ -93,6 +91,19 @@ class TestRunExperiment:
         with pytest.raises(ContractError):
             Check("gap", 1.0, None, "<=")  # only info may lack a bound
         assert Check("gap", 1.0, None, "info").verdict == INFO
+
+    @pytest.mark.parametrize("margin", [-1e-30, float("nan")])
+    def test_inverse_bounds_fails_on_its_worst_margin(self, margin,
+                                                      monkeypatch):
+        # the bad margin sits between good ones, where Python's min, which
+        # drops a NaN that is not first, would hide it
+        def check(eigenvalues, depths):
+            return [(0.0, 0.0, m) for m in (1.0, margin, 1.0, 1.0)]
+        monkeypatch.setattr(polyapprox, "chebyshev_exact_check", check)
+        rep = run_experiment(ExperimentConfig(
+            "polyapprox.inverse_bounds", {"n_matrices": 2}))
+        assert rep.verdicts == {"chebyshev_margin": FAIL,
+                                "neumann_margin": PASS}
 
 
 class TestRejectionSamplers:
@@ -231,7 +242,7 @@ class TestRunSuite:
             "NumericError: circulant Gram numerically singular"
         assert rep.diagnostics == {
             "lambda_min": pytest.approx(-1.197e-8, rel=1e-3)}
-        [path] = write_reports([rep], tmp_path, fmt="json")
+        path, _ = write_reports([rep], tmp_path)
         written = json.loads(path.read_text(encoding="utf-8"))
         assert written["diagnostics"] == rep.diagnostics
 
@@ -266,8 +277,8 @@ class TestRunSuite:
         assert [r.experiment_id for r in failed] == [eid]
         assert failed[0].diagnostics == {"bracket": [1.0, None]}
         written = [json.loads(p.read_text(encoding="utf-8"))
-                   for p in write_reports(result["reports"], tmp_path,
-                                          fmt="json")]
+                   for p in write_reports(result["reports"], tmp_path)
+                   if p.suffix == ".json"]
         assert [w.get("diagnostics") for w in written
                 if w["experiment_id"] == eid] == [{"bracket": [1.0, None]}]
 
@@ -280,7 +291,7 @@ class TestRunSuite:
 class TestEmission:
     def test_write_reports_layout(self, tmp_path):
         rep = run_experiment(ExperimentConfig(experiment_id="cnp.collision"))
-        paths = write_reports([rep], tmp_path, fmt="both")
+        paths = write_reports([rep], tmp_path)
         json_paths = [p for p in paths if p.suffix == ".json"]
         assert len(json_paths) == 1
         assert json_paths[0].name.startswith("cnp_collision_")
@@ -297,7 +308,7 @@ class TestEmission:
     def test_summary_verdicts_follow_from_rows(self, tmp_path):
         # at seed 1 tnp.gp_pipeline misses its bound, so FAIL rows occur too
         result = run_suite(hierarchy_configs(seed=1))
-        write_reports(result["reports"], tmp_path, fmt="csv")
+        write_reports(result["reports"], tmp_path)
         with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == sum(len(r.checks) for r in result["reports"])
@@ -314,19 +325,13 @@ class TestEmission:
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         rep = run_experiment(ExperimentConfig(experiment_id="anp.factorization"))
-        write_reports([rep], tmp_path, fmt="csv")
+        write_reports([rep], tmp_path)
         with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         by_name = {r[1]: float(r[2]) for r in rows}
         for name, value in rep.measurements.items():
             if name in by_name:
                 assert by_name[name] == value  # 17 sig digits are lossless
-
-    def test_json_only_format(self, tmp_path):
-        rep = run_experiment(ExperimentConfig(experiment_id="cnp.collision"))
-        paths = write_reports([rep], tmp_path, fmt="json")
-        assert all(p.suffix == ".json" for p in paths)
-        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestConfigParsing:
@@ -457,36 +462,16 @@ class TestCli:
         assert proc.stdout == ""  # no experiment ran
         assert not any(out.iterdir())
 
-    def test_seed_env_variable_used(self, tmp_path):
+    def test_seed_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiments": [
             {"experiment_id": "cnp.pca_bound", "seed": 5}]}),
             encoding="utf-8")
         out = tmp_path / "r"
-        proc = run_cli("run", str(cfg), "--out", str(out),
-                       "--format", "json", env={"NPLAB_SEED": "9"})
-        assert proc.returncode == 0
-        report = json.loads(next(out.glob("*.json")).read_text())
-        assert report["seed"] == "9"
-
-    def test_seed_flag_beats_env(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiments": [
-            {"experiment_id": "cnp.pca_bound", "seed": 5}]}),
-            encoding="utf-8")
-        out = tmp_path / "r"
-        proc = run_cli("run", str(cfg), "--out", str(out), "--seed", "3",
-                       "--format", "json", env={"NPLAB_SEED": "9"})
+        proc = run_cli("run", str(cfg), "--out", str(out), "--seed", "3")
         assert proc.returncode == 0
         report = json.loads(next(out.glob("*.json")).read_text())
         assert report["seed"] == "3"
-
-    def test_bad_env_seed_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiments": [
-            {"experiment_id": "cnp.collision"}]}), encoding="utf-8")
-        proc = run_cli("run", str(cfg), env={"NPLAB_SEED": "not-a-number"})
-        assert proc.returncode == 2
 
     def test_numeric_failure_is_a_failed_report(self, tmp_path):
         # n = 12 is feasible, but no draw of the capped sampler succeeds
@@ -495,7 +480,7 @@ class TestCli:
             {"experiment_id": "latent.mean_bottleneck",
              "params": {"n": 12}}]}), encoding="utf-8")
         out = tmp_path / "r"
-        proc = run_cli("run", str(cfg), "--out", str(out), "--format", "json")
+        proc = run_cli("run", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         report = json.loads(next(out.glob("*.json")).read_text())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab.cnp import Encoder, example_collision_pair
+from nplab.cnp import example_collision_pair
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec
 from nplab.lab import ExperimentConfig, run_experiment
@@ -106,7 +106,7 @@ class TestCovarianceRank:
     def test_gp_cov_rank_check_entries_match_single_entries(self):
         # one call over many entries gives each entry's single-entry result
         rng = np.random.default_rng(5)
-        matern = KernelSpec(family="matern", nu=0.5)
+        matern = KernelSpec(family="matern")
         entries = []
         for i in range(9):
             pts = np.cumsum(0.4 + rng.uniform(0, 0.5, 10)).reshape(-1, 1)
@@ -192,7 +192,7 @@ class TestMercerTail:
 
     def test_smooth_kernel_has_faster_tail(self):
         grid = np.linspace(-2, 2, 64).reshape(-1, 1)
-        rough = KernelSpec(family="matern", nu=0.5)
+        rough = KernelSpec(family="matern")
         tail_rbf = mercer_tail(RBF, grid, 8)["tail_trace"]
         tail_matern = mercer_tail(rough, grid, 8)["tail_trace"]
         assert tail_rbf < 1e-3 * tail_matern
@@ -210,7 +210,7 @@ class TestMercerTail:
 class TestBottleneckLift:
     def test_collision_lifts_to_identical_predictives(self):
         res = example_collision_pair()
-        out = encoder_bottleneck_lift(Encoder(), res.C, res.C2,
+        out = encoder_bottleneck_lift(res.C, res.C2,
                                       default_latent_builder(3))
         # the bound of latent.bottleneck_lift's max_predictive_gap
         assert out["max_mean_gap"] <= 1e-6
@@ -221,8 +221,7 @@ class TestBottleneckLift:
         C = context_from_pairs([(0.0, 1.0), (1.0, 2.0)])
         C2 = context_from_pairs([(0.0, 1.0), (1.0, 5.0)])
         with pytest.raises(InputError):
-            encoder_bottleneck_lift(Encoder(), C, C2,
-                                    default_latent_builder(2))
+            encoder_bottleneck_lift(C, C2, default_latent_builder(2))
 
 
 @settings(max_examples=15, deadline=None)

@@ -198,9 +198,16 @@ class TestSeedRule:
         monkeypatch.setattr(lab, "_run_guarded", no_run)
         code, out = run_main(["suite", "hierarchy", "--seed", "-3"], capsys)
         assert code == 2 and "--seed" in out.err
+        # the environment gives no seed: without --seed the config's stands
+        seen = []
+
+        def record(configs):
+            seen.extend(configs)
+            return {"reports": [], "overall_pass": True}
+        monkeypatch.setattr(cli, "run_suite", record)
         monkeypatch.setenv("NPLAB_SEED", "-5")
         code, out = run_main(["suite", "hierarchy"], capsys)
-        assert code == 2 and "NPLAB_SEED" in out.err
+        assert code == 0 and {c.seed for c in seen} == {0}
 
 
 class TestConfigShape:

@@ -25,20 +25,11 @@ def run_script(name, *argv):
                           capture_output=True, text=True, env=env)
 
 
-def test_collision_demo_prints_gp_gap():
-    proc = run_script("collision_demo.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "gp posterior means at x_t=1: " in proc.stdout
-    assert "(gap 0.030176)" in proc.stdout
-
-
-def test_depth_sweep_writes_csv():
-    proc = run_script("depth_sweep.py", "--kappas", "16", "--degrees",
-                      "4", "6", "8")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "kappa,degree,minimax_error,chebyshev_bound,barrier"
-    assert [line.split(",")[1] for line in lines[1:]] == ["4", "6", "8"]
+def test_readme_lists_exactly_the_scripts():
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `scripts/([\w.]+\.py)", section, re.M))
+    assert listed == {p.name for p in SCRIPTS.glob("*.py")}
 
 
 def test_bench_pair_help():

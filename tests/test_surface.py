@@ -22,6 +22,12 @@ there, as ``x["key"]`` or ``x.get("key")``, unless the key is listed in
 ``READ_BY_TESTS`` with the reason it stays.  Keys are traced to the call
 that returned them, because a name such as ``params["n"]`` is read
 everywhere.
+
+The command line follows it too.  Every ``--option`` that ``cli.py``
+declares must appear as a string in ``bench/``, ``scripts/`` or the
+acceptance criteria, other than in an ``add_argument`` call (a script
+declaring a flag of the same name does not use nplab's), unless it is
+listed in ``UNUSED_FLAGS`` with the reason it stays.
 """
 
 import ast
@@ -29,10 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nplab"
-USERS = (sorted((ROOT / "src").rglob("*.py"))
-         + sorted((ROOT / "scripts").rglob("*.py"))
-         + sorted((ROOT / "bench").rglob("*.py"))
-         + [ROOT / "tests" / "test_acceptance.py"])
+FLAG_USERS = (sorted((ROOT / "scripts").rglob("*.py"))
+              + sorted((ROOT / "bench").rglob("*.py"))
+              + [ROOT / "tests" / "test_acceptance.py"])
+USERS = sorted((ROOT / "src").rglob("*.py")) + FLAG_USERS
 
 ORACLES = (
     ("polyapprox.equioscillation_count",
@@ -67,6 +73,8 @@ UNPASSED_OPTIONS = (
     ("cli.main.argv", "None reads sys.argv, as the console entry point "
      "needs; tests pass an argument list"),
 )
+
+UNUSED_FLAGS = ()
 
 
 def _public_classes(tree):
@@ -438,3 +446,41 @@ def test_unpassed_options_are_current():
         assert reason.strip(), f"{qualified} needs a reason"
     assert len(dict(UNPASSED_OPTIONS)) == len(UNPASSED_OPTIONS), \
         "an option is listed twice"
+
+
+def _declarations(tree) -> list:
+    """The first argument of every ``add_argument`` call that has one."""
+    return [node.args[0] for node in ast.walk(tree)
+            if _callee(node) == "add_argument" and node.args]
+
+
+def _unused_flags():
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    declared = {_key(node) for node in _declarations(cli)}
+    flags = {flag for flag in declared if flag and flag.startswith("--")}
+    used = set()
+    for path in FLAG_USERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {id(node) for node in _declarations(tree)}
+        used |= {_key(node) for node in ast.walk(tree) if id(node) not in own}
+    return sorted(flags - used)
+
+
+def test_every_cli_flag_has_a_user_or_a_reason():
+    kept = dict(UNUSED_FLAGS)
+    unused = [flag for flag in _unused_flags() if flag not in kept]
+    assert not unused, (
+        f"CLI flags that no script, benchmark or acceptance criterion "
+        f"passes: {unused}; remove them, or list them in UNUSED_FLAGS with "
+        f"the reason they stay")
+
+
+def test_unused_flags_are_current():
+    # a listed flag must be declared, still have no user and say why
+    unused = set(_unused_flags())
+    for flag, reason in UNUSED_FLAGS:
+        assert flag in unused, (
+            f"{flag} is not an unused flag; drop it from the list")
+        assert reason.strip(), f"{flag} needs a reason"
+    assert len(dict(UNUSED_FLAGS)) == len(UNUSED_FLAGS), \
+        "a flag is listed twice"
