@@ -20,7 +20,9 @@ pairs each side won (ties count for neither), and whether the head's
 median is within the metric's bound.  ``gain`` is true only when the head
 won at least nine of the ten pairs, its median beats the base's by more
 than the base's interquartile range, and the interval excludes 1.  Both
-revisions and the Python, numpy and mpmath versions are recorded too.
+revisions and the Python, numpy and mpmath versions are recorded too, and
+under ``machine`` whether the children write bytecode
+(``PYTHONDONTWRITEBYTECODE`` unset), which ``setup_s`` depends on.
 
 Before the workloads, each side runs the Tier-1 test command of ROADMAP.md
 once on its own sources and tests; ``tier1_s`` holds each side's wall
@@ -102,12 +104,17 @@ def export(treeish: str, dest: Path):
         tar.extractall(dest, filter="data")
 
 
+def child_env() -> dict:
+    """The environment every child of this script runs in."""
+    return {k: v for k, v in os.environ.items() if k not in CLEARED_ENV}
+
+
 def run_bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k not in CLEARED_ENV}
-    proc = subprocess.run(argv, cwd=side, env=env, capture_output=True,
-                          text=True, timeout=max(600.0, 20.0 * seconds))
+    proc = subprocess.run(argv, cwd=side, env=child_env(),
+                          capture_output=True, text=True,
+                          timeout=max(600.0, 20.0 * seconds))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"seed": seed, "exit": proc.returncode, "correct": False,
@@ -125,7 +132,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
 def run_tier1(side: Path):
     """Wall seconds and pytest's last output line of one Tier-1 run on the
     side's own ``src`` and ``tests``; failing tests do not stop it."""
-    env = {k: v for k, v in os.environ.items() if k not in CLEARED_ENV}
+    env = child_env()
     env["PYTHONPATH"] = str(side / "src")
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=side, env=env,
@@ -195,8 +202,12 @@ def main(argv=None):
         "base": {"commit": base_sha}, "head": head_rev,
         "settings": {"pairs": PAIRS, "seconds": seconds,
                      "seed_from": args.seed_from},
+        # a child that writes no bytecode compiles every import afresh,
+        # which slows setup_s: compare two files only in the same mode
         "machine": {"platform": platform.platform(),
-                    "cpus": os.cpu_count()},
+                    "cpus": os.cpu_count(),
+                    "writes_bytecode":
+                        not child_env().get("PYTHONDONTWRITEBYTECODE")},
         "versions": {"python": platform.python_version(),
                      "numpy": version("numpy"), "mpmath": version("mpmath")},
         "workloads": {},

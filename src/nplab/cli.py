@@ -6,6 +6,8 @@ and summary.csv), --seed N.  Experiments run one after another in this
 process.  Seed precedence: --seed flag > config.
 Exit codes: 0 all pass, 1 any failure (a numeric failure is a failed report
 carrying its error), 2 usage error, raised before any experiment runs.
+Only run and suite import numpy and the compute modules, once an experiment
+starts; list, describe and a usage error cost stdlib imports alone.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import json
 import operator
 import time
@@ -19,13 +20,30 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import anp, cnp, convcnp, latent, polyapprox, tnp
 from .errors import ContractError, NumericError, UsageError
-from .kernels import KernelSpec, _gram_matrix, gram_spectrum
-from .linalg import jacobi_eigvalsh, jacobi_eigvalsh_many
-from .rng import stream
+
+
+class _Deferred:
+    """A global name of this module that stands for a module not yet
+    imported.  The first attribute read imports it and binds the name to
+    it, so later reads cost what a plain module's do, and a command that
+    runs no experiment (list, describe, a usage error) loads neither numpy
+    nor the compute modules."""
+
+    def __init__(self, alias: str, name: str):
+        self._alias, self._name = alias, name
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(self._name)
+        globals()[self._alias] = module
+        return getattr(module, attr)
+
+
+np = _Deferred("np", "numpy")
+anp, cnp, convcnp, kernels, latent, linalg, polyapprox, rng, tnp = (
+    _Deferred(name, f"{__package__}.{name}") for name in (
+        "anp", "cnp", "convcnp", "kernels", "latent", "linalg", "polyapprox",
+        "rng", "tnp"))
 
 PASS = "pass"
 FAIL = "fail"
@@ -232,8 +250,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                    seed=parse_seed(config.seed, f"{eid}: seed"))
 
 
-def _rbf(ell=1.0) -> KernelSpec:
-    return KernelSpec(family="rbf", lengthscale=ell)
+def _rbf(ell=1.0) -> kernels.KernelSpec:
+    return kernels.KernelSpec(family="rbf", lengthscale=ell)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +281,8 @@ def _run_cnp_collision(params, seed):
     "Relative MSE of the best d-dimensional linear encoder against the "
     "1 - d/n floor, with a random-encoder dominance check.",
     {"n": Param(4, 1, 64), "d": Param(2, 1, 64), "mode": Param(
-        cnp.SYNTHETIC_ISOTROPIC,
-        choices=(cnp.SYNTHETIC_ISOTROPIC, cnp.MONTE_CARLO_STATIONARY)),
+        "SyntheticIsotropic",
+        choices=("SyntheticIsotropic", "MonteCarloStationary")),
      "n_targets": Param(2000, 1, 10_000), "lengthscale": _ELL},
     "synthetic ratio within 1e-10 of 1 - d/n; no random encoder beats the "
     "optimal one by more than 1e-9; Monte Carlo mode informational",
@@ -302,18 +320,14 @@ def _run_kernel_smoother(params, seed):
     decoder = lambda x, r: r[0] / r[1]
     worst = 0.0
     for i in range(params["n_configs"]):
-        rng = stream(seed, "anp.kernel_smoother", i)
-        n = int(rng.integers(1, params["n_max"] + 1))
-        C = cnp.ContextSet(rng.uniform(-3, 3, (n, 1)), rng.normal(size=(n, 1)))
-        x_t = rng.uniform(-3, 3, 1)
+        gen = rng.stream(seed, "anp.kernel_smoother", i)
+        n = int(gen.integers(1, params["n_max"] + 1))
+        C = cnp.ContextSet(gen.uniform(-3, 3, (n, 1)), gen.normal(size=(n, 1)))
+        x_t = gen.uniform(-3, 3, 1)
         a = anp.anp_predict(score, value_map, decoder, C, x_t)
         b = anp.nadaraya_watson(spec, C, x_t)
         worst = max(worst, abs(a - b))
     return [Check("max_gap", worst, 1e-10, "<=")]
-
-
-_FACTORIZATION_CLOSED_FORM = (np.exp(-0.5) / (1 + np.exp(-2.0))
-                              - np.exp(-0.5) / (1 + np.exp(-0.5)))
 
 
 @register(
@@ -326,10 +340,12 @@ def _run_factorization(params, seed):
     rep = anp.factorization_counterexample(
         _rbf(), angle_a_deg=params["angle_a"], angle_b_deg=params["angle_b"])
     gap = rep["gp_weight_gap"]
+    closed_form = (np.exp(-0.5) / (1 + np.exp(-2.0))
+                   - np.exp(-0.5) / (1 + np.exp(-0.5)))
     default_angles = params["angle_a"] == 180.0 and params["angle_b"] == 60.0
     return [
         Check("gp_weight_gap", gap, 0.15, ">=" if default_angles else "info"),
-        Check("closed_form_deviation", abs(gap - _FACTORIZATION_CLOSED_FORM),
+        Check("closed_form_deviation", abs(gap - closed_form),
               1e-4, "<=" if default_angles else "info"),
         Check("score_inputs_identical",
               1.0 if rep["score_inputs_identical"] else 0.0, 1.0, "=="),
@@ -357,12 +373,12 @@ def _expanded_product(A: np.ndarray, alphas, H: np.ndarray) -> np.ndarray:
 def _run_poly_structure(params, seed):
     worst = 0.0
     for i in range(params["n_grams"]):
-        rng = stream(seed, "tnp.polynomial_structure", i)
-        X = rng.uniform(-3, 3, (params["n"], 1))
-        A = tnp.normalize_attention(_gram_matrix(_rbf(), X))
+        gen = rng.stream(seed, "tnp.polynomial_structure", i)
+        X = gen.uniform(-3, 3, (params["n"], 1))
+        A = tnp.normalize_attention(kernels._gram_matrix(_rbf(), X))
         L = 1 + i % params["max_depth"]
-        alphas = rng.uniform(-1.5, 1.5, L)
-        H0 = rng.normal(size=(params["n"], 2))
+        alphas = gen.uniform(-1.5, 1.5, L)
+        H0 = gen.normal(size=(params["n"], 2))
         sched = polyapprox.product_schedule(alphas)
         layerwise = tnp.tnp_forward(A, sched, H0)
         expanded = _expanded_product(A, alphas, H0)
@@ -383,7 +399,7 @@ def _run_eig_family(params, seed):
                for kappa in params["kappas"]
                for t in np.linspace(0.0, 1.0 - 1.0 / kappa,
                                     params["t_points"])]
-    spectra = jacobi_eigvalsh_many([mem.matrix for mem in members])
+    spectra = linalg.jacobi_eigvalsh_many([mem.matrix for mem in members])
     for mem, vals in zip(members, spectra):
         dev_rows = max(dev_rows, float(np.max(np.abs(
             mem.matrix @ np.ones(mem.n) - 1.0))))
@@ -418,10 +434,10 @@ def _run_gp_pipeline(params, seed):
     max_kappa = params["max_kappa"]
     best = np.inf  # smallest kappa of a rejected draw
     for attempt in range(_PIPELINE_DRAWS):
-        rng = stream(seed, "tnp.gp_pipeline", attempt)
-        gaps = params["min_separation"] + rng.uniform(0.0, 0.4, params["n"])
+        gen = rng.stream(seed, "tnp.gp_pipeline", attempt)
+        gaps = params["min_separation"] + gen.uniform(0.0, 0.4, params["n"])
         xs = np.cumsum(gaps)
-        S = gram_spectrum(spec, xs.reshape(-1, 1))
+        S = kernels.gram_spectrum(spec, xs.reshape(-1, 1))
         if S.kappa <= max_kappa:
             break
         best = min(best, S.kappa)
@@ -430,9 +446,9 @@ def _run_gp_pipeline(params, seed):
             f"no context of {params['n']} points had kappa <= {max_kappa:g} "
             f"in {_PIPELINE_DRAWS} draws; the best kappa was {best:.6g}",
             bracket=(best, max_kappa))
-    y = rng.normal(size=params["n"])
+    y = gen.normal(size=params["n"])
     C = cnp.ContextSet(xs.reshape(-1, 1), y.reshape(-1, 1))
-    x_t = rng.uniform(0.0, 12.0, 1)
+    x_t = gen.uniform(0.0, 12.0, 1)
     rep = tnp.tnp_gp_pipeline(spec, C, x_t, params["L"], spectrum=S)
     return [Check("error_vs_oracle", rep["error_vs_oracle"], rep["bound"],
                   "<="),
@@ -478,13 +494,13 @@ def _run_depth_barrier(params, seed):
 def _run_inverse_bounds(params, seed):
     chebyshev, neumann = [], []
     for i in range(params["n_matrices"]):
-        rng = stream(seed, "polyapprox.inverse_bounds", i)
-        n = int(rng.integers(4, params["n_max"] + 1))
-        kappa = float(rng.uniform(params["kappa_min"], params["kappa_max"]))
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        gen = rng.stream(seed, "polyapprox.inverse_bounds", i)
+        n = int(gen.integers(4, params["n_max"] + 1))
+        kappa = float(gen.uniform(params["kappa_min"], params["kappa_max"]))
+        Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
         lams = np.concatenate([[1.0 / kappa, 1.0],
-                               rng.uniform(1.0 / kappa, 1.0, n - 2)])
-        eigenvalues = jacobi_eigvalsh((Q * lams) @ Q.T)
+                               gen.uniform(1.0 / kappa, 1.0, n - 2)])
+        eigenvalues = linalg.jacobi_eigvalsh((Q * lams) @ Q.T)
         depths = (1, 3, 5, params["max_depth"])
         chebyshev += [m for _, _, m in
                       polyapprox.chebyshev_exact_check(eigenvalues, depths)]
@@ -534,12 +550,12 @@ def _run_minimax_decay(params, seed):
     {"shift": Param(0.7, -10.0, 10.0), "n": Param(5, 2, 64)},
     "stationary defect <= 1e-10; non-stationary defect > 1e-2")
 def _run_equivariance(params, seed):
-    rng = stream(seed, "convcnp.equivariance")
-    C = cnp.ContextSet(rng.uniform(-2, 2, (params["n"], 1)),
-                       rng.normal(size=(params["n"], 1)))
-    x_t = rng.uniform(-2, 2, 1)
+    gen = rng.stream(seed, "convcnp.equivariance")
+    C = cnp.ContextSet(gen.uniform(-2, 2, (params["n"], 1)),
+                       gen.normal(size=(params["n"], 1)))
+    x_t = gen.uniform(-2, 2, 1)
     stationary = convcnp.equivariance_defect(_rbf(), C, x_t, params["shift"])
-    scaled = KernelSpec(family="scaled", base=_rbf(),
+    scaled = kernels.KernelSpec(family="scaled", base=_rbf(),
                         amplitude=lambda p: 1.0 + 0.5 * np.sin(p[0]))
     nonstationary = convcnp.equivariance_defect(scaled, C, x_t,
                                                 params["shift"])
@@ -555,10 +571,10 @@ def _run_equivariance(params, seed):
      "depths": Param([5, 10, 20, 40], 1, 1000), "lengthscale": _ELL},
     "error <= ||k|| ||y|| (2/lambda_min) rho^L + 1e-6 at every depth")
 def _run_grid_gp(params, seed):
-    rng = stream(seed, "convcnp.grid_gp")
+    gen = rng.stream(seed, "convcnp.grid_gp")
     grid = convcnp.GridSpec(n=params["n"], spacing=params["spacing"])
-    y = rng.normal(size=params["n"])
-    t_index = int(rng.integers(0, params["n"]))
+    y = gen.normal(size=params["n"])
+    t_index = int(gen.integers(0, params["n"]))
     worst_excess = -np.inf
     kappa = None
     for L in params["depths"]:
@@ -587,10 +603,10 @@ def _run_jacobian(params, seed):
     w_hat = convcnp.circulant(w_row)
     worst = 0.0
     for i in range(params["n_stacks"]):
-        rng = stream(seed, "convcnp.jacobian", i)
-        L = 1 + int(rng.integers(0, params["max_layers"]))
-        filters = [rng.uniform(-0.2, 0.2, params["support"]) for _ in range(L)]
-        g_short = rng.uniform(-0.5, 0.5, 3)
+        gen = rng.stream(seed, "convcnp.jacobian", i)
+        L = 1 + int(gen.integers(0, params["max_layers"]))
+        filters = [gen.uniform(-0.2, 0.2, params["support"]) for _ in range(L)]
+        g_short = gen.uniform(-0.5, 0.5, 3)
         g_row = np.zeros(n)
         g_row[:3] = g_short
         g_hat = convcnp.circulant(g_row)
@@ -694,33 +710,33 @@ def _run_cov_rank(params, seed):
     # group of matrices is factored by one call
     models, covs = [], []
     for i in range(params["n_models"]):
-        rng = stream(seed, "latent.cov_rank", "models", i)
-        k = 1 + int(rng.integers(0, params["k_max"]))
-        B = rng.normal(size=(k, k))
-        freqs = rng.uniform(0.5, 2.5, k)
+        gen = rng.stream(seed, "latent.cov_rank", "models", i)
+        k = 1 + int(gen.integers(0, params["k_max"]))
+        B = gen.normal(size=(k, k))
+        freqs = gen.uniform(0.5, 2.5, k)
 
         model = latent.RankKLatent(
             k=k,
             a=lambda x, f=freqs: np.sin(f * float(np.atleast_1d(x)[0]) + f),
             b=lambda x: 0.0,
-            m=rng.normal(size=k),
+            m=gen.normal(size=k),
             S=B @ B.T,
-            sigma2=float(rng.uniform(0.0, 0.5)))
-        X_T = rng.uniform(-3, 3, (k + 3, 1))
+            sigma2=float(gen.uniform(0.0, 0.5)))
+        X_T = gen.uniform(-3, 3, (k + 3, 1))
         pred = latent.latent_predictive(model, X_T)["cov"]
         models.append(model)
         covs.append(pred - model.sigma2 * np.eye(len(X_T)))
     worst_rel = 0.0
-    for model, vals in zip(models, jacobi_eigvalsh_many(covs)):
+    for model, vals in zip(models, linalg.jacobi_eigvalsh_many(covs)):
         vals = np.sort(vals)[::-1]
         tr = max(float(np.sum(np.abs(vals))), 1e-300)
         worst_rel = max(worst_rel, float(vals[model.k]) / tr)
 
     entries = []
     for i in range(params["n_configs"]):
-        rng = stream(seed, "latent.cov_rank", "gp", i)
-        spec = _rbf() if i % 2 == 0 else KernelSpec(family="matern")
-        pts = _separated_points(rng, 10, params["min_separation"])
+        gen = rng.stream(seed, "latent.cov_rank", "gp", i)
+        spec = _rbf() if i % 2 == 0 else kernels.KernelSpec(family="matern")
+        pts = _separated_points(gen, 10, params["min_separation"])
         entries.append((spec, pts[:4].reshape(-1, 1), pts[4:].reshape(-1, 1)))
     worst_min_eig = min(np.inf, *latent.gp_cov_rank_check(entries))
     return [Check("max_rank_excess", worst_rel, 1e-8, "<="),
@@ -731,7 +747,7 @@ def _run_cov_rank(params, seed):
 _MAX_DRAWS = 10_000
 
 
-def _separated_points(rng, count, min_separation):
+def _separated_points(gen, count, min_separation):
     """Place points in [-4, 4] one at a time, rejecting candidates that
     fall within `min_separation` of a placed point."""
     pts = []
@@ -745,7 +761,7 @@ def _separated_points(rng, count, min_separation):
                 f"rejected candidate lay {widest:.6g} from a placed point",
                 bracket=(widest, min_separation))
         draws += 1
-        cand = float(rng.uniform(-4.0, 4.0))
+        cand = float(gen.uniform(-4.0, 4.0))
         gap = min((abs(cand - p) for p in pts), default=np.inf)
         if gap >= min_separation:
             pts.append(cand)
@@ -765,10 +781,10 @@ def _separated_points(rng, count, min_separation):
                 lambda p: (p["n"] - 1) * 0.4 < 6.0),))
 def _run_mean_bottleneck(params, seed):
     n = params["n"]
-    rng = stream(seed, "latent.mean_bottleneck")
+    gen = rng.stream(seed, "latent.mean_bottleneck")
     widest = 0.0  # largest smallest gap of a rejected draw
     for draws in range(1, _MAX_DRAWS + 1):
-        xs = np.sort(rng.uniform(-3, 3, n))
+        xs = np.sort(gen.uniform(-3, 3, n))
         gap = float(np.min(np.diff(xs)))
         if gap >= 0.4:
             break
@@ -802,7 +818,7 @@ def _run_mean_bottleneck(params, seed):
                 lambda p: p["k"] >= p["degree"] + 1)))
 def _run_mercer(params, seed):
     grid = np.linspace(-1.0, 1.0, params["m"]).reshape(-1, 1)
-    spec = KernelSpec(family="polynomial", degree=params["degree"])
+    spec = kernels.KernelSpec(family="polynomial", degree=params["degree"])
     rep = latent.mercer_tail(spec, grid, params["k"])
     ey_gap = abs(rep["tail_trace"] - rep["best_rank_k_error"])
     return [Check("polynomial_tail", rep["tail_trace"], 0.0, "=="),

@@ -1,9 +1,9 @@
-"""Deterministic, parallel-safe random streams.
+"""Deterministic random streams, independent of execution order.
 
 Every stochastic routine in the lab draws from a Philox counter-based
 generator keyed by SHA-256 of ``(seed, *labels)``.  Two calls with the same
-seed and labels produce bit-identical streams regardless of execution order,
-which is what makes within-experiment parallelism deterministic.
+seed and labels produce bit-identical streams, whatever was drawn before
+or in between, so a result does not depend on the order tasks run in.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from nplab import lab, polyapprox
+from nplab import cnp, lab, polyapprox
 from nplab.errors import ContractError, NumericError, UsageError
 from nplab.lab import (FAIL, HIERARCHY_SUITE, INFO, PASS, REGISTRY, Check,
                        ExperimentConfig, hierarchy_configs,
@@ -47,6 +47,34 @@ def run_cli(*argv, stdout=subprocess.PIPE):
     return proc
 
 
+COMPUTE_MODULES = ("anp", "cnp", "convcnp", "gp_oracle", "kernels", "latent",
+                   "linalg", "polyapprox", "rng", "tnp")
+HEAVY_MODULES = ("numpy", "scipy", "mpmath") + tuple(
+    f"nplab.{name}" for name in COMPUTE_MODULES)
+
+
+def loaded_by_cli(*argv):
+    """The exit code of `nplab *argv` in a fresh interpreter on this
+    checkout's sources, and which of HEAVY_MODULES it left loaded."""
+    import nplab
+    script = ("import json, sys\n"
+              "from nplab.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[2:])\n"
+              "except SystemExit as stop:\n"
+              "    code = stop.code\n"
+              "print(json.dumps([code, sorted(set(json.loads(sys.argv[1]))\n"
+              "                              & set(sys.modules))]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(HEAVY_MODULES), *argv],
+        capture_output=True, text=True, env=env)
+    assert proc.stdout, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
 class TestRegistry:
     def test_hierarchy_ids_are_registered(self):
         for eid in HIERARCHY_SUITE:
@@ -67,6 +95,14 @@ class TestRegistry:
         entry = REGISTRY["cnp.collision"]
         out = validate_params(entry, {"x_t": "2"})
         assert out["x_t"] == 2.0 and isinstance(out["x_t"], float)
+
+    def test_pca_bound_modes_match_cnp(self):
+        # the registry spells the modes out so that declaring it loads no
+        # compute module; they must stay the names cnp compares against
+        mode = REGISTRY["cnp.pca_bound"].schema["mode"]
+        assert mode.default == cnp.SYNTHETIC_ISOTROPIC
+        assert mode.choices == (cnp.SYNTHETIC_ISOTROPIC,
+                                cnp.MONTE_CARLO_STATIONARY)
 
 
 class TestRunExperiment:
@@ -376,20 +412,27 @@ class TestCli:
         assert proc.returncode == 0
         assert "cnp.collision" in proc.stdout
 
-    def test_import_loads_no_scipy_or_mpmath(self):
-        # both are imported only inside the functions that use them, so
-        # starting the CLI pays for neither
-        import os
-        import nplab
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, nplab.cli; "
-             "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_import_loads_no_scipy_or_mpmath(self, tmp_path):
+        # numpy and the compute modules load when the first experiment
+        # runs, and scipy and mpmath only inside the functions that use
+        # them, so a command that runs no experiment pays for none of them
+        unknown_key = tmp_path / "unknown_key.json"
+        unknown_key.write_text(json.dumps({"experiments": [
+            {"experiment_id": "cnp.collision", "params": {"bogus": 1}}]}))
+        valid = tmp_path / "valid.json"
+        valid.write_text(json.dumps({"experiments": [
+            {"experiment_id": "cnp.collision"}]}))
+        for argv, code in ((["list"], 0),
+                           (["describe", "anp.kernel_smoother"], 0),
+                           (["--help"], 0),
+                           (["run", str(unknown_key)], 2)):
+            assert loaded_by_cli(*argv) == (code, []), argv
+        # the guard sees a run's imports: one experiment loads numpy and
+        # the modules its runner reaches
+        code, loaded = loaded_by_cli("run", str(valid))
+        assert code == 0
+        assert {"numpy", "nplab.cnp", "nplab.gp_oracle", "nplab.kernels",
+                "nplab.linalg", "nplab.rng"} <= set(loaded)
 
     def test_hierarchy_pass_loads_no_scipy(self):
         # nplab depends on numpy and mpmath only; scipy is a test oracle

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nplab
 from nplab import lab
 from nplab.errors import UsageError
@@ -58,7 +60,9 @@ def test_bench_pair_tier1_run_times_one_side(tmp_path):
     assert "1 failed, 1 passed" in outcome
 
 
-def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
+def fake_bench_pair(tmp_path, monkeypatch):
+    """bench_pair's JSON from one hierarchy run on stand-ins for git, the
+    export, Tier-1 and the benchmark, and the sides Tier-1 ran on."""
     bench_pair = load_script("bench_pair")
     root = SCRIPTS.parent
     tier1 = {}
@@ -86,11 +90,28 @@ def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
                             str(tmp_path / "work"), "--out", str(out),
                             "--workload", "hierarchy"])
     assert code == 0
-    written = json.loads(out.read_text())
+    return json.loads(out.read_text()), set(tier1)
+
+
+def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
+    written, tier1_sides = fake_bench_pair(tmp_path, monkeypatch)
     assert written["tier1_s"] == {"base": 12.5, "head": 10.0}
     assert written["tier1_outcome"] == {"base": "9 passed",
                                         "head": "9 passed"}
-    assert set(tier1) == {"base", "head"}
+    assert tier1_sides == {"base", "head"}
+
+
+@pytest.mark.parametrize("value, writes", [(None, True), ("", True),
+                                           ("1", False)])
+def test_bench_pair_records_bytecode_mode(value, writes, tmp_path,
+                                          monkeypatch):
+    # an empty PYTHONDONTWRITEBYTECODE counts as unset, as Python reads it
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    written, _ = fake_bench_pair(tmp_path, monkeypatch)
+    assert written["machine"]["writes_bytecode"] is writes
 
 
 def test_seed_sweep_counts_match_run_suite():

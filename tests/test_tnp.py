@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nplab import lab
 from nplab.cnp import ContextSet, context_from_pairs
 from nplab.errors import InputError
 from nplab.gp_oracle import posterior_weights
@@ -171,7 +170,7 @@ def test_gp_pipeline_factors_once_per_draw(params, seed, jacobi_calls,
         draws[0] += names[0] == "tnp.gp_pipeline"
         return stream(seed, *names)
 
-    monkeypatch.setattr(lab, "stream", counting_stream)
+    monkeypatch.setattr("nplab.rng.stream", counting_stream)
     report = run_experiment(ExperimentConfig("tnp.gp_pipeline", params, seed))
     assert report.error is None
     assert draws[0] >= 1
