@@ -215,10 +215,10 @@ def main(argv=None):
         "tier1_outcome": {},
     }
     for side in ("base", "head"):
-        seconds, outcome = run_tier1(sides[side])
-        out["tier1_s"][side] = seconds
+        wall, outcome = run_tier1(sides[side])
+        out["tier1_s"][side] = wall
         out["tier1_outcome"][side] = outcome
-        print(f"tier1 {side}: {seconds:.1f} s, {outcome}", file=sys.stderr)
+        print(f"tier1 {side}: {wall:.1f} s, {outcome}", file=sys.stderr)
     for workload in args.workload or WORKLOADS:
         runs = {"base": [], "head": []}
         for i in range(PAIRS):

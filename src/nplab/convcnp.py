@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .anp import nadaraya_watson
 from .cnp import ContextSet
@@ -130,8 +131,11 @@ def circulant_matrix(row) -> np.ndarray:
     is applied many times."""
     c = np.asarray(row, dtype=float)
     n = len(c)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return c[idx]
+    if n == 0:  # the window form below would give one empty row
+        return np.empty((0, 0))
+    # row i is window n - 1 - i of c[n-1], ..., c[0], c[n-1], ..., c[1]
+    windows = sliding_window_view(np.concatenate([c[1:], c])[::-1], n)
+    return windows[::-1].copy()
 
 
 def circular_convolve(c: np.ndarray, x: np.ndarray) -> np.ndarray:

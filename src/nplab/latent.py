@@ -11,8 +11,8 @@ truncations can improve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import InitVar, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,8 +35,11 @@ class RankKLatent:
     m: np.ndarray    # latent mean, R^k
     S: np.ndarray    # latent covariance, k x k PSD
     sigma2: float = 0.0
+    # the PSD check's eigenvalues of (S + S^T) / 2, for a caller that
+    # factors many models' covariances in one call; None factors S here
+    eigenvalues: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, eigenvalues):
         m = np.asarray(self.m, dtype=float).reshape(-1)
         S = np.atleast_2d(np.asarray(self.S, dtype=float))
         if self.k < 0:
@@ -52,8 +55,12 @@ class RankKLatent:
             # np.allclose(S, S.T, atol=1e-10) on a finite S, without its call
             if not (np.abs(S - S.T) <= 1e-10 + 1e-5 * np.abs(S.T)).all():
                 raise InputError("latent covariance must be symmetric")
-            vals = jacobi_eigvalsh(0.5 * (S + S.T))
-            if vals[0] < -1e-10:
+            vals = jacobi_eigvalsh(0.5 * (S + S.T)) if eigenvalues is None \
+                else np.asarray(eigenvalues, dtype=float)
+            if vals.shape != (self.k,):
+                raise InputError(f"need the latent covariance's {self.k} "
+                                 f"eigenvalues, got shape {vals.shape}")
+            if np.min(vals) < -1e-10:
                 raise InputError("latent covariance must be PSD")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "S", 0.5 * (S + S.T))

@@ -108,6 +108,17 @@ class TestCirculant:
         assert np.max(np.abs(circulant_matrix(c) @ x - direct)) \
             <= 1e-13 * np.sum(np.abs(c)) * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 256])
+    def test_matrix_is_the_index_gather(self, n):
+        # the gather through an n x n (i - j) mod n index is the oracle;
+        # the rows hold a signed zero, a subnormal, infinities and a NaN
+        c = np.random.default_rng(n).normal(size=n)
+        c[:5] = [-0.0, 5e-324, np.inf, -np.inf, np.nan][:n]
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        got = circulant_matrix(c)
+        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert got.tobytes() == c[idx].tobytes()
+
     def test_from_symbol_real_check(self):
         with pytest.raises(NumericError):
             from_symbol(np.array([1.0, 2.0, 3.0, 5.0]))  # not conj-symmetric

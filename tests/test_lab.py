@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import json
 import operator
 import os
@@ -11,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nplab import cnp, lab, polyapprox
+from nplab import cnp, lab, polyapprox, runners
 from nplab.errors import ContractError, NumericError, UsageError
 from nplab.lab import (FAIL, HIERARCHY_SUITE, INFO, PASS, REGISTRY, Check,
                        ExperimentConfig, hierarchy_configs,
@@ -49,13 +48,14 @@ def run_cli(*argv, stdout=subprocess.PIPE):
 
 COMPUTE_MODULES = ("anp", "cnp", "convcnp", "gp_oracle", "kernels", "latent",
                    "linalg", "polyapprox", "rng", "tnp")
-HEAVY_MODULES = ("numpy", "scipy", "mpmath") + tuple(
+HEAVY_MODULES = ("numpy", "scipy", "mpmath", "nplab.runners") + tuple(
     f"nplab.{name}" for name in COMPUTE_MODULES)
 
 
 def loaded_by_cli(*argv):
     """The exit code of `nplab *argv` in a fresh interpreter on this
-    checkout's sources, and which of HEAVY_MODULES it left loaded."""
+    checkout's sources, writing no bytecode, and which of HEAVY_MODULES it
+    left loaded."""
     import nplab
     script = ("import json, sys\n"
               "from nplab.cli import main\n"
@@ -65,7 +65,7 @@ def loaded_by_cli(*argv):
               "    code = stop.code\n"
               "print(json.dumps([code, sorted(set(json.loads(sys.argv[1]))\n"
               "                              & set(sys.modules))]))\n")
-    env = dict(os.environ,
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(HEAVY_MODULES), *argv],
@@ -95,6 +95,15 @@ class TestRegistry:
         entry = REGISTRY["cnp.collision"]
         out = validate_params(entry, {"x_t": "2"})
         assert out["x_t"] == 2.0 and isinstance(out["x_t"], float)
+
+    def test_declarations_and_runners_match_one_to_one(self):
+        # each declaration names its own runner, and nplab.runners defines
+        # no runner that no declaration names
+        declared = [entry.runner for entry in REGISTRY.values()]
+        defined = {name for name, obj in vars(runners).items()
+                   if name.startswith("_run_") and callable(obj)}
+        assert len(set(declared)) == len(declared) == len(REGISTRY)
+        assert set(declared) == defined
 
     def test_pca_bound_modes_match_cnp(self):
         # the registry spells the modes out so that declaring it loads no
@@ -305,8 +314,7 @@ class TestRunSuite:
         def runner(params, seed):
             raise NumericError("x", bracket=(1.0, None))
         eid = "polyapprox.minimax_decay"
-        monkeypatch.setitem(REGISTRY, eid, dataclasses.replace(
-            REGISTRY[eid], runner=runner))
+        monkeypatch.setattr(runners, "_run_minimax_decay", runner)
         result = run_suite([ExperimentConfig(eid),
                             ExperimentConfig("cnp.collision")])
         failed = [r for r in result["reports"] if r.failed]
@@ -413,9 +421,10 @@ class TestCli:
         assert "cnp.collision" in proc.stdout
 
     def test_import_loads_no_scipy_or_mpmath(self, tmp_path):
-        # numpy and the compute modules load when the first experiment
-        # runs, and scipy and mpmath only inside the functions that use
-        # them, so a command that runs no experiment pays for none of them
+        # numpy and the compute modules load with nplab.runners when the
+        # first experiment runs, and scipy and mpmath only inside the
+        # functions that use them, so a command that runs no experiment
+        # pays for none of them
         unknown_key = tmp_path / "unknown_key.json"
         unknown_key.write_text(json.dumps({"experiments": [
             {"experiment_id": "cnp.collision", "params": {"bogus": 1}}]}))
@@ -427,12 +436,12 @@ class TestCli:
                            (["--help"], 0),
                            (["run", str(unknown_key)], 2)):
             assert loaded_by_cli(*argv) == (code, []), argv
-        # the guard sees a run's imports: one experiment loads numpy and
-        # the modules its runner reaches
+        # the guard sees a run's imports: one experiment loads the runners,
+        # and with them numpy and the modules its runner reaches
         code, loaded = loaded_by_cli("run", str(valid))
         assert code == 0
-        assert {"numpy", "nplab.cnp", "nplab.gp_oracle", "nplab.kernels",
-                "nplab.linalg", "nplab.rng"} <= set(loaded)
+        assert {"numpy", "nplab.runners", "nplab.cnp", "nplab.gp_oracle",
+                "nplab.kernels", "nplab.linalg", "nplab.rng"} <= set(loaded)
 
     def test_hierarchy_pass_loads_no_scipy(self):
         # nplab depends on numpy and mpmath only; scipy is a test oracle

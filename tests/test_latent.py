@@ -6,6 +6,7 @@ from nplab.cnp import example_collision_pair
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec
 from nplab.lab import ExperimentConfig, run_experiment
+from nplab.linalg import jacobi_eigvalsh, jacobi_eigvalsh_many
 from nplab.latent import (RankKLatent, default_latent_builder,
                           encoder_bottleneck_lift, gp_cov_rank_check,
                           latent_predictive, mean_matching_residual,
@@ -71,6 +72,28 @@ class TestRankKLatent:
         assert np.allclose(near, near.T, atol=1e-10)
         RankKLatent(k=2, a=lambda x: np.zeros(2), b=lambda x: 0.0,
                     m=np.zeros(2), S=near)
+
+    def test_precomputed_eigenvalues_decide_as_its_own_call(self):
+        # one jacobi_eigvalsh_many call gives every model's PSD-check
+        # eigenvalues with the bits of a call per model, and a non-PSD S
+        # raises the same error whether the model factors it or is given
+        # its eigenvalues
+        rng = np.random.default_rng(0)
+        Bs = [rng.normal(size=(k, k)) for k in (1, 2, 3, 4, 4, 2)]
+        sym = [0.5 * (B @ B.T + (B @ B.T).T) for B in Bs]
+        for S, vals in zip(sym, jacobi_eigvalsh_many(sym)):
+            assert vals.tobytes() == jacobi_eigvalsh(S).tobytes()
+        bad = np.array([[1.0, 0.0], [0.0, -1e-6]])
+        errors = []
+        for eigenvalues in (None, jacobi_eigvalsh(bad)):
+            with pytest.raises(InputError) as err:
+                RankKLatent(k=2, a=lambda x: np.zeros(2), b=lambda x: 0.0,
+                            m=np.zeros(2), S=bad, eigenvalues=eigenvalues)
+            errors.append(str(err.value))
+        assert errors == ["latent covariance must be PSD"] * 2
+        with pytest.raises(InputError, match="2 eigenvalues"):
+            RankKLatent(k=2, a=lambda x: np.zeros(2), b=lambda x: 0.0,
+                        m=np.zeros(2), S=np.eye(2), eigenvalues=np.ones(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mean_rejected(self, bad):

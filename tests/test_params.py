@@ -219,6 +219,8 @@ class TestConfigShape:
                            "params": [1]}]}, "params must be an object"),
         ({"experiments": {}}, '"experiments" list'),
         ([], '"experiments" list'),
+        ({"experiments": [{"experiment_id": "cnp.collision"}], "seed": 3},
+         "unknown top-level key 'seed'"),
     ])
     def test_bad_shape_is_usage_error(self, doc, text, tmp_path, capsys,
                                       monkeypatch):
@@ -227,3 +229,4 @@ class TestConfigShape:
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         code, out = run_main(["run", str(cfg)], capsys)
         assert code == 2 and text in out.err, out.err
+        assert out.err.count("\n") == 1 and out.out == ""

@@ -62,10 +62,12 @@ def test_bench_pair_tier1_run_times_one_side(tmp_path):
 
 def fake_bench_pair(tmp_path, monkeypatch):
     """bench_pair's JSON from one hierarchy run on stand-ins for git, the
-    export, Tier-1 and the benchmark, and the sides Tier-1 ran on."""
+    export, Tier-1 and the benchmark, the sides Tier-1 ran on and the run
+    lengths the benchmark runs were given."""
     bench_pair = load_script("bench_pair")
     root = SCRIPTS.parent
     tier1 = {}
+    lengths = set()
 
     def export(treeish, dest):
         dest.mkdir(parents=True)
@@ -76,6 +78,7 @@ def fake_bench_pair(tmp_path, monkeypatch):
         return tier1[side.name], "9 passed"
 
     def run_bench(side, workload, seed, seconds):
+        lengths.add(seconds)
         metrics = {"setup_s": 0.3, "cold_run_s": 1.0, "pass_s": 0.5,
                    "peak_rss_mb": 45.0}
         return {"seed": seed, "exit": 0, "correct": True, "attempted": 1,
@@ -90,15 +93,20 @@ def fake_bench_pair(tmp_path, monkeypatch):
                             str(tmp_path / "work"), "--out", str(out),
                             "--workload", "hierarchy"])
     assert code == 0
-    return json.loads(out.read_text()), set(tier1)
+    return json.loads(out.read_text()), set(tier1), lengths
 
 
 def test_bench_pair_writes_tier1_s(tmp_path, monkeypatch):
-    written, tier1_sides = fake_bench_pair(tmp_path, monkeypatch)
+    written, tier1_sides, lengths = fake_bench_pair(tmp_path, monkeypatch)
     assert written["tier1_s"] == {"base": 12.5, "head": 10.0}
     assert written["tier1_outcome"] == {"base": "9 passed",
                                         "head": "9 passed"}
     assert tier1_sides == {"base", "head"}
+    # every benchmark run lasts BENCHMARK.json's run_seconds, whatever
+    # Tier-1 took
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    assert lengths == {written["settings"]["seconds"]} \
+        == {declared["run_seconds"]}
 
 
 @pytest.mark.parametrize("value, writes", [(None, True), ("", True),
@@ -110,7 +118,7 @@ def test_bench_pair_records_bytecode_mode(value, writes, tmp_path,
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
-    written, _ = fake_bench_pair(tmp_path, monkeypatch)
+    written, _, _ = fake_bench_pair(tmp_path, monkeypatch)
     assert written["machine"]["writes_bytecode"] is writes
 
 
