@@ -7,7 +7,8 @@ A row is one measurement of one report: (JSON file name, measurement
 name).  For each row present in both directories the script prints every
 cell that differs (value or bound, with its relative change B/A - 1) and
 every verdict change.  Report-level fields (seed, params, error) are
-compared too; ``wall_time_ms`` is ignored.  It then prints missing rows
+compared too; ``wall_time_ms`` is ignored.  A NaN equals a NaN, in cells
+and in report-level fields alike.  It then prints missing rows
 (in A only) and extra rows (in B only) and a one-line summary.
 
 Exit status: 1 if any verdict changed or any row is missing or extra,
@@ -31,6 +32,17 @@ def load(directory: Path) -> dict:
         with open(path, encoding="utf-8") as fh:
             reports[path.name] = json.load(fh)
     return reports
+
+
+def same(a, b) -> bool:
+    """a == b, except that NaN equals NaN, in nested lists and dicts too."""
+    if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
 
 
 def rows(report: dict) -> set:
@@ -63,7 +75,7 @@ def compare(a_dir: Path, b_dir: Path, out=sys.stdout) -> dict:
             continue
         for key in sorted((set(ra) | set(rb)) - set(ROW_FIELDS)
                           - set(IGNORED)):
-            if ra.get(key) != rb.get(key):
+            if not same(ra.get(key), rb.get(key)):
                 counts["cells"] += 1
                 print(f"{name} [{key}]: {ra.get(key)!r} -> {rb.get(key)!r}",
                       file=out)
@@ -79,7 +91,7 @@ def compare(a_dir: Path, b_dir: Path, out=sys.stdout) -> dict:
             for field in ("measurements", "bounds"):
                 va = ra.get(field, {}).get(row)
                 vb = rb.get(field, {}).get(row)
-                if va != vb:
+                if not same(va, vb):
                     counts["cells"] += 1
                     print(f"{name} {row} {field[:-1]}: {va!r} -> {vb!r} "
                           f"({relative_change(va, vb)})", file=out)

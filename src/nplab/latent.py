@@ -148,6 +148,14 @@ def mercer_tail(spec: KernelSpec, grid, k: int) -> dict:
     returned alongside for the consistency check.  Eigenvalues below the
     solver's resolution (RANK_FLOOR relative to the largest) are treated
     as exact zeros.
+
+    The error is the trace norm of G - G_k, by a second factorization.
+    Where ||G - G_k||_F <= RANK_FLOOR max(lam_1, 1e-300) / 2 it is 0.0
+    without one: every eigenvalue of G - G_k is at most its Frobenius
+    norm, and Jacobi's computed ones are within rounding of that, so all
+    of them lie under the floor that zeroes them, and the factorization
+    would give 0.0 too.  This is the case whenever k reaches the rank of
+    G, where G - G_k is rounding alone.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     m = pts.shape[0]
@@ -161,10 +169,13 @@ def mercer_tail(spec: KernelSpec, grid, k: int) -> dict:
     vals = np.clip(vals, 0.0, None)
     tail = float(np.sum(vals[k:]))
     # independent trace-norm evaluation of the truncation error
-    Gk = (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
-    dvals = jacobi_eigvalsh(G - Gk)
-    dvals[np.abs(dvals) <= RANK_FLOOR * max(vals[0], 1e-300)] = 0.0
-    best = float(np.sum(np.abs(dvals)))
+    residual = G - (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+    floor = RANK_FLOOR * max(vals[0], 1e-300)
+    best = 0.0
+    if np.linalg.norm(residual) > floor / 2:
+        dvals = jacobi_eigvalsh(residual)
+        dvals[np.abs(dvals) <= floor] = 0.0
+        best = float(np.sum(np.abs(dvals)))
     return {
         "tail_trace": tail,
         "best_rank_k_error": best,

@@ -57,4 +57,4 @@ def test_traced_dense_pass_checks_clean(bench):
     assert "linalg.jacobi_eigh" in names
     assert bench["checks"].traced_results(tracer.observed) == []
     summary, _, _ = tracer.summarize(0, len(tracer))
-    assert summary["linalg.jacobi_eigvalsh"]["calls"] > 0
+    assert summary["linalg.jacobi_eigvalsh_many"]["calls"] > 0

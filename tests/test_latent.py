@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from nplab.cnp import example_collision_pair
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec
-from nplab.lab import ExperimentConfig, run_experiment
+from nplab import latent
+from nplab.lab import FAIL, PASS, ExperimentConfig, run_experiment
 from nplab.linalg import jacobi_eigvalsh, jacobi_eigvalsh_many
 from nplab.latent import (RankKLatent, default_latent_builder,
                           encoder_bottleneck_lift, gp_cov_rank_check,
@@ -228,6 +229,37 @@ class TestMercerTail:
     def test_grid_too_small(self):
         with pytest.raises(InputError):
             mercer_tail(RBF, np.linspace(0, 1, 10).reshape(-1, 1), 4)
+
+    @pytest.mark.parametrize("params", [{}, {"m": 64}])
+    def test_sub_floor_residual_is_not_factored(self, params, jacobi_calls):
+        # k >= degree + 1 leaves G - G_k as rounding alone, under the floor
+        rep = run_experiment(ExperimentConfig("latent.mercer", params, 0))
+        assert rep.error is None and not rep.failed
+        assert rep.measurements["polynomial_tail"] == 0.0
+        assert rep.measurements["eckart_young_gap"] == 0.0
+        assert jacobi_calls == [1, 0]
+
+    def test_residual_above_the_floor_is_factored(self, jacobi_calls):
+        grid = np.linspace(-2, 2, 40).reshape(-1, 1)
+        out = mercer_tail(RBF, grid, 5)
+        assert jacobi_calls == [1, 1]
+        assert out["best_rank_k_error"] > 0.0
+
+    def test_eckart_young_gap_fails_on_a_wrong_eigenvector(self,
+                                                           monkeypatch):
+        # a top eigenvector turned off its line leaves G - G_k above the
+        # floor, so the gap is measured, and it is far from the tail
+        eigh = latent.jacobi_eigh
+
+        def perturbed(matrix):
+            vals, vecs = eigh(matrix)
+            vecs = vecs.copy()
+            vecs[:, -1] += 1e-3
+            return vals, vecs
+        monkeypatch.setattr(latent, "jacobi_eigh", perturbed)
+        rep = run_experiment(ExperimentConfig("latent.mercer", {}, 0))
+        assert rep.verdicts == {"polynomial_tail": PASS,
+                                "eckart_young_gap": FAIL}
 
 
 class TestBottleneckLift:

@@ -169,8 +169,10 @@ def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
                                 max_sweeps=linalg.JACOBI_MAX_SWEEPS):
     """The round-robin loop as it was written with V kept apart from A:
     each round rotates the paired rows and columns of A and then the
-    paired columns of V.  jacobi_eigh, which turns V^T as extra columns
-    of A's rows, must match it bit for bit from ROUND_ROBIN_MIN_N on."""
+    paired columns of V.  A pair with |a_pq| <= tol ||A||_F / n turns by
+    the identity and keeps its a_pq.  jacobi_eigh, which turns V^T as
+    extra columns of A's rows, must match it bit for bit from
+    ROUND_ROBIN_MIN_N on."""
     A = np.array(matrix, dtype=float)
     A = 0.5 * (A + A.T)
     n = A.shape[0]
@@ -186,11 +188,12 @@ def _reference_round_robin_eigh(matrix, tol=linalg.JACOBI_TOL,
             app, aqq = A[P, P], A[Q, Q]
             skip = (np.abs(apq) <= 1e-300) | \
                 (np.abs(apq) <= 1e-20 * (np.abs(app) + np.abs(aqq)))
-            theta = (aqq - app) / (2.0 * np.where(skip, 1.0, apq))
+            idle = skip | (np.abs(apq) <= tol * norm / n)
+            theta = (aqq - app) / (2.0 * np.where(idle, 1.0, apq))
             t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta)
                                                     + np.hypot(theta, 1.0))
-            c = np.where(skip, 1.0, 1.0 / np.sqrt(t * t + 1.0))
-            s = np.where(skip, 0.0, t * c)
+            c = np.where(idle, 1.0, 1.0 / np.sqrt(t * t + 1.0))
+            s = np.where(idle, 0.0, t * c)
             cc, ss = c[:, None], s[:, None]
             rp, rq = A[P, :], A[Q, :]
             A[P, :] = cc * rp - ss * rq
@@ -353,6 +356,69 @@ def test_large_n_matches_lapack(n, make):
     assert np.max(np.abs(vals - np.linalg.eigvalsh(A))) <= 1e-9 * norm
     assert np.linalg.norm(A @ V - V * vals) <= 1e-12 * norm
     assert np.linalg.norm(V.T @ V - np.eye(n)) <= 1e-12 * norm
+
+
+def mercer_gram(n):
+    """latent.mercer's grid Gram: the degree-2 polynomial kernel on n
+    points of [-1, 1], divided by n.  It has rank 3, so n - 3 of its
+    eigenvalues form a cluster at rounding level."""
+    spec = KernelSpec(family="polynomial", degree=2)
+    return kernel_matrix(spec, np.linspace(-1.0, 1.0, n).reshape(-1, 1)) / n
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The sweeps made, one entry per sweep, counted through a wrapper of
+    the sweep that ``_converge`` is given."""
+    count = []
+    converge = linalg._converge
+
+    def counted_converge(X, tol, sweep):
+        def counted(X):
+            count.append(len(X))
+            sweep(X)
+        return converge(X, tol, counted)
+    monkeypatch.setattr(linalg, "_converge", counted_converge)
+    return count
+
+
+def test_round_robin_leaves_the_rounding_cluster_alone(sweeps):
+    # inside the 61-fold zero cluster a_pp, a_qq and a_pq are all rounding,
+    # so the 1e-20 skip never fires there; without the tol / n threshold
+    # those pairs turn by large angles and the matrix takes 15 sweeps
+    A = mercer_gram(64)
+    vals = jacobi_eigvalsh(A)
+    assert 0 < len(sweeps) <= 5
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(A))) <= \
+        1e-12 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("n", [32, 33, 47, 64])
+def test_eigvalsh_is_eigh_values_where_the_threshold_fires(n, sweeps):
+    # the rank-2 latent covariance has an (n - 2)-fold zero cluster, whose
+    # pairs the threshold leaves; both forms sweep as often and give the
+    # same bits
+    A = low_rank_psd(n, seed=n)
+    vals = jacobi_eigvalsh(A)
+    n_sweeps = len(sweeps)
+    assert same_bits(vals, jacobi_eigh(A)[0])
+    assert len(sweeps) == 2 * n_sweeps
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(mercer_gram(64), id="mercer_gram"),
+    pytest.param(low_rank_psd(64, seed=64), id="low_rank_psd")])
+def test_threshold_budget_residual_matches_reference(A, monkeypatch):
+    # max_sweeps = 1 still raises, with the off-norm that the reference
+    # loop, threshold included, leaves after its one sweep
+    with pytest.raises(NumericError) as want:
+        _reference_round_robin_eigh(A, max_sweeps=1)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    for solve in (jacobi_eigh, jacobi_eigvalsh):
+        with pytest.raises(NumericError) as got:
+            solve(A)
+        assert got.value.residual is not None
+        assert got.value.residual == want.value.residual
 
 
 @pytest.mark.parametrize("n", [32, 33, 64])

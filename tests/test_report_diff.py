@@ -60,6 +60,26 @@ def test_changed_value_is_printed_and_exits_0(reports, tmp_path):
     assert "1 cells differ" in proc.stdout
 
 
+def test_nan_against_nan_is_no_change(reports, tmp_path):
+    # a NaN cell, and a NaN inside a report-level field, on both sides
+    def set_nan(d):
+        nan = float("nan")
+        d["measurements"]["gp_weight_gap"] = nan
+        d["diagnostics"] = {"residual": nan, "bracket": [0.0, nan]}
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        shutil.copytree(reports, side)
+        edit(side, "anp_factorization", set_nan)
+    proc = report_diff(a, b)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 cells differ" in proc.stdout
+    # a NaN against a number is still a change
+    proc = report_diff(reports, b)
+    assert "gp_weight_gap measurement:" in proc.stdout
+    assert "[diagnostics]" in proc.stdout
+    assert "2 cells differ" in proc.stdout
+
+
 def test_verdict_change_exits_1(reports, tmp_path):
     b = tmp_path / "b"
     shutil.copytree(reports, b)
