@@ -199,8 +199,7 @@ def grid_cnn_gp(spec: KernelSpec, grid: GridSpec, y, t_index: int,
     schedule = chebyshev_schedule(lam_min, lam_max, L)
     # each layer is one circular convolution with the kernel row: the
     # circulant is built once and every layer is a matvec with it
-    K_mat = K.matrix()
-    z = apply_schedule(lambda v: K_mat @ v, schedule, y)
+    z = apply_schedule(K.matrix(), schedule, y)
     k_t = row[(t_index - np.arange(grid.n)) % grid.n]
     prediction = float(k_t @ z)
     # exact posterior on the same circulant Gram, solved per frequency

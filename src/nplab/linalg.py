@@ -378,7 +378,7 @@ def _converge(X, tol, sweep):
     """Sweep the (b, n, w) stack X of prepared members with ``sweep`` until
     the off-diagonal norm of each member's A block is at most its
     threshold in ``tol`` (JACOBI_TOL times its Frobenius norm), testing
-    before each of at most JACOBI_MAX_SWEEPS sweeps.
+    before each of at most JACOBI_MAX_SWEEPS sweeps and after the last.
 
     ``sweep(X)`` sweeps every member of X in place.  A member that passes
     leaves the stack, so its sweep count is its own, and the others sweep
@@ -393,8 +393,6 @@ def _converge(X, tol, sweep):
         # x * 1 is x, and x * 0 squares to what x - x squares to (0, or nan
         # where x is not finite): the norm of A - diag(A), bit for bit
         off = _frobenius(A * mask)
-        if sweeps == JACOBI_MAX_SWEEPS:
-            break
         done = [x <= t for x, t in zip(off, tol)]
         if True in done:
             keep = []
@@ -406,8 +404,10 @@ def _converge(X, tol, sweep):
             if not keep:
                 return out
             X, tol, at = X[keep], [tol[j] for j in keep], [at[j] for j in keep]
+            off = [off[j] for j in keep]
             A = X[:, :, :n]
-        sweep(X)
+        if sweeps < JACOBI_MAX_SWEEPS:
+            sweep(X)
     for i, residual in zip(at, off):
         out[i] = NumericError(f"Jacobi eigensolver did not converge in "
                               f"{JACOBI_MAX_SWEEPS} sweeps", residual=residual)

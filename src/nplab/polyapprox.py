@@ -1,14 +1,15 @@
 """Polynomial approximation of matrix inverses.
 
-Two schedule forms are applied to operators by `apply_schedule`:
+Two schedule forms are applied to a square matrix by `apply_schedule`, the
+one float64 applier of a schedule:
 
 * Chebyshev iteration with nodes at shifted Chebyshev points, factor
   (sqrt(kappa) - 1)/(sqrt(kappa) + 1).
 * Literal product form prod(I + alpha_l K) with free real coefficients.
 
 The Neumann truncation (1/lam_max) sum_m (I - K/lam_max)^m, factor
-1 - 1/kappa, enters only through its closed forms (`neumann_exact_check`,
-`depth_to_target`).
+1 - 1/kappa, enters only through `depth_to_target`, as the baseline of the
+Chebyshev depth advantage.
 
 A discrete Remez exchange provides the brute-force minimax oracle that all
 depth lower-bound experiments compare against, and `chebyshev_barrier` is the
@@ -22,22 +23,22 @@ iteration error sits within a factor 1 + rho^(2L) of the (2/lam_min) rho^L
 bound, which is far below double-precision resolution at large L, so the
 exact verification of the bound at depth 40 (`polyapprox.inverse_bounds`)
 uses `chebyshev_exact_check`, the closed form T_L(u)/T_L(u0) in mpmath,
-rather than the float64 matrix recurrence.  It and `neumann_exact_check`
-take a sequence of depths and compute what does not depend on the depth
-(each eigenvalue's acos(u) or |1 - lambda/b|, acosh(u0), rho) once per
-spectrum; at the four depths of `polyapprox.inverse_bounds` that halves
-their time.  `schedule_spectral_error_exact` evaluates any schedule's node
-product in mpmath; it is the oracle that closed form is tested against.
+rather than the float64 matrix recurrence.  It takes a sequence of depths
+and computes what does not depend on the depth (each eigenvalue's acos(u),
+acosh(u0), rho) once per spectrum; at the four depths of
+`polyapprox.inverse_bounds` that halves its time.
+`schedule_spectral_error_exact` evaluates any schedule's node product in
+mpmath; it is the oracle that closed form is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractError, InputError, NumericError
+from .errors import InputError, NumericError
 from .kernels import GramSpectrum
 from .linalg import spectral_norm_sym
 
@@ -55,16 +56,15 @@ class PolySchedule:
     """Coefficient schedule for a depth-L inverse approximation.
 
     For CHEBYSHEV the coefficients are the node reciprocals 1/x_l in
-    application order (interleaved for roundoff stability), and interval
-    is the [lambda_min, lambda_max] the nodes were placed on;
-    `apply_inverse_schedule` checks a spectrum against it.  For PRODUCT
-    the coefficients are the alpha_l of prod(I + alpha_l K), free of any
-    interval, which is None.  The depth L is len(coefficients).
+    application order (interleaved for roundoff stability), placed on the
+    [lambda_min, lambda_max] of the spectrum the schedule is built for.
+    For PRODUCT they are the alpha_l of prod(I + alpha_l K).  The depth L
+    is len(coefficients).  Only `apply_schedule`, `depth_to_target` and
+    the mpmath oracle `schedule_spectral_error_exact` read them.
     """
 
     form: str
     coefficients: Tuple[float, ...]
-    interval: Optional[Tuple[float, float]] = None
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -96,10 +96,7 @@ def chebyshev_schedule(lambda_min: float, lambda_max: float, L: int) -> PolySche
     ell = np.arange(1, L + 1)
     theta = (2 * ell - 1) * np.pi / (2 * L)
     nodes = _interleave(mid + rad * np.cos(theta))
-    return PolySchedule(
-        form=CHEBYSHEV,
-        coefficients=tuple(1.0 / nodes),
-        interval=(lambda_min, lambda_max))
+    return PolySchedule(form=CHEBYSHEV, coefficients=tuple(1.0 / nodes))
 
 
 def product_schedule(alphas) -> PolySchedule:
@@ -108,63 +105,32 @@ def product_schedule(alphas) -> PolySchedule:
                         coefficients=tuple(float(a) for a in alphas))
 
 
-def schedule_inverse_values(schedule: PolySchedule,
-                            lam: np.ndarray) -> np.ndarray:
-    """Scalar value of the schedule's polynomial at each lambda.
-
-    CHEBYSHEV returns the inverse approximation q(lambda); PRODUCT returns
-    p(lambda) = prod(1 + alpha_l lambda) itself.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if schedule.form == PRODUCT:
-        out = np.ones_like(lam)
-        for a in schedule.coefficients:
-            out *= 1.0 + a * lam
-        return out
-    if schedule.form == CHEBYSHEV:
-        r = np.ones_like(lam)
-        for c in schedule.coefficients:
-            r *= 1.0 - c * lam
-        return (1.0 - r) / lam
-    raise InputError(f"unknown schedule form {schedule.form!r}")
-
-
-def apply_schedule(matvec, schedule: PolySchedule,
+def apply_schedule(M: np.ndarray, schedule: PolySchedule,
                    rhs: np.ndarray) -> np.ndarray:
-    """Apply the schedule's polynomial in an operator, layer by layer.
+    """Apply the schedule's polynomial in the square matrix M to rhs, layer
+    by layer.
 
-    PRODUCT runs X <- X + alpha_l matvec(X) from X = rhs, producing p(K) rhs;
-    CHEBYSHEV runs the affine inverse iteration X <- X + c_l (rhs - matvec(X))
-    from X = 0, producing q_L(K) rhs.  `matvec` may be a dense product, a
-    circular convolution or any other application of the same operator, and
-    `rhs` a vector or a matrix of columns.
+    PRODUCT runs X <- X + alpha_l M X from X = rhs, producing p(M) rhs;
+    CHEBYSHEV runs the affine inverse iteration X <- X + c_l (rhs - M X)
+    from X = 0, producing q_L(M) rhs.  rhs is a vector or a block of
+    columns; np.eye(n) gives the polynomial in M itself.
     """
+    M = np.asarray(M, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or \
+            rhs.shape[:1] != M.shape[:1]:
+        raise InputError("operator/input dimension mismatch")
     if schedule.form == PRODUCT:
         X = rhs
         for alpha in schedule.coefficients:
-            X = X + alpha * matvec(X)
+            X = X + alpha * (M @ X)
         return X
     if schedule.form == CHEBYSHEV:
         X = np.zeros_like(rhs)
         for c in schedule.coefficients:
-            X = X + c * (rhs - matvec(X))
+            X = X + c * (rhs - M @ X)
         return X
     raise InputError(f"unsupported schedule form {schedule.form!r}")
-
-
-def apply_inverse_schedule(K: GramSpectrum, schedule: PolySchedule) -> np.ndarray:
-    """Materialize the schedule's polynomial in K as a matrix: q_L(K) for
-    CHEBYSHEV, p(K) for PRODUCT.  A schedule with an interval must hold
-    K's spectrum in it."""
-    if schedule.interval is not None:
-        a, b = schedule.interval
-        slack = 1e-9 * max(abs(b), 1.0)
-        if K.lambda_min < a - slack or K.lambda_max > b + slack:
-            raise ContractError(
-                f"spectrum [{K.lambda_min:g}, {K.lambda_max:g}] escapes the "
-                f"schedule interval [{a:g}, {b:g}]")
-    M = K.matrix
-    return apply_schedule(lambda X: M @ X, schedule, np.eye(K.n))
 
 
 def inverse_error(K: GramSpectrum, approx: np.ndarray) -> float:
@@ -225,9 +191,14 @@ def chebyshev_exact_check(eigenvalues, depths):
     float returned is too.
     """
     import mpmath as mp
-    depths = _depths(depths)
+    depths = list(depths)
+    if any(L < 1 for L in depths):
+        raise InputError("depth must be at least 1")
     with mp.workdps(80):
-        lams, a, b = _exact_spectrum(eigenvalues)
+        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
+        a, b = min(lams), max(lams)
+        if a <= 0:
+            raise InputError("spectrum must be positive")
         if a == b:
             return [(0.0, float(2 / a), float(2 / a)) for _ in depths]
         acosh_u0 = mp.acosh((b + a) / (b - a))
@@ -244,42 +215,6 @@ def chebyshev_exact_check(eigenvalues, depths):
             bound = 2 / a * rho ** L
             out.append((float(err), float(bound), float(bound - err)))
         return out
-
-
-def neumann_exact_check(eigenvalues, depths):
-    """Exact-arithmetic counterpart for the truncated geometric series, in
-    80 significant digits: one (error, bound, margin) per depth, with each
-    |1 - lambda/b| and 1 - a/b computed once."""
-    import mpmath as mp
-    depths = _depths(depths)
-    with mp.workdps(80):
-        lams, a, b = _exact_spectrum(eigenvalues)
-        steps = [abs(1 - lam / b) for lam in lams]
-        step_min = 1 - a / b
-        out = []
-        for L in depths:
-            err = max(g ** L / lam for g, lam in zip(steps, lams))
-            bound = step_min ** L / a
-            out.append((float(err), float(bound), float(bound - err)))
-        return out
-
-
-def _depths(depths):
-    depths = list(depths)
-    if any(L < 1 for L in depths):
-        raise InputError("depth must be at least 1")
-    return depths
-
-
-def _exact_spectrum(eigenvalues):
-    """The eigenvalues as mpf at the working precision, and their extremes;
-    the extremes must be positive."""
-    import mpmath as mp
-    lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
-    a, b = min(lams), max(lams)
-    if a <= 0:
-        raise InputError("spectrum must be positive")
-    return lams, a, b
 
 
 def depth_to_target(form: str, lambda_min: float, lambda_max: float,
@@ -300,7 +235,12 @@ def depth_to_target(form: str, lambda_min: float, lambda_max: float,
     elif form == CHEBYSHEV:
         for L in range(1, DEPTH_SEARCH_MAX + 1):
             sched = chebyshev_schedule(lambda_min, lambda_max, L)
-            q = schedule_inverse_values(sched, lam)
+            # the residual prod(1 - c_l lambda) of the depth-L iteration,
+            # and its inverse approximation q = (1 - r) / lambda
+            r = np.ones_like(lam)
+            for c in sched.coefficients:
+                r *= 1.0 - c * lam
+            q = (1.0 - r) / lam
             if np.max(np.abs(q - 1.0 / lam)) <= eps:
                 return L
     else:

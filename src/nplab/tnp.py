@@ -20,8 +20,7 @@ from .cnp import ContextSet
 from .errors import InputError
 from .gp_oracle import posterior_mean
 from .kernels import GramSpectrum, KernelSpec, cross_vector, gram_spectrum
-from .polyapprox import (PolySchedule, apply_inverse_schedule,
-                         apply_schedule, chebyshev_barrier,
+from .polyapprox import (apply_schedule, chebyshev_barrier,
                          chebyshev_error_bound, chebyshev_rho,
                          chebyshev_schedule, minimax_oracle, product_schedule)
 from .rng import stream
@@ -87,19 +86,6 @@ def eig_family(kappa: float, n: int, t: float) -> EigFamilyMember:
     return EigFamilyMember(t=t, kappa=kappa, n=n, matrix=K_t, v1=v1, mu1=mu1)
 
 
-def tnp_forward(A: np.ndarray, schedule: PolySchedule, H0: np.ndarray) -> np.ndarray:
-    """Apply the schedule's polynomial in A to H0, layer by layer.
-
-    PRODUCT runs H <- (I + alpha_l A) H; CHEBYSHEV runs the affine inverse
-    iteration H <- H + (1/x_l)(H0 - A H) columnwise, producing q_L(A) H0.
-    """
-    A = np.asarray(A, dtype=float)
-    H = np.asarray(H0, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[1] != H.shape[0]:
-        raise InputError("attention/input dimension mismatch")
-    return apply_schedule(lambda X: A @ X, schedule, H)
-
-
 def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int,
                     spectrum: Optional[GramSpectrum] = None) -> dict:
     """Chebyshev-iteration solve of K z = y through attention layers, read
@@ -113,7 +99,7 @@ def tnp_gp_pipeline(spec: KernelSpec, C: ContextSet, x_t, L: int,
         raise InputError("Gram matrix too ill-conditioned for the pipeline")
     schedule = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
     y = C.values[:, 0]
-    z = tnp_forward(S.matrix, schedule, y.reshape(-1, 1))[:, 0]
+    z = apply_schedule(S.matrix, schedule, y.reshape(-1, 1))[:, 0]
     k_t = cross_vector(spec, C.locations, x_t)
     prediction = float(k_t @ z)
     oracle = posterior_mean(spec, C.locations, y, x_t, spectrum=S)
@@ -132,7 +118,7 @@ def gp_weight_row(spec: KernelSpec, X_C, x_t, L: int) -> np.ndarray:
     """Analytic Jacobian row of the pipeline at y = 0: k(x_t, X)^T q_L(K)."""
     S = gram_spectrum(spec, np.atleast_2d(np.asarray(X_C, dtype=float)))
     schedule = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
-    Q = apply_inverse_schedule(S, schedule)
+    Q = apply_schedule(S.matrix, schedule, np.eye(S.n))
     return cross_vector(spec, X_C, x_t) @ Q
 
 
@@ -201,7 +187,7 @@ def quadratic_form_sweep(kappa: float, n: int, alphas, t_grid: int):
     schedule = product_schedule(alphas)
     for i, t in enumerate(ts):
         member = eig_family(kappa, n, t)
-        H = tnp_forward(member.matrix, schedule, member.v1.reshape(-1, 1))
+        H = apply_schedule(member.matrix, schedule, member.v1.reshape(-1, 1))
         mus[i] = member.mu1
         vals[i] = float(member.v1 @ H[:, 0])
     return mus, vals

@@ -147,8 +147,7 @@ class TestRunExperiment:
         monkeypatch.setattr(polyapprox, "chebyshev_exact_check", check)
         rep = run_experiment(ExperimentConfig(
             "polyapprox.inverse_bounds", {"n_matrices": 2}))
-        assert rep.verdicts == {"chebyshev_margin": FAIL,
-                                "neumann_margin": PASS}
+        assert rep.verdicts == {"chebyshev_margin": FAIL}
 
 
 class TestRejectionSamplers:

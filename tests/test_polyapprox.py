@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.linalg import circulant
-
 from nplab import polyapprox
-from nplab.convcnp import (GridSpec, circular_convolve,
+from nplab.convcnp import (GridSpec, circulant_matrix, circular_convolve,
                            depth_support_experiment, nearest_neighbor_row,
                            trig_minimax_error, wrapped_kernel_row)
-from nplab.errors import ContractError, InputError, NumericError
+from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, spectrum_of
 from nplab.polyapprox import (CHEBYSHEV, DEFAULT_GRID, NEUMANN, PRODUCT,
                               chebyshev_barrier,
                               chebyshev_error_bound, chebyshev_exact_check,
                               chebyshev_rho, chebyshev_schedule,
                               depth_to_target, equioscillation_count,
-                              apply_inverse_schedule, apply_schedule,
-                              inverse_error, minimax_oracle,
-                              neumann_exact_check, product_schedule,
-                              remez_discrete, schedule_inverse_values,
+                              apply_schedule, inverse_error, minimax_oracle,
+                              product_schedule, remez_discrete,
                               schedule_spectral_error_exact)
 
 
@@ -53,8 +49,7 @@ class TestSchedules:
 
     def test_product_poly_is_one_at_zero(self):
         sched = product_schedule([-0.3, 0.1, -0.05])
-        assert sched.interval is None
-        vals = schedule_inverse_values(sched, np.array([1e-12]))
+        vals = apply_schedule([[1e-12]], sched, np.array([1.0]))
         assert vals[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_intervals(self):
@@ -73,9 +68,17 @@ class TestApplySchedule:
         sched = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
         if form == PRODUCT:  # the residual polynomial prod(1 - lambda/x_l)
             sched = product_schedule(-np.asarray(sched.coefficients))
-        X = apply_inverse_schedule(S, sched)
-        qvals = schedule_inverse_values(sched, S.eigenvalues)
-        ref = (S.eigenvectors * qvals) @ S.eigenvectors.T
+        X = apply_schedule(S.matrix, sched, np.eye(S.n))
+        # the schedule's scalar polynomial at each eigenvalue: p(lambda) =
+        # prod(1 + alpha_l lambda) for PRODUCT, q(lambda) = (1 - r) / lambda
+        # with r = prod(1 - c_l lambda) for CHEBYSHEV
+        lam = S.eigenvalues
+        sign = 1.0 if form == PRODUCT else -1.0
+        prod = np.ones_like(lam)
+        for c in sched.coefficients:
+            prod *= 1.0 + sign * c * lam
+        vals = prod if form == PRODUCT else (1.0 - prod) / lam
+        ref = (S.eigenvectors * vals) @ S.eigenvectors.T
         assert np.max(np.abs(X - ref)) < 1e-9
 
     def test_chebyshev_error_under_bound_float64(self):
@@ -84,7 +87,8 @@ class TestApplySchedule:
             S = spectrum_of(M)
             for L in (1, 2, 5, 10):
                 sched = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
-                err = inverse_error(S, apply_inverse_schedule(S, sched))
+                Q = apply_schedule(S.matrix, sched, np.eye(S.n))
+                err = inverse_error(S, Q)
                 bound = chebyshev_error_bound(S.lambda_min, S.lambda_max, L)
                 assert err <= bound * (1.0 + 1e-9)
 
@@ -92,7 +96,7 @@ class TestApplySchedule:
     def test_circulant_dense_matches_convolution(self, form):
         row = wrapped_kernel_row(KernelSpec(family="rbf", lengthscale=1.0),
                                  GridSpec(n=32, spacing=1.0))
-        K = circulant(row)  # K[i, j] = row[(i - j) mod n], built apart
+        K = circulant_matrix(row)
         lam = np.linalg.eigvalsh(K)
         rng = np.random.default_rng(4)
         if form == CHEBYSHEV:
@@ -100,16 +104,24 @@ class TestApplySchedule:
         else:
             sched = product_schedule(rng.uniform(-0.3, 0.3, 6))
         y = rng.normal(size=32)
-        dense = apply_schedule(lambda v: K @ v, sched, y)
-        conv = apply_schedule(lambda v: circular_convolve(row, v), sched, y)
+        dense = apply_schedule(K, sched, y)
+        # the same layers, each one a circular convolution with the row
+        conv = y if form == PRODUCT else np.zeros_like(y)
+        for c in sched.coefficients:
+            if form == PRODUCT:
+                conv = conv + c * circular_convolve(row, conv)
+            else:
+                conv = conv + c * (y - circular_convolve(row, conv))
         assert np.linalg.norm(dense - conv) <= 1e-12 * np.linalg.norm(dense)
 
-    def test_interval_escape_raises(self):
-        M, _ = random_spd(3, kappa=10.0)
-        S = spectrum_of(M)
-        sched = chebyshev_schedule(2.0 * S.lambda_min, S.lambda_max, 3)
-        with pytest.raises(ContractError):
-            apply_inverse_schedule(S, sched)
+    @pytest.mark.parametrize("M, rhs", [
+        (np.ones((3, 4)), np.zeros(4)),
+        (np.eye(3), np.zeros(4)),
+        (np.eye(3), np.zeros((4, 2)))],
+        ids=["non-square", "vector-length", "block-height"])
+    def test_dimension_mismatch(self, M, rhs):
+        with pytest.raises(InputError):
+            apply_schedule(M, product_schedule([0.1]), rhs)
 
 
 class TestExactChecks:
@@ -126,13 +138,6 @@ class TestExactChecks:
         err_f64 = schedule_spectral_error_exact(lams, sched)
         [(err_mp, _, _)] = chebyshev_exact_check(lams, [3])
         assert err_f64 == pytest.approx(err_mp, rel=1e-10)
-
-    def test_neumann_equality_at_lambda_min(self):
-        # the spectrum contains lambda_min, where the bound is attained
-        _, lams = random_spd(2, kappa=40.0)
-        [(err, bound, margin)] = neumann_exact_check(lams, [7])
-        assert err == pytest.approx(bound, rel=1e-12)
-        assert margin >= 0
 
     def test_degenerate_spectrum(self):
         [(err, bound, margin)] = chebyshev_exact_check([2.0, 2.0, 2.0], [5])
@@ -234,14 +239,6 @@ def test_exact_check_dominates_float64_error(seed, L):
     _, lams = random_spd(seed, n=6, kappa=float(10 + seed % 90))
     [(err, bound, margin)] = chebyshev_exact_check(lams, [L])
     assert 0 <= err <= bound and margin > 0
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 12))
-def test_neumann_exact_check_property(seed, L):
-    _, lams = random_spd(seed, n=6, kappa=float(10 + seed % 90))
-    [(err, bound, margin)] = neumann_exact_check(lams, [L])
-    assert 0 <= err <= bound * (1 + 1e-15) and margin >= -1e-300
 
 
 def _reference_sign_run_peaks(resid):
@@ -370,22 +367,7 @@ def _reference_chebyshev_exact_check(eigenvalues, L):
         return float(err), float(bound), float(bound - err)
 
 
-def _reference_neumann_exact_check(eigenvalues, L):
-    import mpmath as mp
-    if L < 1:
-        raise InputError("depth must be at least 1")
-    with mp.workdps(80):
-        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
-        a, b = min(lams), max(lams)
-        if a <= 0:
-            raise InputError("spectrum must be positive")
-        err = max(abs(1 - lam / b) ** L / lam for lam in lams)
-        bound = (1 - a / b) ** L / a
-        return float(err), float(bound), float(bound - err)
-
-
-EXACT_CHECKS = [(chebyshev_exact_check, _reference_chebyshev_exact_check),
-                (neumann_exact_check, _reference_neumann_exact_check)]
+EXACT_CHECKS = [(chebyshev_exact_check, _reference_chebyshev_exact_check)]
 
 
 @pytest.mark.parametrize("check, reference", EXACT_CHECKS)

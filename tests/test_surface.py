@@ -374,6 +374,26 @@ def test_only_kernels_names_eval_kernel():
     assert not naming, f"modules that name eval_kernel: {naming}"
 
 
+# the functions that may read a PolySchedule's coefficients: the one
+# float64 applier, the depth search's scalar residual and the mpmath oracle
+SCHEDULE_READERS = {"polyapprox.apply_schedule", "polyapprox.depth_to_target",
+                    "polyapprox.schedule_spectral_error_exact"}
+
+
+def test_only_the_appliers_read_schedule_coefficients():
+    # one way to apply a schedule: every other module applies it through
+    # apply_schedule and never takes its polynomial apart
+    reading = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if any(isinstance(n, ast.Attribute) and n.attr == "coefficients"
+                   for n in ast.walk(node)):
+                reading.add(f"{path.stem}.{getattr(node, 'name', '?')}")
+    assert reading <= SCHEDULE_READERS, \
+        f"schedule coefficients read in {sorted(reading - SCHEDULE_READERS)}"
+
+
 def _defaulted_parameters():
     """(module.function.parameter, position) of every parameter with a
     default of a public top-level function; position is None for a

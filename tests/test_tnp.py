@@ -8,13 +8,13 @@ from nplab.gp_oracle import posterior_weights
 from nplab.kernels import (KernelSpec, cross_vector, gram_spectrum,
                            kernel_matrix, spectrum_of)
 from nplab.lab import ExperimentConfig, run_experiment
-from nplab.polyapprox import (chebyshev_schedule, minimax_oracle,
-                              product_schedule, schedule_inverse_values)
+from nplab.polyapprox import (apply_schedule, chebyshev_schedule,
+                              minimax_oracle, product_schedule)
 from nplab.rng import stream
 from nplab.tnp import (FD_BLOCK, depth_barrier_experiment, eig_family,
                        family_vector, fd_jacobian, gp_weight_row,
                        normalize_attention, pipeline_as_map,
-                       quadratic_form_sweep, tnp_forward, tnp_gp_pipeline)
+                       quadratic_form_sweep, tnp_gp_pipeline)
 
 RBF = KernelSpec(family="rbf")
 
@@ -95,7 +95,7 @@ class TestForward:
         H0 = rng.normal(size=(5, 2))
         alphas = [0.3, -0.2, 0.1]
         sched = product_schedule(alphas)
-        out = tnp_forward(A, sched, H0)
+        out = apply_schedule(A, sched, H0)
         P = np.eye(5)
         for a in alphas:
             P = P + a * (A @ P)
@@ -104,13 +104,11 @@ class TestForward:
     def test_chebyshev_stack_matches_scalar_polynomial(self):
         member = eig_family(16.0, 6, 0.2)
         sched = chebyshev_schedule(1.0 / 16.0, 1.0, 4)
-        out = tnp_forward(member.matrix, sched, member.v1.reshape(-1, 1))
-        q = schedule_inverse_values(sched, np.array([member.mu1]))[0]
+        out = apply_schedule(member.matrix, sched, member.v1.reshape(-1, 1))
+        # q(mu1) = (1 - r) / mu1 with the residual r = prod(1 - c_l mu1)
+        r = np.prod([1.0 - c * member.mu1 for c in sched.coefficients])
+        q = (1.0 - r) / member.mu1
         assert float(member.v1 @ out[:, 0]) == pytest.approx(q, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            tnp_forward(np.eye(3), product_schedule([0.1]), np.zeros((4, 1)))
 
 
 class TestPipeline:
