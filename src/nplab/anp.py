@@ -1,13 +1,15 @@
 """Cross-attention predictor with analytically injected scores.
 
 A score is a plain function (C, x_t) -> the score s(x_t, x_i, y_i) of
-every context point, and the attention weights are their softmax.  With
-s = log k, which `log_kernel_score` builds, the weighted sum is exactly
-the Nadaraya-Watson kernel smoother.  Because the weight on each context
-point depends only on the (query, point) pair, no such predictor can
-react to inter-context geometry; the factorization counterexample builds
-two configurations with identical per-point score inputs whose exact GP
-posterior weights differ by a sizable gap.
+every context point, and the attention weights are their softmax.  A
+value map is a plain function C -> the values v(x_i, y_i) as one row per
+context point, and the prediction decodes their attention-weighted sum.
+With s = log k, which `log_kernel_score` builds, the weighted sum is
+exactly the Nadaraya-Watson kernel smoother.  Because the weight on each
+context point depends only on the (query, point) pair, no such predictor
+can react to inter-context geometry; the factorization counterexample
+builds two configurations with identical per-point score inputs whose
+exact GP posterior weights differ by a sizable gap.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ def attention_weights(score: Callable, C: ContextSet, x_t) -> np.ndarray:
 
 def anp_predict(score: Callable, value_map: Callable, decoder: Callable,
                 C: ContextSet, x_t) -> float:
-    """decoder(x_t, sum_i alpha_i v(x_i, y_i))."""
+    """decoder(x_t, sum_i alpha_i v_i), where value_map(C) returns the
+    values v_i as one row per context point, in context order."""
     alpha = attention_weights(score, C, x_t)
-    values = np.array([np.atleast_1d(value_map(x, y))
-                       for x, y in zip(C.locations, C.values)], dtype=float)
+    values = np.asarray(value_map(C), dtype=float)
+    if values.ndim != 2 or values.shape[0] != C.n:
+        raise InputError("value map must return one row per context point")
     r = alpha @ values
     return float(decoder(np.atleast_1d(np.asarray(x_t, dtype=float)), r))
 

@@ -34,8 +34,9 @@ from .cnp import ContextSet
 from .errors import InputError, NumericError
 from .gp_oracle import posterior_mean
 from .kernels import KernelSpec, kernel_matrix
-from .polyapprox import (apply_schedule, chebyshev_error_bound,
-                         chebyshev_rho, chebyshev_schedule, remez_discrete)
+from .polyapprox import (_distinct_sorted, apply_schedule,
+                         chebyshev_error_bound, chebyshev_rho,
+                         chebyshev_schedule, remez_discrete)
 
 WRAP_REACH = 6.0  # kernel images summed within this many lengthscales
 
@@ -318,7 +319,7 @@ def trig_minimax_error(x_grid: np.ndarray, f: np.ndarray, degree: int) -> float:
     in x."""
     order = np.argsort(x_grid)
     xs, fs = x_grid[order], f[order]
-    xs, keep = np.unique(np.round(xs, 12), return_index=True)
+    xs, keep = _distinct_sorted(np.round(xs, 12))
     fs = fs[keep]
     if degree >= len(xs) - 1:
         # full interpolation: error is rounding-level

@@ -11,8 +11,11 @@ them from it or from `cross_vector`, which calls it, and only
 `kernel_matrix` calls the scalar `eval_kernel`, once per pair.  Its cost is
 per-call overhead, so `eval_kernel` takes the distance as sqrt(d . d),
 which is np.linalg.norm's own expression for a 1-d vector, without the
-call, and `kernel_matrix` walks a list of Y's rows built once.  The
-exponentials stay np.exp: math.exp may round differently.
+call.  Where the points have one coordinate, `kernel_matrix` passes them
+as Python floats, and `eval_kernel` takes d . d and x . x' as float
+products: a one-term dot product is that one rounded product, so the
+bits are those of the vector form.  The exponentials stay np.exp:
+math.exp may round differently.
 
 Gram matrices carry their full symmetric eigendecomposition (`GramSpectrum`)
 so that downstream solves, condition numbers and polynomial-in-K evaluations
@@ -129,21 +132,30 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
     The scalar form `kernel_matrix` loops over; other modules take kernel
     values from `kernel_matrix` or `cross_vector` instead of calling it.
-    Symmetric bit for bit: |p - q| and |q - p| are the same norm, and the
-    amplitude and dot products commute.
+    A point is a 1-d coordinate vector, or one coordinate as a Python
+    float; the value is the same bits either way.  Symmetric bit for bit:
+    |p - q| and |q - p| are the same norm, and the amplitude and dot
+    products commute.
     """
-    p, q = _as_point(x), _as_point(x2)
-    if p.shape != q.shape:
-        raise InputError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    if spec.family == "scaled":
+    scalar = type(x) is float and type(x2) is float
+    if not scalar:
+        x, x2 = _as_point(x), _as_point(x2)
+        if x.shape != x2.shape:
+            raise InputError(f"dimension mismatch: {x.shape} vs {x2.shape}")
+    family = spec.family
+    if family == "scaled":
+        p, q = (np.array([x]), np.array([x2])) if scalar else (x, x2)
         return (spec.amplitude(p) * spec.amplitude(q)
-                * eval_kernel(spec.base, p, q))
-    if spec.family == "polynomial":
-        return (1.0 + float(p @ q) / spec.lengthscale**2) ** spec.degree
-    d = p - q
+                * eval_kernel(spec.base, x, x2))
+    # for one coordinate, x * x2 and d * d are the bits of the one-term
+    # dot products p @ q and d.dot(d)
+    if family == "polynomial":
+        xy = x * x2 if scalar else float(x @ x2)
+        return (1.0 + xy / spec.lengthscale**2) ** spec.degree
+    d = x - x2
     # np.linalg.norm's own expression for a 1-d vector, without its call
-    r = sqrt(d.dot(d)) / spec.lengthscale
-    if spec.family == "rbf":
+    r = sqrt(d * d if scalar else d.dot(d)) / spec.lengthscale
+    if family == "rbf":
         return np.exp(-0.5 * r * r)
     return np.exp(-r)  # Matern of smoothness 1/2
 
@@ -154,12 +166,13 @@ def kernel_matrix(spec: KernelSpec, X, Y=None) -> np.ndarray:
     Ya = Xa if Y is None else _as_rows(Y)
     if Xa.shape[1] != Ya.shape[1]:
         raise InputError("dimension mismatch between point sets")
-    out = np.empty((Xa.shape[0], Ya.shape[0]))
-    rows = list(Ya)
-    for i, xi in enumerate(Xa):
-        for j, yj in enumerate(rows):
-            out[i, j] = eval_kernel(spec, xi, yj)
-    return out
+    # one coordinate travels as a Python float, which eval_kernel takes
+    # without building a point
+    xs, ys = ((Xa[:, 0].tolist(), Ya[:, 0].tolist()) if Xa.shape[1] == 1
+              else (list(Xa), list(Ya)))
+    return np.fromiter((eval_kernel(spec, xi, yj) for xi in xs for yj in ys),
+                       dtype=float, count=len(xs) * len(ys)
+                       ).reshape(len(xs), len(ys))
 
 
 def cross_vector(spec: KernelSpec, X, x_t) -> np.ndarray:

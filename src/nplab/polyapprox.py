@@ -292,6 +292,17 @@ def _sign_run_peaks(resid: np.ndarray) -> np.ndarray:
     return at_peak[np.searchsorted(at_peak, starts)]
 
 
+def _distinct_sorted(a: np.ndarray):
+    """``np.unique(a, return_index=True)`` for a sorted 1-d array without
+    NaNs: the distinct values and the index of each one's first
+    occurrence.  np.unique imports numpy.ma on its first call, an import
+    no run needs."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    index = np.flatnonzero(first)
+    return a[index], index
+
+
 def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
     """Best degree-`degree` polynomial fit to fs over the discrete set xs
     in the sup norm, by multi-point exchange.
@@ -310,10 +321,11 @@ def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
 
     # initial reference: Chebyshev points snapped to the grid
     init = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(m) / (m - 1))
-    ref = np.unique(np.searchsorted(xs, init).clip(0, len(xs) - 1))
-    while len(ref) < m:
-        missing = np.setdiff1d(np.arange(len(xs)), ref)
-        ref = np.sort(np.append(ref, missing[0]))
+    ref, _ = _distinct_sorted(np.searchsorted(xs, init).clip(0, len(xs) - 1))
+    if len(ref) < m:  # fill up with the lowest grid indices left out
+        free = np.ones(len(xs), dtype=bool)
+        free[ref] = False
+        ref = np.sort(np.append(ref, np.flatnonzero(free)[:m - len(ref)]))
 
     coeffs = np.zeros(degree + 1)
     level = 0.0
@@ -341,7 +353,7 @@ def remez_discrete(xs: np.ndarray, fs: np.ndarray, degree: int):
         if len(cands) < m:
             # too few sign runs; merge with the previous reference, which
             # alternates at the solved level, then re-collapse same-sign runs
-            union = np.unique(np.concatenate([ref, cands]))
+            union, _ = _distinct_sorted(np.sort(np.concatenate([ref, cands])))
             merged = []
             for idx in union:
                 s = 1 if resid[idx] >= 0 else -1

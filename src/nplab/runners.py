@@ -55,7 +55,7 @@ def _run_pca_bound(params, seed):
 def _run_kernel_smoother(params, seed):
     spec = _rbf(params["lengthscale"])
     score = anp.log_kernel_score(spec)
-    value_map = lambda x, y: (y[0], 1.0)
+    value_map = lambda C: np.column_stack([C.values[:, 0], np.ones(C.n)])
     decoder = lambda x, r: r[0] / r[1]
     worst = 0.0
     for i in range(params["n_configs"]):

@@ -74,7 +74,7 @@ def test_criterion_02_cnp_lower_bound():
 def test_criterion_03_anp_kernel_smoother():
     rng = stream(0, "acceptance", "kernel_smoother")
     score = anp.log_kernel_score(RBF)
-    value_map = lambda x, y: y
+    value_map = lambda C: C.values
     decoder = lambda x_t, r: float(r[0])
     worst = 0.0
     for _ in range(500):

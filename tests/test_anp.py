@@ -72,7 +72,7 @@ class TestKernelSmootherEquivalence:
         # readout is exactly the kernel-weighted mean
         rng = np.random.default_rng(42)
         score = log_kernel_score(RBF)
-        value_map = lambda x, y: y
+        value_map = lambda C: C.values
         decoder = lambda x_t, r: float(r[0])
         worst = 0.0
         for _ in range(200):
@@ -84,6 +84,13 @@ class TestKernelSmootherEquivalence:
             b = nadaraya_watson(RBF, C, x_t)
             worst = max(worst, abs(a - b))
         assert worst <= 1e-10
+
+    def test_value_map_needs_one_row_per_point(self):
+        C = context_from_pairs([(0.0, 1.0), (1.0, 2.0)])
+        for value_map in (lambda C: C.values[:, 0], lambda C: C.values[:1]):
+            with pytest.raises(InputError):
+                anp_predict(uniform_score, value_map,
+                            lambda x_t, r: r[0], C, 0.5)
 
 
 class TestFactorizationCounterexample:
@@ -131,8 +138,7 @@ class TestEquivalenceProbe:
         # so each coordinate of the attended value agrees on the pair
         res = example_collision_pair()
         score = uniform_score
-        value_map = lambda x, y: np.concatenate([np.atleast_1d(x),
-                                                 np.atleast_1d(y)])
+        value_map = lambda C: np.hstack([C.locations, C.values])
         gaps = [abs(anp_predict(score, value_map, read, res.C, x_t)
                     - anp_predict(score, value_map, read, res.C2, x_t))
                 for read in (lambda x_t, r: r[0], lambda x_t, r: r[1])
@@ -142,7 +148,7 @@ class TestEquivalenceProbe:
     def test_log_kernel_attention_separates_the_pair(self):
         res = example_collision_pair()
         score = log_kernel_score(RBF)
-        value_map = lambda x, y: np.atleast_1d(y)
+        value_map = lambda C: C.values
         read = lambda x_t, r: r[0]
         gaps = [abs(anp_predict(score, value_map, read, res.C, x_t)
                     - anp_predict(score, value_map, read, res.C2, x_t))

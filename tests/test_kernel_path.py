@@ -10,12 +10,13 @@ the kernels are exactly symmetric.
 import numpy as np
 import pytest
 
+from nplab import kernels
 from nplab.anp import attention_weights, log_kernel_score, nadaraya_watson
 from nplab.cnp import ContextSet
 from nplab.convcnp import WRAP_REACH, GridSpec, wrapped_kernel_row
 from nplab.errors import InputError, NumericError
 from nplab.gp_oracle import two_point_weight
-from nplab.kernels import KernelSpec, eval_kernel
+from nplab.kernels import KernelSpec, eval_kernel, kernel_matrix
 
 STATIONARY = [KernelSpec(family="rbf"),
               KernelSpec(family="rbf", lengthscale=0.3),
@@ -194,8 +195,6 @@ def _point_pairs():
     ids=SPEC_IDS + ["polynomial"])
 def test_lean_eval_kernel_matches_norm_reference(spec):
     for x, x2 in _point_pairs():
-        if spec.family == "scaled" and np.ndim(x) == 0:
-            continue  # the amplitude map reads x[0] of a point
         # both forms overflow alike at 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             got = eval_kernel(spec, x, x2)
@@ -203,3 +202,67 @@ def test_lean_eval_kernel_matches_norm_reference(spec):
         assert type(got) is type(want)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.signbit(got) == np.signbit(want)
+
+
+# one coordinate at the edges of float64: signed zeros, subnormals, 1e-160
+# (whose square underflows into the subnormals, so sqrt(d * d) is not |d|),
+# 1e150 (whose products overflow a polynomial's float power), 1e155 (whose
+# squares overflow) and 40 (whose RBF value exp(-800) underflows to 0)
+EDGE_COORDINATES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-322, 1e-310, 1e-160,
+                    -1e-160, 3e-160, 1.0, -1.0, 0.3, 40.0, 1e150, -1e150,
+                    1e155, -1e155]
+# a lengthscale of 1e-160 turns the rounded distances near 1e-160 into
+# kernel values of order one, where every bit of them shows
+FLOAT_SPECS = {f"{family}-{ell}": KernelSpec(family=family, lengthscale=ell)
+               for family in ("rbf", "matern") for ell in (1.0, 1e-160)}
+FLOAT_SPECS.update({
+    f"polynomial{degree}-{ell}": KernelSpec(family="polynomial",
+                                            degree=degree, lengthscale=ell)
+    for degree in range(4) for ell in (1.0, 1e-160)})
+FLOAT_SPECS.update({"scaled-1.0": SCALED, "scaled-1e-160": KernelSpec(
+    family="scaled", base=KernelSpec(lengthscale=1e-160),
+    amplitude=SCALED.amplitude)})
+
+
+def _outcome(spec, x, x2):
+    """The value's type and bits, or the type of the error raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = eval_kernel(spec, x, x2)
+    except OverflowError as err:  # a polynomial's float power overflows
+        return type(err)
+    return type(value), np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("spec", FLOAT_SPECS.values(),
+                         ids=FLOAT_SPECS.keys())
+def test_float_coordinates_give_the_point_bits(spec):
+    # two Python floats take eval_kernel's float path, two 1-element
+    # points its vector path; the values agree bit for bit
+    for x in EDGE_COORDINATES:
+        for x2 in EDGE_COORDINATES:
+            assert _outcome(spec, x, x2) == \
+                _outcome(spec, np.array([x]), np.array([x2])), (x, x2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("cross", [False, True], ids=["gram", "cross"])
+def test_kernel_matrix_calls_eval_kernel_once_per_pair(monkeypatch, d,
+                                                      cross):
+    # a tracer counts kernel_matrix's calls through kernels.eval_kernel, so
+    # a Gram of n points is n * n calls, not a mirrored triangle
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(5, d))
+    Y = rng.normal(size=(3, d)) if cross else None
+    spec = KernelSpec(family="matern")
+    want = kernel_matrix(spec, X, Y)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_kernel(*args)
+
+    monkeypatch.setattr(kernels, "eval_kernel", counting)
+    got = kernel_matrix(spec, X, Y)
+    assert len(calls) == len(X) * len(X if Y is None else Y)
+    assert np.array_equal(got, want)

@@ -52,9 +52,9 @@ HEAVY_MODULES = ("numpy", "scipy", "mpmath", "nplab.runners") + tuple(
     f"nplab.{name}" for name in COMPUTE_MODULES)
 
 
-def loaded_by_cli(*argv):
+def loaded_by_cli(*argv, modules=HEAVY_MODULES):
     """The exit code of `nplab *argv` in a fresh interpreter on this
-    checkout's sources, writing no bytecode, and which of HEAVY_MODULES it
+    checkout's sources, writing no bytecode, and which of `modules` it
     left loaded."""
     import nplab
     script = ("import json, sys\n"
@@ -68,7 +68,7 @@ def loaded_by_cli(*argv):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(nplab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(HEAVY_MODULES), *argv],
+        [sys.executable, "-c", script, json.dumps(modules), *argv],
         capture_output=True, text=True, env=env)
     assert proc.stdout, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
@@ -441,6 +441,16 @@ class TestCli:
         assert code == 0
         assert {"numpy", "nplab.runners", "nplab.cnp", "nplab.gp_oracle",
                 "nplab.kernels", "nplab.linalg", "nplab.rng"} <= set(loaded)
+
+    def test_remez_runs_load_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; the discrete Remez
+        # and its trigonometric caller take distinct values without it
+        cfg = tmp_path / "remez.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"experiment_id": "convcnp.depth_support"},
+            {"experiment_id": "tnp.depth_barrier"}]}))
+        assert loaded_by_cli("run", str(cfg),
+                             modules=("numpy", "numpy.ma")) == (0, ["numpy"])
 
     def test_hierarchy_pass_loads_no_scipy(self):
         # nplab depends on numpy and mpmath only; scipy is a test oracle

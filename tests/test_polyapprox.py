@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplab import polyapprox
-from nplab.convcnp import (GridSpec, circulant_matrix, circular_convolve,
+from nplab.convcnp import (GridSpec, circulant_matrix,
                            depth_support_experiment, nearest_neighbor_row,
                            trig_minimax_error, wrapped_kernel_row)
 from nplab.errors import InputError, NumericError
@@ -63,7 +63,8 @@ class TestApplySchedule:
     @pytest.mark.parametrize("form", [CHEBYSHEV, PRODUCT])
     @pytest.mark.parametrize("L", [1, 3, 8])
     def test_matrix_matches_scalar_values(self, form, L):
-        M, lams = random_spd(seed=hash((form, L)) % 2**32, kappa=30.0)
+        # a fixed seed per case, so that a failure reproduces
+        M, lams = random_spd(seed=10 * L + (form == PRODUCT), kappa=30.0)
         S = spectrum_of(M)
         sched = chebyshev_schedule(S.lambda_min, S.lambda_max, L)
         if form == PRODUCT:  # the residual polynomial prod(1 - lambda/x_l)
@@ -105,13 +106,19 @@ class TestApplySchedule:
             sched = product_schedule(rng.uniform(-0.3, 0.3, 6))
         y = rng.normal(size=32)
         dense = apply_schedule(K, sched, y)
+
+        def convolve(x):  # the direct sum over m of row[m] x[(i - m) mod n]
+            n = len(row)
+            return np.array([sum(row[m] * x[(i - m) % n] for m in range(n))
+                             for i in range(n)])
+
         # the same layers, each one a circular convolution with the row
         conv = y if form == PRODUCT else np.zeros_like(y)
         for c in sched.coefficients:
             if form == PRODUCT:
-                conv = conv + c * circular_convolve(row, conv)
+                conv = conv + c * convolve(conv)
             else:
-                conv = conv + c * (y - circular_convolve(row, conv))
+                conv = conv + c * (y - convolve(conv))
         assert np.linalg.norm(dense - conv) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("M, rhs", [
@@ -340,6 +347,20 @@ class TestRemezBitIdentical:
         fast = both()
         loop_scan()
         assert both() == fast
+
+
+@pytest.mark.parametrize("a", [
+    [], [2.0], [-0.0, 0.0, 0.0, 1.0], [1, 1, 2, 3, 3, 3],
+    np.round(np.cos(np.linspace(np.pi, 0.0, 64)), 2)])
+def test_distinct_sorted_is_unique_with_first_index(a):
+    # the Remez reference and trig_minimax_error's grid take their
+    # distinct values from it in place of np.unique(return_index=True)
+    a = np.asarray(a)
+    values, index = polyapprox._distinct_sorted(a)
+    want_values, want_index = np.unique(a, return_index=True)
+    assert values.dtype == want_values.dtype
+    assert values.tobytes() == want_values.tobytes()
+    assert np.array_equal(index, want_index)
 
 
 def _reference_chebyshev_exact_check(eigenvalues, L):

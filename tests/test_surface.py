@@ -47,8 +47,9 @@ ORACLES = (
      "mpmath node product that chebyshev_exact_check's closed form is "
      "tested against"),
     ("convcnp.circular_convolve",
-     "direct circular convolution the circulant matvecs are tested "
-     "against; the bench layers name it"),
+     "the circulant matvec as one call: the convolution stack that "
+     "grid_forward_map is tested against bit for bit, and the bench "
+     "layers name it"),
 )
 
 WITNESSES = (
