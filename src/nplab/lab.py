@@ -286,16 +286,6 @@ REGISTRY = {entry.experiment_id: entry for entry in (
         ">= classical barrier (valid for kappa >= 2 + sqrt(5))",
         relations=(("t_grid >= 4 L + 4",
                     lambda p: p["t_grid"] >= 4 * p["L"] + 4),)),
-    RegistryEntry("polyapprox.inverse_bounds", "_run_inverse_bounds",
-        "Chebyshev inverse iteration meets its convergence-factor bound on "
-        "random SPD matrices; every depth is certified spectrally in "
-        "extended precision.",
-        {"n_matrices": Param(10, 1, 100), "n_max": Param(16, 4, 64),
-         "max_depth": Param(40, 1, 100), "kappa_min": Param(10.0, 2.0, 1000.0),
-         "kappa_max": Param(100.0, 2.0, 1000.0)},
-        "error <= (2/lambda_min) rho^L at depths 1, 3, 5 and max_depth",
-        relations=(("kappa_min <= kappa_max",
-                    lambda p: p["kappa_min"] <= p["kappa_max"]),)),
     RegistryEntry("polyapprox.minimax_decay", "_run_minimax_decay",
         "Discrete minimax oracle on [1/kappa, 1]: geometric error decay at "
         "the square-root-of-kappa rate, with the depth advantage over the "
@@ -311,9 +301,14 @@ REGISTRY = {entry.experiment_id: entry for entry in (
                     lambda p: len(set(p["degrees"])) >= 2),)),
     RegistryEntry("convcnp.equivariance", "_run_equivariance",
         "Kernel smoothers are translation equivariant for stationary kernels "
-        "and measurably not for amplitude-scaled non-stationary ones.",
+        "and not for amplitude-scaled non-stationary ones: a stored witness "
+        "moves by sin(1)/2 under a shift of pi, and the random draw's "
+        "scaled-kernel defect matches its closed form.",
         {"shift": Param(0.7, -10.0, 10.0), "n": Param(5, 2, 64)},
-        "stationary defect <= 1e-10; non-stationary defect > 1e-2"),
+        "stationary defect <= 1e-10 on the random draw; non-stationary "
+        "defect > 1e-2 on the witness x = (-1, 1), y = (0, 1), x_t = 0, "
+        "shift pi; the draw's non-stationary defect within 1e-12 of its "
+        "closed form (the defect itself is info)"),
     RegistryEntry("convcnp.grid_gp", "_run_grid_gp",
         "Grid CNN as a circulant Chebyshev solver: prediction error against "
         "the exact posterior stays within the depth-L rate bound.",

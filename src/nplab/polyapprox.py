@@ -20,15 +20,10 @@ sequence interleaved (first, last, second, second-to-last, ...); the natural
 ascending order is catastrophically unstable in double precision once L is
 a few dozen.  The interleaving changes nothing in exact arithmetic.  The true
 iteration error sits within a factor 1 + rho^(2L) of the (2/lam_min) rho^L
-bound, which is far below double-precision resolution at large L, so the
-exact verification of the bound at depth 40 (`polyapprox.inverse_bounds`)
-uses `chebyshev_exact_check`, the closed form T_L(u)/T_L(u0) in mpmath,
-rather than the float64 matrix recurrence.  It takes a sequence of depths
-and computes what does not depend on the depth (each eigenvalue's acos(u),
-acosh(u0), rho) once per spectrum; at the four depths of
-`polyapprox.inverse_bounds` that halves its time.
-`schedule_spectral_error_exact` evaluates any schedule's node product in
-mpmath; it is the oracle that closed form is tested against.
+bound, which is far below double-precision resolution at large L.  The lab
+checks the bound on float64 pipelines (`tnp.gp_pipeline`,
+`convcnp.grid_gp`); the tests certify it in exact arithmetic with the
+extended-precision oracles of `tests/exact_oracles.py`.
 """
 
 from __future__ import annotations
@@ -59,8 +54,8 @@ class PolySchedule:
     application order (interleaved for roundoff stability), placed on the
     [lambda_min, lambda_max] of the spectrum the schedule is built for.
     For PRODUCT they are the alpha_l of prod(I + alpha_l K).  The depth L
-    is len(coefficients).  Only `apply_schedule`, `depth_to_target` and
-    the mpmath oracle `schedule_spectral_error_exact` read them.
+    is len(coefficients).  Only `apply_schedule` and `depth_to_target`
+    read them.
     """
 
     form: str
@@ -143,78 +138,6 @@ def inverse_error(K: GramSpectrum, approx: np.ndarray) -> float:
 
 def chebyshev_error_bound(lambda_min: float, lambda_max: float, L: int) -> float:
     return (2.0 / lambda_min) * chebyshev_rho(lambda_max / lambda_min) ** L
-
-
-def schedule_spectral_error_exact(eigenvalues, schedule: PolySchedule) -> float:
-    """max_i |q(lambda_i) - 1/lambda_i| evaluated in 60 significant digits.
-
-    Order-independent, so it certifies the bound the affine recurrence
-    satisfies in exact arithmetic even when the float64 error is within
-    rounding distance of the bound itself.
-    """
-    # imported here, not at module level, so that loading nplab loads no
-    # mpmath
-    import mpmath as mp
-    with mp.workdps(60):
-        worst = mp.mpf(0)
-        if schedule.form == CHEBYSHEV:
-            nodes = [mp.mpf(1) / mp.mpf(c) for c in schedule.coefficients]
-        for lam_f in np.asarray(eigenvalues, dtype=float):
-            lam = mp.mpf(lam_f)
-            if schedule.form == CHEBYSHEV:
-                r = mp.mpf(1)
-                for x in nodes:
-                    r *= 1 - lam / x
-            elif schedule.form == PRODUCT:
-                p = mp.mpf(1)
-                for a in schedule.coefficients:
-                    p *= 1 + mp.mpf(a) * lam
-                r = 1 - lam * p
-            else:
-                raise InputError(f"unknown schedule form {schedule.form!r}")
-            worst = max(worst, abs(r) / lam)
-        return float(worst)
-
-
-def chebyshev_exact_check(eigenvalues, depths):
-    """Exact-arithmetic check of the depth-L iteration bound on a spectrum,
-    for each L in ``depths``.
-
-    Builds the interval, nodes and bound in 80 significant digits from the
-    given eigenvalues and evaluates the residual through the closed form
-    r(lambda) = T_L(u(lambda)) / T_L(u0), which equals the node product
-    identically.  Returns one (error, bound, margin) per depth; margin is
-    positive in exact arithmetic for every spectrum, but only by a factor
-    rho^(2L), far below float64 resolution at large depth.  What does not
-    depend on L (each acos(u), acosh(u0) and rho) is computed once; every
-    mpmath operation is the one a single-depth evaluation makes, so each
-    float returned is too.
-    """
-    import mpmath as mp
-    depths = list(depths)
-    if any(L < 1 for L in depths):
-        raise InputError("depth must be at least 1")
-    with mp.workdps(80):
-        lams = [mp.mpf(float(v)) for v in np.asarray(eigenvalues, dtype=float)]
-        a, b = min(lams), max(lams)
-        if a <= 0:
-            raise InputError("spectrum must be positive")
-        if a == b:
-            return [(0.0, float(2 / a), float(2 / a)) for _ in depths]
-        acosh_u0 = mp.acosh((b + a) / (b - a))
-        acos_u = [mp.acos(max(mp.mpf(-1), min(mp.mpf(1),
-                                              (b + a - 2 * lam) / (b - a))))
-                  for lam in lams]
-        rho = (mp.sqrt(b / a) - 1) / (mp.sqrt(b / a) + 1)
-        out = []
-        for L in depths:
-            TL0 = mp.cosh(L * acosh_u0)
-            err = mp.mpf(0)
-            for lam, angle in zip(lams, acos_u):
-                err = max(err, abs(mp.cos(L * angle)) / (lam * TL0))
-            bound = 2 / a * rho ** L
-            out.append((float(err), float(bound), float(bound - err)))
-        return out
 
 
 def depth_to_target(form: str, lambda_min: float, lambda_max: float,

@@ -171,23 +171,6 @@ def _run_depth_barrier(params, seed):
             Check("implied_min_depth", rep["implied_min_depth"], None, "info")]
 
 
-def _run_inverse_bounds(params, seed):
-    chebyshev = []
-    for i in range(params["n_matrices"]):
-        gen = rng.stream(seed, "polyapprox.inverse_bounds", i)
-        n = int(gen.integers(4, params["n_max"] + 1))
-        kappa = float(gen.uniform(params["kappa_min"], params["kappa_max"]))
-        Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
-        lams = np.concatenate([[1.0 / kappa, 1.0],
-                               gen.uniform(1.0 / kappa, 1.0, n - 2)])
-        eigenvalues = linalg.jacobi_eigvalsh((Q * lams) @ Q.T)
-        depths = (1, 3, 5, params["max_depth"])
-        chebyshev += [m for _, _, m in
-                      polyapprox.chebyshev_exact_check(eigenvalues, depths)]
-    # np.min, unlike Python's min, keeps a NaN margin, so that it fails
-    return [Check("chebyshev_margin", np.min(chebyshev), 0.0, ">=")]
-
-
 def _run_minimax_decay(params, seed):
     kappa = params["kappa"]
     degs = params["degrees"]
@@ -206,18 +189,40 @@ def _run_minimax_decay(params, seed):
             Check("neumann_depth", d_neu, None, "info")]
 
 
+def _sigma(x):
+    """The amplitude 1 + sin(x) / 2 of the non-stationary scaled kernel."""
+    return 1.0 + 0.5 * np.sin(x)
+
+
 def _run_equivariance(params, seed):
     gen = rng.stream(seed, "convcnp.equivariance")
     C = cnp.ContextSet(gen.uniform(-2, 2, (params["n"], 1)),
                        gen.normal(size=(params["n"], 1)))
     x_t = gen.uniform(-2, 2, 1)
-    stationary = convcnp.equivariance_defect(_rbf(), C, x_t, params["shift"])
+    shift = params["shift"]
+    stationary = convcnp.equivariance_defect(_rbf(), C, x_t, shift)
     scaled = kernels.KernelSpec(family="scaled", base=_rbf(),
-                        amplitude=lambda p: 1.0 + 0.5 * np.sin(p[0]))
-    nonstationary = convcnp.equivariance_defect(scaled, C, x_t,
-                                                params["shift"])
+                                amplitude=lambda p: _sigma(p[0]))
+    drawn = convcnp.equivariance_defect(scaled, C, x_t, shift)
+
+    # the same smoother written out: weights sigma(p_i) exp(-(p_i - p_t)^2
+    # / 2) on the points moved by s (sigma(p_t) cancels in the ratio)
+    def smoother(s):
+        p = C.locations[:, 0] + s
+        w = _sigma(p) * np.exp(-0.5 * (p - (x_t[0] + s)) ** 2)
+        return w @ C.values[:, 0] / w.sum()
+
+    closed_form = abs(smoother(shift) - smoother(0.0))
+    # the stored witness: x = (-1, 1), y = (0, 1), x_t = 0 give
+    # F(s) = (1 + sin(1 + s) / 2) / (2 + sin(s) cos(1)), so shift pi moves
+    # the prediction by exactly sin(1) / 2
+    witness = cnp.ContextSet(np.array([[-1.0], [1.0]]),
+                             np.array([[0.0], [1.0]]))
+    witness_defect = convcnp.equivariance_defect(scaled, witness, 0.0, np.pi)
     return [Check("stationary_defect", stationary, 1e-10, "<="),
-            Check("nonstationary_defect", nonstationary, 1e-2, ">")]
+            Check("nonstationary_defect", drawn, None, "info"),
+            Check("witness_defect", witness_defect, 1e-2, ">"),
+            Check("closed_form_gap", abs(drawn - closed_form), 1e-12, "<=")]
 
 
 def _run_grid_gp(params, seed):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nplab.cnp import context_from_pairs
-from nplab import convcnp
+from nplab import convcnp, kernels
 from nplab.convcnp import (CirculantOperator, GridSpec, circulant,
                            circulant_jacobian, circulant_matrix,
                            circular_convolve, dft, dft_matrix,
@@ -15,7 +15,7 @@ from nplab.convcnp import (CirculantOperator, GridSpec, circulant,
 from nplab.errors import InputError, NumericError
 from nplab.gp_oracle import posterior_mean
 from nplab.kernels import KernelSpec, eval_kernel
-from nplab.lab import ExperimentConfig, run_experiment
+from nplab.lab import FAIL, INFO, PASS, ExperimentConfig, run_experiment
 from nplab.tnp import fd_jacobian
 
 RBF = KernelSpec(family="rbf")
@@ -410,6 +410,37 @@ class TestIncomparability:
                             amplitude=lambda p: 1.0 + 0.5 * np.sin(p[0]))
         C = context_from_pairs([(0.0, 1.0), (1.3, -0.5)])
         assert equivariance_defect(scaled, C, 0.4, shift=2.0) > 1e-3
+
+    @pytest.mark.parametrize("seed, params", [
+        (10, {}), (21, {}), (25, {}), (31, {}), (36, {}), (0, {"n": 56}),
+        (0, {"n": 64}), (0, {"shift": 2 * np.pi})])
+    def test_equivariance_experiment_passes(self, seed, params):
+        # draws whose own non-stationary defect is below 1e-2, or 0 at a
+        # shift of one period; the stored witness decides the claim
+        report = run_experiment(ExperimentConfig("convcnp.equivariance",
+                                                 params, seed))
+        assert report.error is None and not report.failed
+        assert report.measurements["witness_defect"] == \
+            pytest.approx(0.5 * np.sin(1.0), rel=1e-14)
+
+    def test_equivariance_checks_fail_without_the_amplitude(self,
+                                                            monkeypatch):
+        # a scaled kernel that drops its amplitude is the stationary base:
+        # the witness stops moving, and the draw's defect leaves the closed
+        # form, which keeps the amplitude
+        original = kernels.eval_kernel
+
+        def unscaled(spec, x, x2):
+            return original(spec.base if spec.family == "scaled" else spec,
+                            x, x2)
+
+        monkeypatch.setattr(kernels, "eval_kernel", unscaled)
+        report = run_experiment(ExperimentConfig("convcnp.equivariance",
+                                                 {}, 0))
+        assert report.verdicts == {"stationary_defect": PASS,
+                                   "nonstationary_defect": INFO,
+                                   "witness_defect": FAIL,
+                                   "closed_form_gap": FAIL}
 
     def test_pure_counterexample_closed_form(self):
         out = pure_convcnp_counterexample(RBF)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nplab import cnp, lab, polyapprox, runners
+from nplab import cnp, lab, runners
 from nplab.errors import ContractError, NumericError, UsageError
 from nplab.lab import (FAIL, HIERARCHY_SUITE, INFO, PASS, REGISTRY, Check,
                        ExperimentConfig, hierarchy_configs,
@@ -137,18 +137,6 @@ class TestRunExperiment:
             Check("gap", 1.0, None, "<=")  # only info may lack a bound
         assert Check("gap", 1.0, None, "info").verdict == INFO
 
-    @pytest.mark.parametrize("margin", [-1e-30, float("nan")])
-    def test_inverse_bounds_fails_on_its_worst_margin(self, margin,
-                                                      monkeypatch):
-        # the bad margin sits between good ones, where Python's min, which
-        # drops a NaN that is not first, would hide it
-        def check(eigenvalues, depths):
-            return [(0.0, 0.0, m) for m in (1.0, margin, 1.0, 1.0)]
-        monkeypatch.setattr(polyapprox, "chebyshev_exact_check", check)
-        rep = run_experiment(ExperimentConfig(
-            "polyapprox.inverse_bounds", {"n_matrices": 2}))
-        assert rep.verdicts == {"chebyshev_margin": FAIL}
-
 
 class TestRejectionSamplers:
     def test_mean_bottleneck_draws_are_capped(self):
@@ -198,7 +186,7 @@ class TestDegenerateParams:
         ("latent.bottleneck_lift", {"n_target_sets": 0}),
         ("latent.cov_rank", {"n_models": 0}),
         ("latent.cov_rank", {"n_configs": 0, "n_models": 1}),
-        ("polyapprox.inverse_bounds", {"n_matrices": 0}),
+        ("polyapprox.minimax_decay", {"degrees": []}),
         ("tnp.eig_family", {"kappas": []}),
         ("tnp.eig_family", {"t_points": 0}),
         ("tnp.polynomial_structure", {"n_grams": 0}),
@@ -421,9 +409,8 @@ class TestCli:
 
     def test_import_loads_no_scipy_or_mpmath(self, tmp_path):
         # numpy and the compute modules load with nplab.runners when the
-        # first experiment runs, and scipy and mpmath only inside the
-        # functions that use them, so a command that runs no experiment
-        # pays for none of them
+        # first experiment runs, and nplab never imports scipy or mpmath,
+        # so a command that runs no experiment pays for none of them
         unknown_key = tmp_path / "unknown_key.json"
         unknown_key.write_text(json.dumps({"experiments": [
             {"experiment_id": "cnp.collision", "params": {"bogus": 1}}]}))
@@ -453,7 +440,7 @@ class TestCli:
                              modules=("numpy", "numpy.ma")) == (0, ["numpy"])
 
     def test_hierarchy_pass_loads_no_scipy(self):
-        # nplab depends on numpy and mpmath only; scipy is a test oracle
+        # nplab depends on numpy only; scipy and mpmath are test oracles
         import os
         import nplab
         env = dict(os.environ,
@@ -461,10 +448,11 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from nplab.lab import hierarchy_configs, run_suite; "
-             "run_suite(hierarchy_configs()); print('scipy' in sys.modules)"],
+             "run_suite(hierarchy_configs()); "
+             "print('scipy' in sys.modules, 'mpmath' in sys.modules)"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_describe_known(self):
         proc = run_cli("describe", "anp.kernel_smoother")

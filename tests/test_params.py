@@ -127,7 +127,7 @@ class TestDeclarations:
                     assert all(v in param.choices for v in items), key
                 else:
                     assert all(param.lo <= v <= param.hi for v in items), key
-        assert count == 67
+        assert count == 62
 
     def test_defaults_validate_unchanged(self):
         for entry in REGISTRY.values():
@@ -147,8 +147,8 @@ class TestDeclarations:
         ("cnp.pca_bound", {"d": 5}, "d <= n"),
         ("convcnp.jacobian", {"support": 33}, "support <= n"),
         ("latent.mercer", {"k": 5}, "m >= 8 k"),
-        ("polyapprox.inverse_bounds", {"kappa_min": 200.0},
-         "kappa_min <= kappa_max"),
+        ("polyapprox.minimax_decay", {"degrees": [8, 8]},
+         "two distinct degrees"),
         ("latent.cov_rank", {"min_separation": 0.89}, "9 min_separation"),
         ("latent.mean_bottleneck", {"n": 16}, "(n - 1) 0.4 < 6"),
         ("tnp.depth_barrier", {"L": 6}, "t_grid >= 4 L + 4"),

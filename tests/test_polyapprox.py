@@ -9,13 +9,13 @@ from nplab.convcnp import (GridSpec, circulant_matrix,
 from nplab.errors import InputError, NumericError
 from nplab.kernels import KernelSpec, spectrum_of
 from nplab.polyapprox import (CHEBYSHEV, DEFAULT_GRID, NEUMANN, PRODUCT,
-                              chebyshev_barrier,
-                              chebyshev_error_bound, chebyshev_exact_check,
+                              chebyshev_barrier, chebyshev_error_bound,
                               chebyshev_rho, chebyshev_schedule,
                               depth_to_target, equioscillation_count,
                               apply_schedule, inverse_error, minimax_oracle,
-                              product_schedule, remez_discrete,
-                              schedule_spectral_error_exact)
+                              product_schedule, remez_discrete)
+
+from exact_oracles import chebyshev_exact_check, schedule_spectral_error_exact
 
 
 def random_spd(seed, n=8, kappa=50.0):
@@ -395,8 +395,8 @@ EXACT_CHECKS = [(chebyshev_exact_check, _reference_chebyshev_exact_check)]
 @pytest.mark.parametrize("seed", range(6))
 def test_depth_sequence_matches_single_depth_reference(check, reference,
                                                        seed):
-    # the depths polyapprox.inverse_bounds runs, repeated and unordered
-    # ones, on spectra with and without a repeated extreme
+    # the depths 1, 3, 5 and 40, deep, repeated and unordered ones, on
+    # spectra with and without a repeated extreme
     rng = np.random.default_rng(seed)
     _, lams = random_spd(seed, n=int(rng.integers(4, 17)),
                          kappa=float(rng.uniform(2.0, 1000.0)))

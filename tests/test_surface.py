@@ -43,9 +43,6 @@ USERS = sorted((ROOT / "src").rglob("*.py")) + FLAG_USERS
 ORACLES = (
     ("polyapprox.equioscillation_count",
      "alternation-theorem check of remez_discrete's minimax witness"),
-    ("polyapprox.schedule_spectral_error_exact",
-     "mpmath node product that chebyshev_exact_check's closed form is "
-     "tested against"),
     ("convcnp.circular_convolve",
      "the circulant matvec as one call: the convolution stack that "
      "grid_forward_map is tested against bit for bit, and the bench "
@@ -334,10 +331,10 @@ def test_keys_read_by_tests_are_current():
 
 
 def test_imports_sit_at_the_top_of_their_modules():
-    # one place for imports: two are made inside a function, so that a
-    # command that needs neither (nplab list) loads neither: mpmath, for
-    # the certificates, and lab's import of the runners, which brings numpy
-    # and the compute modules with it
+    # one place for imports: one is made inside a function, so that a
+    # command that needs no experiment (nplab list) loads none: lab's
+    # import of the runners, which brings numpy and the compute modules
+    # with it
     local = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -354,8 +351,8 @@ def test_imports_sit_at_the_top_of_their_modules():
                 else:
                     continue
                 local |= {f"{path.stem}.py:{node.lineno} {name}"
-                          for name in names if name != "mpmath"
-                          and (path.stem, name) != ("lab", ".runners")}
+                          for name in names
+                          if (path.stem, name) != ("lab", ".runners")}
     assert not local, f"imports inside a function body: {sorted(local)}"
 
 
@@ -376,9 +373,8 @@ def test_only_kernels_names_eval_kernel():
 
 
 # the functions that may read a PolySchedule's coefficients: the one
-# float64 applier, the depth search's scalar residual and the mpmath oracle
-SCHEDULE_READERS = {"polyapprox.apply_schedule", "polyapprox.depth_to_target",
-                    "polyapprox.schedule_spectral_error_exact"}
+# float64 applier and the depth search's scalar residual
+SCHEDULE_READERS = {"polyapprox.apply_schedule", "polyapprox.depth_to_target"}
 
 
 def test_only_the_appliers_read_schedule_coefficients():
