@@ -139,16 +139,17 @@ class TestRunExperiment:
 
 
 class TestRejectionSamplers:
-    def test_mean_bottleneck_draws_are_capped(self):
+    def test_mean_bottleneck_runs_wherever_its_relation_holds(self):
+        # up to the relation's edge: at n = 15, 14 gaps of 0.4 leave 0.4
+        # of [-3, 3] free
         with time_budget(30):
-            with pytest.raises(UsageError):  # 15 gaps of 0.4 fill [-3, 3]
-                run_experiment(ExperimentConfig(
-                    experiment_id="latent.mean_bottleneck",
-                    params={"n": 16}))
-            with pytest.raises(NumericError, match="10000 draws"):
-                run_experiment(ExperimentConfig(
-                    experiment_id="latent.mean_bottleneck",
-                    params={"n": 12}))
+            for n in (10, 12, 15):
+                report = run_experiment(ExperimentConfig(
+                    experiment_id="latent.mean_bottleneck", params={"n": n}))
+                assert report.error is None and not report.failed
+        with pytest.raises(UsageError):  # 15 gaps of 0.4 fill [-3, 3]
+            run_experiment(ExperimentConfig(
+                experiment_id="latent.mean_bottleneck", params={"n": 16}))
 
     def test_gp_pipeline_draws_are_capped(self):
         # at lengthscale 10 every 16-point Gram has kappa far above 100
@@ -167,10 +168,76 @@ class TestRejectionSamplers:
                 run_experiment(ExperimentConfig(
                     experiment_id="latent.cov_rank",
                     params={"min_separation": 1.0}))
-            with pytest.raises(NumericError, match="10000 draws"):
-                run_experiment(ExperimentConfig(
-                    experiment_id="latent.cov_rank",
-                    params={"min_separation": 0.88, "n_models": 1}))
+            # near the relation's edge: 9 gaps of 0.88 leave 0.08 of [-4, 4]
+            # free
+            report = run_experiment(ExperimentConfig(
+                experiment_id="latent.cov_rank",
+                params={"min_separation": 0.88, "n_models": 1}))
+        assert report.error is None and not report.failed
+
+
+class _Extreme:
+    """A generator stub whose uniform draws all sit at one end of their
+    range: 0, or the largest value numpy's uniform can return."""
+
+    def __init__(self, top):
+        self.fraction = 1.0 - 2.0 ** -53 if top else 0.0
+
+    def uniform(self, low, high, size):
+        return np.full(size, low + (high - low) * self.fraction)
+
+
+def rejection_points(gen, m, n, lo, hi, gap):
+    """The law the spaced points must have: m draws of n sorted uniforms
+    on [lo, hi], kept when every gap is at least `gap`."""
+    kept = []
+    while sum(len(k) for k in kept) < m:
+        xs = np.sort(gen.uniform(lo, hi, (4 * m, n)), axis=-1)
+        kept.append(xs[np.min(np.diff(xs, axis=-1), axis=-1) >= gap])
+    return np.concatenate(kept)[:m]
+
+
+class TestSpacedPoints:
+    # lo + u + i gap rounds in its product and its two sums, so a computed
+    # gap can fall short of `gap` by about an ulp of the span hi - lo
+    SLACK_ULPS = 4
+
+    def assert_spaced(self, pts, lo, hi, gap):
+        assert np.all(np.diff(pts, axis=-1) >= 0.0)
+        assert pts.min() >= lo and pts.max() <= hi
+        slack = self.SLACK_ULPS * np.spacing(hi - lo)
+        assert np.min(np.diff(pts, axis=-1)) >= gap - slack
+
+    @pytest.mark.parametrize("shape,lo,hi,gap", [
+        ((6,), -3.0, 3.0, 0.4),
+        ((15,), -3.0, 3.0, 0.4),     # mean_bottleneck's largest n
+        ((100, 10), -4.0, 4.0, 0.3),
+        ((100, 10), -4.0, 4.0, 0.888),  # cov_rank's widest separation
+    ])
+    def test_points_are_sorted_spaced_and_inside(self, shape, lo, hi, gap):
+        gen = np.random.default_rng(7)
+        for _ in range(20):
+            pts = runners._spaced_points(gen, shape, lo, hi, gap)
+            assert pts.shape == shape
+            self.assert_spaced(pts, lo, hi, gap)
+        for top in (False, True):
+            pts = runners._spaced_points(_Extreme(top), shape, lo, hi, gap)
+            self.assert_spaced(pts, lo, hi, gap)
+
+    def test_law_matches_the_rejection_sampler(self):
+        # 3 points 1.0 apart on [-3, 3]: rejection keeps about 30 % of draws
+        m, n, lo, hi, gap = 20_000, 3, -3.0, 3.0, 1.0
+        spaced = runners._spaced_points(np.random.default_rng(1), (m, n),
+                                        lo, hi, gap)
+        rejected = rejection_points(np.random.default_rng(2), m, n, lo, hi,
+                                    gap)
+        for stat in (lambda x: x, lambda x: x ** 2,
+                     lambda x: np.min(np.diff(x, axis=-1), axis=-1)):
+            a, b = stat(spaced), stat(rejected)
+            # the two sample means differ by about their Monte Carlo
+            # standard error; 5 of them leaves room at a fixed seed
+            se = np.sqrt(a.var(axis=0) / m + b.var(axis=0) / m)
+            assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se)
 
 
 class TestDegenerateParams:
@@ -523,17 +590,20 @@ class TestCli:
         assert report["seed"] == "3"
 
     def test_numeric_failure_is_a_failed_report(self, tmp_path):
-        # n = 12 is feasible, but no draw of the capped sampler succeeds
+        # lengthscale 10 is in range, but every draw of the capped
+        # kappa-rejection has kappa far above max_kappa
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiments": [
-            {"experiment_id": "latent.mean_bottleneck",
-             "params": {"n": 12}}]}), encoding="utf-8")
+            {"experiment_id": "tnp.gp_pipeline",
+             "params": {"lengthscale": 10.0}}]}), encoding="utf-8")
         out = tmp_path / "r"
         proc = run_cli("run", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         report = json.loads(next(out.glob("*.json")).read_text())
         assert report["error"].startswith("NumericError: ")
+        best, max_kappa = report["diagnostics"]["bracket"]
+        assert max_kappa == 100.0 and best > max_kappa
 
     def test_closed_stdout_keeps_every_report_and_the_exit_code(
             self, tmp_path):
