@@ -10,6 +10,11 @@ context point depends only on the (query, point) pair, no such predictor
 can react to inter-context geometry; the factorization counterexample
 builds two configurations with identical per-point score inputs whose
 exact GP posterior weights differ by a sizable gap.
+
+The score, weight, prediction and smoother functions take a `ContextSet`
+with leading batch axes and reduce over its last (context) axis only, so
+each member gets the bits of its own call.  Its kernel values still come
+from one `eval_kernel` call per pair.
 """
 
 from __future__ import annotations
@@ -37,37 +42,45 @@ def log_kernel_score(spec: KernelSpec) -> Callable:
 
 
 def attention_weights(score: Callable, C: ContextSet, x_t) -> np.ndarray:
-    """Softmax of score(C, x_t) over the context; strictly positive, sums
-    to 1.  Max-score subtraction keeps the exponentials in range exactly."""
+    """Softmax of score(C, x_t) over the context's last axis; strictly
+    positive, sums to 1.  Max-score subtraction keeps the exponentials in
+    range exactly."""
     if C.n < 1:
         raise InputError("context set must be nonempty")
     s = score(C, x_t)
-    s = s - s.max()
+    s = s - s.max(axis=-1, keepdims=True)
     w = np.exp(s)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def anp_predict(score: Callable, value_map: Callable, decoder: Callable,
-                C: ContextSet, x_t) -> float:
+                C: ContextSet, x_t):
     """decoder(x_t, sum_i alpha_i v_i), where value_map(C) returns the
-    values v_i as one row per context point, in context order."""
+    values v_i as one row per context point, in context order.  A float
+    for one context; for a batch, an array with one entry per member, and
+    the decoder must then take the batch axes too."""
     alpha = attention_weights(score, C, x_t)
     values = np.asarray(value_map(C), dtype=float)
-    if values.ndim != 2 or values.shape[0] != C.n:
+    if values.shape[:-1] != C.locations.shape[:-1]:
         raise InputError("value map must return one row per context point")
-    r = alpha @ values
-    return float(decoder(np.atleast_1d(np.asarray(x_t, dtype=float)), r))
+    # each member's row-by-column product: the bits of its own alpha @ values
+    r = (alpha[..., None, :] @ values)[..., 0, :]
+    out = decoder(np.atleast_1d(np.asarray(x_t, dtype=float)), r)
+    return float(out) if alpha.ndim == 1 else np.asarray(out, dtype=float)
 
 
-def nadaraya_watson(spec: KernelSpec, C: ContextSet, x_t) -> float:
-    """Kernel-weighted mean sum k(x_t,x_i) y_i / sum k(x_t,x_i)."""
+def nadaraya_watson(spec: KernelSpec, C: ContextSet, x_t):
+    """Kernel-weighted mean sum k(x_t,x_i) y_i / sum k(x_t,x_i): a float
+    for one context, an array with one entry per member for a batch."""
     w = cross_vector(spec, C.locations, x_t)
-    total = w.sum()
-    if total <= 1e-300:
+    total = w.sum(axis=-1)
+    low = total <= 1e-300
+    if np.any(low):
         raise NumericError(
             "total kernel weight underflowed; use a larger lengthscale",
-            residual=float(total))
-    return float(w @ C.values[:, 0] / total)
+            residual=float(np.extract(low, total)[0]))
+    mean = (w[..., None, :] @ C.values[..., :, :1])[..., 0, 0] / total
+    return float(mean) if w.ndim == 1 else mean
 
 
 def factorization_counterexample(spec: KernelSpec,

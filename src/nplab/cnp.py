@@ -32,24 +32,34 @@ def _rows(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContextSet:
-    """Multiset of (location, value) pairs."""
+    """Multiset of (location, value) pairs.
 
-    locations: np.ndarray  # n x d_x
-    values: np.ndarray     # n x d_y
+    Leading batch axes hold many contexts of one size n: locations
+    (..., n, d_x) and values (..., n, d_y) with the same leading shape.
+    The `anp` functions take such a batch, one member per context, and
+    their kernel values still come one `eval_kernel` call per pair; the
+    mean encoder here takes a single context.
+    """
+
+    locations: np.ndarray  # (..., n, d_x)
+    values: np.ndarray     # (..., n, d_y)
 
     def __post_init__(self):
         loc, val = _rows(self.locations), _rows(self.values)
-        if loc.shape[0] < 1:
+        if loc.shape[-2] < 1:
             raise InputError("context set must be nonempty")
-        if val.shape[0] != loc.shape[0]:
-            raise InputError(f"{loc.shape[0]} locations but {val.shape[0]} "
-                             f"values")
+        if val.shape[-2] != loc.shape[-2]:
+            raise InputError(f"{loc.shape[-2]} locations but "
+                             f"{val.shape[-2]} values")
+        if val.shape[:-2] != loc.shape[:-2]:
+            raise InputError(f"batch shapes differ: {loc.shape[:-2]} "
+                             f"locations, {val.shape[:-2]} values")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "values", val)
 
     @property
     def n(self) -> int:
-        return self.locations.shape[0]
+        return self.locations.shape[-2]
 
 
 def context_from_pairs(pairs) -> ContextSet:

@@ -17,6 +17,12 @@ products: a one-term dot product is that one rounded product, so the
 bits are those of the vector form.  The exponentials stay np.exp:
 math.exp may round differently.
 
+Both `kernel_matrix` and `cross_vector` take leading batch axes: point
+sets (..., n, d) that share one leading shape.  Many small matrices then
+pay the per-call overhead once.  A batch still makes one `eval_kernel`
+call per pair of every member, so each member has the bits of its own
+2-d call.
+
 Gram matrices carry their full symmetric eigendecomposition (`GramSpectrum`)
 so that downstream solves, condition numbers and polynomial-in-K evaluations
 all share one factorization; `gram_spectra` factors many Grams by one
@@ -26,7 +32,7 @@ stacked Jacobi call, with the bits of a `gram_spectrum` call each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import prod, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -161,23 +167,39 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 
 def kernel_matrix(spec: KernelSpec, X, Y=None) -> np.ndarray:
-    """Cross-kernel matrix k(X, Y); no jitter is applied here."""
+    """Cross-kernel matrix k(X, Y); no jitter is applied here.
+
+    X is (..., n, d) and Y (..., m, d) with the same leading batch shape;
+    the result is (..., n, m), one matrix per batch member.
+    """
     Xa = _as_rows(X)
     Ya = Xa if Y is None else _as_rows(Y)
-    if Xa.shape[1] != Ya.shape[1]:
+    if Xa.shape[:-2] != Ya.shape[:-2]:
+        raise InputError(f"batch shapes differ: {Xa.shape[:-2]} vs "
+                         f"{Ya.shape[:-2]}")
+    if Xa.shape[-1] != Ya.shape[-1]:
         raise InputError("dimension mismatch between point sets")
+    *batch, n, d = Xa.shape
+    m = Ya.shape[-2]
+    b = prod(batch)
     # one coordinate travels as a Python float, which eval_kernel takes
-    # without building a point
-    xs, ys = ((Xa[:, 0].tolist(), Ya[:, 0].tolist()) if Xa.shape[1] == 1
-              else (list(Xa), list(Ya)))
-    return np.fromiter((eval_kernel(spec, xi, yj) for xi in xs for yj in ys),
-                       dtype=float, count=len(xs) * len(ys)
-                       ).reshape(len(xs), len(ys))
+    # without building a point; a member's rows are its points
+    xs, ys = ((Xa.reshape(b, n).tolist(), Ya.reshape(b, m).tolist())
+              if d == 1 else (list(Xa.reshape(b, n, d)),
+                              list(Ya.reshape(b, m, d))))
+    return np.fromiter((eval_kernel(spec, xi, yj) for xb, yb in zip(xs, ys)
+                        for xi in xb for yj in yb),
+                       dtype=float, count=b * n * m
+                       ).reshape(*batch, n, m)
 
 
 def cross_vector(spec: KernelSpec, X, x_t) -> np.ndarray:
-    """Vector of k(x_i, x_t) over rows of X."""
-    return kernel_matrix(spec, X, _as_point(x_t)[None, :])[:, 0]
+    """Vector of k(x_i, x_t) over rows of X: X is (..., n, d) and x_t
+    (..., d) with the same leading batch shape; the result is (..., n)."""
+    p = np.asarray(x_t, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    return kernel_matrix(spec, X, p[..., None, :])[..., 0]
 
 
 def _gram_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -187,6 +209,9 @@ def _gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     (``kernel_matrix`` and ``jacobi_eigh``) under a tracer.
     """
     Xa = np.atleast_2d(np.asarray(X, dtype=float))
+    if Xa.ndim > 2:
+        raise InputError(f"a Gram matrix takes one point set (n, d), got "
+                         f"shape {Xa.shape}")
     if Xa.shape[0] < 1:
         raise InputError("need at least one location")
     if not np.all(np.isfinite(Xa)):

@@ -53,19 +53,29 @@ def _run_pca_bound(params, seed):
 
 
 def _run_kernel_smoother(params, seed):
+    # all contexts come from one stream, each padded to n_max draws (the
+    # first n of a row have the law of n draws), and each context size is
+    # one batch
     spec = _rbf(params["lengthscale"])
     score = anp.log_kernel_score(spec)
-    value_map = lambda C: np.column_stack([C.values[:, 0], np.ones(C.n)])
-    decoder = lambda x, r: r[0] / r[1]
+    value_map = lambda C: np.concatenate(
+        (C.values, np.ones_like(C.values)), axis=-1)
+    decoder = lambda x, r: r[..., 0] / r[..., 1]
+    N, n_max = params["n_configs"], params["n_max"]
+    gen = rng.stream(seed, "anp.kernel_smoother")
+    sizes = gen.integers(1, n_max + 1, N)
+    locations = gen.uniform(-3, 3, (N, n_max))
+    values = gen.normal(size=(N, n_max))
+    targets = gen.uniform(-3, 3, N)
     worst = 0.0
-    for i in range(params["n_configs"]):
-        gen = rng.stream(seed, "anp.kernel_smoother", i)
-        n = int(gen.integers(1, params["n_max"] + 1))
-        C = cnp.ContextSet(gen.uniform(-3, 3, (n, 1)), gen.normal(size=(n, 1)))
-        x_t = gen.uniform(-3, 3, 1)
+    # the sizes that occur, without np.unique (which loads numpy.ma)
+    for n in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == n)
+        C = cnp.ContextSet(locations[rows, :n, None], values[rows, :n, None])
+        x_t = targets[rows, None]
         a = anp.anp_predict(score, value_map, decoder, C, x_t)
         b = anp.nadaraya_watson(spec, C, x_t)
-        worst = max(worst, abs(a - b))
+        worst = max(worst, float(np.max(np.abs(a - b))))
     return [Check("max_gap", worst, 1e-10, "<=")]
 
 

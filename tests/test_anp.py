@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nplab import runners
 from nplab.anp import (anp_predict, attention_weights,
                        factorization_counterexample, log_kernel_score,
                        nadaraya_watson)
 from nplab.cnp import ContextSet, context_from_pairs, example_collision_pair
-from nplab.errors import InputError
+from nplab.errors import InputError, NumericError
 from nplab.gp_oracle import two_point_weight
 from nplab.kernels import KernelSpec, eval_kernel
 
@@ -91,6 +92,95 @@ class TestKernelSmootherEquivalence:
             with pytest.raises(InputError):
                 anp_predict(uniform_score, value_map,
                             lambda x_t, r: r[0], C, 0.5)
+
+
+def _batch(rng, batch, n, dim):
+    return (ContextSet(rng.uniform(-3, 3, batch + (n, dim)),
+                       rng.normal(size=batch + (n, 1))),
+            rng.uniform(-3, 3, batch + (dim,)))
+
+
+SMOOTHER_VALUES = lambda C: np.concatenate((C.values, np.ones_like(C.values)),
+                                           axis=-1)
+SMOOTHER_DECODER = lambda x_t, r: r[..., 0] / r[..., 1]
+
+
+class TestBatchedContexts:
+    # leading axes hold contexts of one size; each member's weights and
+    # predictions are the bits of its own single-context call
+    @pytest.mark.parametrize("batch", [(4,), (2, 3)], ids=["b", "b1-b2"])
+    @pytest.mark.parametrize("n", [1, 5, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_members_match_single_calls(self, batch, n, dim):
+        rng = np.random.default_rng(n + 7 * dim + len(batch))
+        spec = KernelSpec(family="rbf", lengthscale=1.3)
+        score = log_kernel_score(spec)
+        C, x_t = _batch(rng, batch, n, dim)
+        assert C.n == n
+        w = attention_weights(score, C, x_t)
+        a = anp_predict(score, SMOOTHER_VALUES, SMOOTHER_DECODER, C, x_t)
+        b = nadaraya_watson(spec, C, x_t)
+        assert w.shape == batch + (n,)
+        assert a.shape == b.shape == batch
+        for i in np.ndindex(batch):
+            Ci = ContextSet(C.locations[i], C.values[i])
+            assert np.array_equal(w[i], attention_weights(score, Ci, x_t[i]))
+            single = anp_predict(score, SMOOTHER_VALUES, SMOOTHER_DECODER,
+                                 Ci, x_t[i])
+            assert type(single) is float and a[i] == single
+            single = nadaraya_watson(spec, Ci, x_t[i])
+            assert type(single) is float and b[i] == single
+
+    def test_one_underflowing_member_is_named(self):
+        # member 1 sits 60 lengthscales from its query; its total weight
+        # exp(-1800) is 0 and is the error's residual
+        locations = np.array([[[0.0], [0.5]], [[60.0], [61.0]],
+                              [[1.0], [-1.0]]])
+        C = ContextSet(locations, np.ones((3, 2, 1)))
+        with pytest.raises(NumericError) as err:
+            nadaraya_watson(RBF, C, np.zeros((3, 1)))
+        assert err.value.residual == 0.0
+        C = ContextSet(np.array([[[0.0]], [[37.5]]]), np.ones((2, 1, 1)))
+        with pytest.raises(NumericError) as err:
+            nadaraya_watson(RBF, C, np.zeros((2, 1)))
+        assert err.value.residual == float(np.exp(-0.5 * 37.5 ** 2))
+        assert 0.0 < err.value.residual <= 1e-300
+
+    def test_mismatched_batches_rejected(self):
+        with pytest.raises(InputError, match="batch shapes differ"):
+            ContextSet(np.zeros((2, 3, 1)), np.zeros((4, 3, 1)))
+        C = ContextSet(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)))
+        with pytest.raises(InputError, match="one row per context point"):
+            anp_predict(uniform_score, lambda C: C.values[0],
+                        SMOOTHER_DECODER, C, np.zeros((2, 1)))
+
+
+class TestKernelSmootherRunner:
+    def test_one_stream_per_run(self, monkeypatch):
+        labels = []
+        stream = runners.rng.stream
+
+        def counting(seed, *path):
+            labels.append(path)
+            return stream(seed, *path)
+
+        monkeypatch.setattr("nplab.rng.stream", counting)
+        runners._run_kernel_smoother(
+            {"n_configs": 500, "n_max": 16, "lengthscale": 1.0}, 3)
+        assert labels == [("anp.kernel_smoother",)]
+
+    # the declared corners: n_configs and n_max at both ends, lengthscale
+    # at both ends except for the largest corner, which runs at one
+    # lengthscale to keep the suite fast
+    @pytest.mark.parametrize("n_configs,n_max,lengthscale", [
+        (n_configs, n_max, ell) for n_configs in (1, 10_000)
+        for n_max in (1, 64) for ell in (0.2, 10.0)
+        if (n_configs, n_max, ell) != (10_000, 64, 10.0)])
+    def test_declared_corners(self, n_configs, n_max, lengthscale):
+        [check] = runners._run_kernel_smoother(
+            {"n_configs": n_configs, "n_max": n_max,
+             "lengthscale": lengthscale}, 0)
+        assert check.name == "max_gap" and check.value <= 1e-10
 
 
 class TestFactorizationCounterexample:

@@ -245,24 +245,66 @@ def test_float_coordinates_give_the_point_bits(spec):
                 _outcome(spec, np.array([x]), np.array([x2])), (x, x2)
 
 
+POLYNOMIAL = KernelSpec(family="polynomial", degree=3, lengthscale=1.5)
+BATCHES = [(), (3,), (2, 3)]
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=["2d", "b", "b1-b2"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("spec", SPECS + [POLYNOMIAL],
+                         ids=SPEC_IDS + ["polynomial"])
+def test_batched_members_match_their_own_calls(spec, d, batch):
+    # leading axes hold independent point sets; each member's matrix,
+    # Gram and cross vector is the bits of its own 2-d call
+    rng = np.random.default_rng(len(batch) + 3 * d)
+    X = rng.uniform(-3, 3, batch + (5, d))
+    Y = rng.uniform(-3, 3, batch + (4, d))
+    x_t = rng.uniform(-3, 3, batch + (d,))
+    K, G = kernel_matrix(spec, X, Y), kernel_matrix(spec, X)
+    k = kernels.cross_vector(spec, X, x_t)
+    assert K.shape == batch + (5, 4) and G.shape == batch + (5, 5)
+    assert k.shape == batch + (5,)
+    for i in np.ndindex(batch):
+        assert np.array_equal(K[i], kernel_matrix(spec, X[i], Y[i]))
+        assert np.array_equal(G[i], kernel_matrix(spec, X[i]))
+        assert np.array_equal(k[i], kernels.cross_vector(spec, X[i], x_t[i]))
+
+
+def test_unequal_batch_shapes_rejected():
+    spec = KernelSpec()
+    X = np.zeros((3, 5, 1))
+    for Y in (np.zeros((2, 4, 1)), np.zeros((4, 1)), np.zeros((1, 3, 4, 1))):
+        with pytest.raises(InputError, match="batch shapes differ"):
+            kernel_matrix(spec, X, Y)
+    for x_t in (np.zeros((2, 1)), np.zeros(1)):
+        with pytest.raises(InputError, match="batch shapes differ"):
+            kernels.cross_vector(spec, X, x_t)
+    with pytest.raises(InputError, match="batch shapes differ"):
+        kernels.cross_vector(spec, X[0], np.zeros((3, 1)))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("cross", [False, True], ids=["gram", "cross"])
 def test_kernel_matrix_calls_eval_kernel_once_per_pair(monkeypatch, d,
                                                       cross):
     # a tracer counts kernel_matrix's calls through kernels.eval_kernel, so
-    # a Gram of n points is n * n calls, not a mirrored triangle
+    # a Gram of n points is n * n calls, not a mirrored triangle, and a
+    # batch of two is that many calls for each member
     rng = np.random.default_rng(d)
-    X = rng.normal(size=(5, d))
-    Y = rng.normal(size=(3, d)) if cross else None
     spec = KernelSpec(family="matern")
-    want = kernel_matrix(spec, X, Y)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return eval_kernel(*args)
 
-    monkeypatch.setattr(kernels, "eval_kernel", counting)
-    got = kernel_matrix(spec, X, Y)
-    assert len(calls) == len(X) * len(X if Y is None else Y)
-    assert np.array_equal(got, want)
+    for members, batch in ((1, ()), (2, (2,))):
+        X = rng.normal(size=batch + (5, d))
+        Y = rng.normal(size=batch + (3, d)) if cross else None
+        want = kernel_matrix(spec, X, Y)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "eval_kernel", counting)
+            got = kernel_matrix(spec, X, Y)
+        assert len(calls) == members * 5 * (5 if Y is None else 3)
+        assert np.array_equal(got, want)

@@ -102,6 +102,12 @@ class TestGramSpectrum:
         with pytest.raises(InputError):
             gram_spectrum(RBF, [[np.nan]])
 
+    def test_stacked_point_sets_rejected(self):
+        # a Gram is of one point set; a (b, n, d) stack is named, not passed
+        # on to the eigensolver
+        with pytest.raises(InputError, match=r"\(2, 3, 1\)"):
+            gram_spectrum(RBF, np.zeros((2, 3, 1)))
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6, unique=True),
@@ -164,3 +170,9 @@ def test_gram_spectra_match_gram_spectrum_bit_for_bit():
         assert got.eigenvectors.strides == want.eigenvectors.strides
     with pytest.raises(InputError):
         gram_spectra([(specs[0], [[0.0], [np.inf]])])
+
+
+def test_gram_spectra_reject_stacked_point_sets():
+    X = np.linspace(0.0, 1.0, 3).reshape(-1, 1)
+    with pytest.raises(InputError, match=r"\(2, 3, 1\)"):
+        gram_spectra([(RBF, X), (RBF, np.stack([X, X + 1.0]))])

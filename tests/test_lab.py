@@ -506,6 +506,12 @@ class TestCli:
         assert loaded_by_cli("run", str(cfg),
                              modules=("numpy", "numpy.ma")) == (0, ["numpy"])
 
+    def test_hierarchy_suite_loads_no_numpy_ma(self):
+        # no experiment of the suite takes distinct values with np.unique,
+        # the kernel smoother's grouping by context size included
+        assert loaded_by_cli("suite", "hierarchy", "--seed", "0",
+                             modules=("numpy", "numpy.ma")) == (0, ["numpy"])
+
     def test_hierarchy_pass_loads_no_scipy(self):
         # nplab depends on numpy only; scipy and mpmath are test oracles
         import os
